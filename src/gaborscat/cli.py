@@ -237,8 +237,7 @@ def _pipeline(rc: RunConfig):
     return sol, metrics
 
 
-def cmd_solve(args) -> int:
-    rc = parse_config(args.config)
+def cmd_solve(args, rc: RunConfig) -> int:
     sol, metrics = _pipeline(rc)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     xs, zs = rc.output_grid
@@ -254,7 +253,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_green_check(args) -> int:
+def cmd_green_check(args, _rc=None) -> int:
     k0 = args.k0
     split = args.split if args.split is not None else optimal_split(k0, args.delta)
     k0r = np.logspace(np.log10(args.rmin), np.log10(args.rmax), args.n)
@@ -266,8 +265,7 @@ def cmd_green_check(args) -> int:
     return 0 if worst <= args.tol else 3
 
 
-def cmd_dual_window(args) -> int:
-    rc = parse_config(args.config)
+def cmd_dual_window(args, rc: RunConfig) -> int:
     xs, eta, dw = _fit_dual(rc)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     from .frame import dual_window_value
@@ -283,8 +281,7 @@ def cmd_dual_window(args) -> int:
     return 0
 
 
-def cmd_tables(args) -> int:
-    rc = parse_config(args.config)
+def cmd_tables(args, rc: RunConfig) -> int:
     if rc.cache_dir is None:
         raise ConfigError("cache", "tables subcommand requires cache.enabled")
     t0 = time.perf_counter()
@@ -294,8 +291,7 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    rc = parse_config(args.config)
+def cmd_compare(args, rc: RunConfig) -> int:
     sol, metrics = _pipeline(rc)
     cell = args.oracle_cell
     mom = mom_solve(rc.scene, MoMConfig(cell=cell))
@@ -367,19 +363,16 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    out_dir = None
+    rc = None
     try:
         if hasattr(args, "config"):
-            try:
-                out_dir = parse_config(args.config).out_dir
-            except Exception:
-                out_dir = None
-        return args.func(args)
+            rc = parse_config(args.config)
+        return args.func(args, rc)
     except ConfigError as exc:
-        _error_report(exc, out_dir)
+        _error_report(exc, rc.out_dir if rc else None)
         return 2
     except (NonConvergence, QuadratureFailure, GaborscatError) as exc:
-        _error_report(exc, out_dir)
+        _error_report(exc, rc.out_dir if rc else None)
         return 3
 
 

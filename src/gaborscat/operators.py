@@ -1,24 +1,32 @@
 """Discrete forward map from contrast-source coefficients to scattered-field
 coefficients.
 
-The coupling factorizes as an x-side tensor (window/dual sums with their
-phases) against a z-side tensor (kernel-table Toeplitz blocks with triangle
-boundary masks):
+Both coupling tables enter through the index rules q = m-s-u, p = n+t+v
+(spatial) and q = s+v-m, p = n+t+u (spectral), so for each output/input
+spectral pair (t, n) the map depends on the spatial indices only through m-s
+and on the triangle indices only through k-l.  build_operator folds the two
+tables, their dual-window (u, v) sums and the scalar prefactors (k0^2,
+X^2/sqrt(pi), X*sqrt(2/pi)) into one kernel
 
-    G[(s,t,l),(m,n,k)] = sum_over_live_(q,p)  Xf[(s,t),(m,n);(q,p)] * Z[(q,p);(l,k)]
+    K[t, n, r = m-s, d = k-l],   shape (2N+1, 2N+1, 4M+1, 2 n_k+1),
 
-with q = m-s-u, p = n+t+v on the spatial side and q = s+v-m, p = n+t+u on the
-spectral side.  green_apply contracts through the live (q,p) columns without
-forming G; assemble_dense materializes G by one matmul per side.  All scalar
-prefactors (k0^2, X^2/sqrt(pi), X*sqrt(2/pi)) and the spectral-to-spatial
-conversion phase e^{-2 pi j a b s t} are pinned by the end-to-end unit-source
-test against brute-force quadrature of the exact Green function.
+and the map reads
+
+    G[(s,t,l),(m,n,k)] = e^{-2 pi j ab s t} e^{+2 pi j ab m n}
+                         ([k < n_k] K[t,n,m-s,k-l] + [k > 0] K[t,n,m-s,l-k]),
+
+the masks dropping the triangle half that the z-interval boundary cuts away.
+green_apply runs the (m, k) correlations with zero-padded FFTs against the
+precomputed kernel DFT; assemble_dense gathers G from K for the direct solve.
+The prefactors and the spectral-to-spatial conversion phase are pinned by the
+end-to-end unit-source test against brute-force quadrature of the exact Green
+function.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import DimensionMismatch, SizeCap
 from .frame import (DualWindow, FrameParams, analysis_grid, dual_window_value,
@@ -38,105 +46,86 @@ def _check_coeffs(c: np.ndarray, fp: FrameParams, zg: ZGrid):
             f"coefficient shape {c.shape[:3]} != {coeff_shape(fp, zg)}")
 
 
-def _z_blocks(table: KernelTable) -> tuple[np.ndarray, np.ndarray]:
-    """Live (q,p) columns and their (l,k) coupling blocks.
+def _diag_phase(fp: FrameParams) -> np.ndarray:
+    """Column phase e^{+2 pi j ab m n} over (m, n); its conjugate is the row
+    phase e^{-2 pi j ab s t}."""
+    return np.exp(2j * np.pi * fp.alpha * fp.beta * np.outer(fp.m_range, fp.n_range))
 
-    Z[c, l, k] = [k < n_k] T[q,p,k-l] + [k > 0] T[q,p,l-k]; the masks drop the
-    triangle half that the z-interval boundary cuts away.
+
+def _fold_table(kernel: np.ndarray, table: KernelTable, fp: FrameParams,
+                terms, q_sign: int):
+    """kernel[t, n, r, :] += sum over terms (dq, dp, w) of
+    w[t, n] * T[q_sign*r + dq, n + t + dp, :] for r in [-2M, 2M]."""
+    nn, _, nr, _ = kernel.shape
+    data = table.data if q_sign > 0 else table.data[::-1]    # q -> -q
+    for dq, dp, w in terms:
+        q_lo = table.q_max + q_sign * dq - 2 * fp.M
+        for it, t in enumerate(fp.n_range):
+            p_lo = table.p_max + t + dp - fp.N
+            if min(q_lo, p_lo) < 0 or q_lo + nr > data.shape[0] \
+                    or p_lo + nn > data.shape[1]:
+                raise DimensionMismatch(
+                    f"{table.kind} table index box too small for the dual window")
+            block = data[q_lo:q_lo + nr, p_lo:p_lo + nn, :]     # (r, n, d)
+            kernel[it] += w[it][:, None, None] * block.transpose(1, 0, 2)
+
+
+def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
+                 spectral_table: KernelTable, k0: float) -> np.ndarray:
+    """Both tables folded into K[t, n, r = m-s, d = k-l] (diagonal phases excluded).
+
+    Spatial side: q = m-s-u, p = n+t+v with weight
+    conj(a_uv) e^{-2 pi j ab u (t+v)} e^{-pi/2 beta^2 (v+t-n)^2}.
+    Spectral side: q = s+v'-m, p = n+t+u' with weight
+    conj(ahat_u'v') e^{-2 pi j ab t v'} e^{-pi/2 beta^2 (u'+t-n)^2}.
     """
-    n_k = table.zg.n_k
-    live = np.argwhere(np.abs(table.data).max(axis=2) > 0)
-    if len(live) == 0:
-        live = np.array([[table.q_max, table.p_max]])
-    rows = table.data[live[:, 0], live[:, 1], :]         # (nlive, 2*n_k+1)
-    l_idx = np.arange(n_k + 1)
-    k_idx = np.arange(n_k + 1)
-    d_fall = k_idx[None, :] - l_idx[:, None] + n_k       # k - l
-    d_rise = l_idx[:, None] - k_idx[None, :] + n_k       # l - k
-    z = (rows[:, d_fall] * (k_idx < n_k)[None, None, :]
-         + rows[:, d_rise] * (k_idx > 0)[None, None, :])
-    return live, z
-
-
-def _x_factor_spatial(fp: FrameParams, dw: DualWindow, live: np.ndarray,
-                      q_max: int, p_max: int, k0: float) -> np.ndarray:
-    """Xf[s,t,m,n,c] for live columns c; includes every scalar and phase factor."""
     ab = fp.alpha * fp.beta
-    ms = fp.m_range
-    ns = fp.n_range
-    nm, nn = len(ms), len(ns)
-    col_of = -np.ones((2 * q_max + 1, 2 * p_max + 1), dtype=int)
-    col_of[live[:, 0], live[:, 1]] = np.arange(len(live))
-    xf = np.zeros((nm, nn, nm, nn, len(live)), dtype=complex)
-    s_g = ms[:, None]
-    m_g = ms[None, :]
-    for iu, u in enumerate(range(-dw.n_u, dw.n_u + 1)):
-        q_idx = m_g - s_g - u + q_max                    # (ns, nm)
-        q_ok = (q_idx >= 0) & (q_idx < 2 * q_max + 1)
-        for iv, v in enumerate(range(-dw.n_v, dw.n_v + 1)):
-            t_g = ns[:, None]
-            n_g = ns[None, :]
-            p_idx = n_g + t_g + v + p_max                # (nt, nn)
-            p_ok = (p_idx >= 0) & (p_idx < 2 * p_max + 1)
-            w_tn = (np.conj(dw.a[iu, iv])
-                    * np.exp(-2j * np.pi * ab * u * (t_g + v))
-                    * np.exp(-np.pi / 2 * fp.beta ** 2 * (v + t_g - n_g) ** 2))
-            cols = col_of[np.clip(q_idx, 0, None)[:, :, None, None],
-                          np.clip(p_idx, 0, None)[None, None, :, :]]
-            valid = q_ok[:, :, None, None] & p_ok[None, None, :, :] & (cols >= 0)
-            si, mi, ti, ni = np.nonzero(valid)
-            np.add.at(xf, (si, ti, mi, ni, cols[valid]),
-                      np.broadcast_to(w_tn[None, None, :, :],
-                                      valid.shape)[valid])
-    phase_row = np.exp(-2j * np.pi * ab * np.outer(ms, ns))     # e^{-2pi j ab s t}
-    phase_col = np.exp(+2j * np.pi * ab * np.outer(ms, ns))     # e^{+2pi j ab m n}
-    xf *= phase_row[:, :, None, None, None]
-    xf *= phase_col[None, None, :, :, None]
-    xf *= k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
-    return xf
+    nn = 2 * fp.N + 1
+    t_g = fp.n_range[:, None]
+    n_g = fp.n_range[None, :]
+    kernel = np.zeros((nn, nn, 4 * fp.M + 1, 2 * spatial_table.zg.n_k + 1),
+                      dtype=complex)
+
+    def decay(shift):
+        return np.exp(-np.pi / 2 * fp.beta ** 2 * (shift + t_g - n_g) ** 2)
+
+    pref = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
+    spatial = [(-u, v, pref * np.conj(dual.a[iu, iv])
+                * np.exp(-2j * np.pi * ab * u * (t_g + v)) * decay(v))
+               for iu, u in enumerate(range(-dual.n_u, dual.n_u + 1))
+               for iv, v in enumerate(range(-dual.n_v, dual.n_v + 1))]
+    _fold_table(kernel, spatial_table, fp, spatial, q_sign=1)
+
+    pref = k0 * k0 * fp.X * np.sqrt(2 / np.pi)
+    a_hat = spectral_dual_coeffs(dual, fp)               # (2 n_v+1, 2 n_u+1)
+    spectral = [(vh, uh, pref * np.conj(a_hat[ih, jv])
+                 * np.exp(-2j * np.pi * ab * t_g * vh) * decay(uh))
+                for ih, uh in enumerate(range(-dual.n_v, dual.n_v + 1))
+                for jv, vh in enumerate(range(-dual.n_u, dual.n_u + 1))]
+    _fold_table(kernel, spectral_table, fp, spectral, q_sign=-1)
+    return kernel
 
 
-def _x_factor_spectral(fp: FrameParams, dw: DualWindow, live: np.ndarray,
-                       q_max: int, p_max: int, k0: float) -> np.ndarray:
-    ab = fp.alpha * fp.beta
-    a_hat = spectral_dual_coeffs(dw, fp)                 # (2 n_v+1, 2 n_u+1)
-    ms = fp.m_range
-    ns = fp.n_range
-    nm, nn = len(ms), len(ns)
-    col_of = -np.ones((2 * q_max + 1, 2 * p_max + 1), dtype=int)
-    col_of[live[:, 0], live[:, 1]] = np.arange(len(live))
-    xf = np.zeros((nm, nn, nm, nn, len(live)), dtype=complex)
-    s_g = ms[:, None]
-    m_g = ms[None, :]
-    for ih, uh in enumerate(range(-dw.n_v, dw.n_v + 1)):    # kx-shift index
-        t_g = ns[:, None]
-        n_g = ns[None, :]
-        p_idx = n_g + t_g + uh + p_max
-        p_ok = (p_idx >= 0) & (p_idx < 2 * p_max + 1)
-        decay = np.exp(-np.pi / 2 * fp.beta ** 2 * (n_g - t_g - uh) ** 2)
-        for jv, vh in enumerate(range(-dw.n_u, dw.n_u + 1)):  # phase index
-            q_idx = s_g + vh - m_g + q_max
-            q_ok = (q_idx >= 0) & (q_idx < 2 * q_max + 1)
-            w_tn = (np.conj(a_hat[ih, jv])
-                    * np.exp(-2j * np.pi * ab * t_g * vh) * decay)
-            cols = col_of[np.clip(q_idx, 0, None)[:, :, None, None],
-                          np.clip(p_idx, 0, None)[None, None, :, :]]
-            valid = q_ok[:, :, None, None] & p_ok[None, None, :, :] & (cols >= 0)
-            si, mi, ti, ni = np.nonzero(valid)
-            np.add.at(xf, (si, ti, mi, ni, cols[valid]),
-                      np.broadcast_to(w_tn[None, None, :, :],
-                                      valid.shape)[valid])
-    phase_row = np.exp(-2j * np.pi * ab * np.outer(ms, ns))
-    phase_col = np.exp(+2j * np.pi * ab * np.outer(ms, ns))
-    xf *= phase_row[:, :, None, None, None]
-    xf *= phase_col[None, None, :, :, None]
-    xf *= k0 * k0 * fp.X * np.sqrt(2 / np.pi)
-    return xf
+def _kernel_fft(kernel: np.ndarray) -> np.ndarray:
+    """2-D DFT over (r, d) of the kernel placed for circular correlation.
+
+    Entry (r, d) sits at ((-r) mod L_m, (-d) mod L_k); L_m >= 4M+1 and
+    L_k >= 2n_k+1 keep every offset distinct, so the circular correlation of a
+    zero-padded (m, k) input equals the linear one.  Layout (L_m, L_k, t, n).
+    """
+    nt, nn, nr, nd = kernel.shape
+    lm, lk = scipy.fft.next_fast_len(nr), scipy.fft.next_fast_len(nd)
+    r = np.arange(nr) - nr // 2
+    d = np.arange(nd) - nd // 2
+    circ = np.zeros((lm, lk, nt, nn), dtype=complex)
+    circ[(-r % lm)[:, None], (-d % lk)[None, :]] = kernel.transpose(2, 3, 0, 1)
+    return scipy.fft.fft2(circ, axes=(0, 1))
 
 
 @dataclass
 class DiscreteOperator:
-    """Precomputed forward-map factors plus the sampled contrast slices."""
+    """Folded forward-map kernel and its DFT, the x-grid synthesis/analysis
+    matrices and the sampled contrast slices."""
     fp: FrameParams
     zg: ZGrid
     k0: float
@@ -145,10 +134,8 @@ class DiscreteOperator:
     spectral_table: KernelTable
     grid: np.ndarray
     chi_slices: np.ndarray                   # (n_k+1, ngrid), real
-    xf_spatial: np.ndarray = field(repr=False, default=None)
-    z_spatial: np.ndarray = field(repr=False, default=None)
-    xf_spectral: np.ndarray = field(repr=False, default=None)
-    z_spectral: np.ndarray = field(repr=False, default=None)
+    kernel: np.ndarray = field(repr=False, default=None)       # (t, n, r, d)
+    kernel_fft: np.ndarray = field(repr=False, default=None)   # (L_m, L_k, t, n)
     synth_matrix: np.ndarray = field(repr=False, default=None)
     analysis_matrix: np.ndarray = field(repr=False, default=None)
 
@@ -162,7 +149,7 @@ def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
                    dual: DualWindow, spatial_table: KernelTable,
                    spectral_table: KernelTable,
                    grid: np.ndarray | None = None) -> DiscreteOperator:
-    """Assemble the factorized operator; scene=None means chi == 0."""
+    """Fold the tables into the operator kernel; scene=None means chi == 0."""
     for t in (spatial_table, spectral_table):
         if t.fp != fp or t.zg != zg:
             raise DimensionMismatch("table metadata inconsistent with fp/zg")
@@ -173,17 +160,11 @@ def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
     else:
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
 
-    live_s, z_s = _z_blocks(spatial_table)
-    live_p, z_p = _z_blocks(spectral_table)
+    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table, k0)
     op = DiscreteOperator(
         fp=fp, zg=zg, k0=k0, dual=dual, spatial_table=spatial_table,
         spectral_table=spectral_table, grid=xs, chi_slices=chi,
-        xf_spatial=_x_factor_spatial(fp, dual, live_s, spatial_table.q_max,
-                                     spatial_table.p_max, k0),
-        z_spatial=z_s,
-        xf_spectral=_x_factor_spectral(fp, dual, live_p, spectral_table.q_max,
-                                       spectral_table.p_max, k0),
-        z_spectral=z_p)
+        kernel=kernel, kernel_fft=_kernel_fft(kernel))
 
     mod = np.exp(1j * fp.beta * fp.K * np.outer(xs, fp.n_range))
     nm, nn = 2 * fp.M + 1, 2 * fp.N + 1
@@ -202,21 +183,29 @@ def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
 
 
 def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
-    """Scattered-field coefficients k0^2 (G * J) for J given as (m, n, k[, batch])."""
+    """Scattered-field coefficients k0^2 (G * J) for J given as (m, n, k[, batch]).
+
+    Per output t, sum over n of two correlations over (m, k) with the kernel
+    K[t, n]: K[m-s, k-l] against the input masked to k < n_k, and K[m-s, l-k]
+    against the input masked to k > 0.  The second is the first applied to
+    the k-reversed input and read back reversed in l, so both share one kernel
+    DFT; the sum over n is a matmul per frequency.
+    """
     c = np.asarray(coeffs, dtype=complex)
     _check_coeffs(c, op.fp, op.zg)
     nm, nn, nk = coeff_shape(op.fp, op.zg)
-    batch = c.shape[3:]
-    nb = int(np.prod(batch)) if batch else 1
-    cb = c.reshape(nm * nn, nk, nb)
-    c_by_k = np.ascontiguousarray(cb.transpose(1, 0, 2)).reshape(nk, -1)
-    out = np.zeros((nm * nn, nk * nb), dtype=complex)
-    for xf, z in ((op.xf_spatial, op.z_spatial), (op.xf_spectral, op.z_spectral)):
-        nc = z.shape[0]
-        v = (z.reshape(nc * nk, nk) @ c_by_k).reshape(nc, nk, nm * nn, nb)
-        v = np.ascontiguousarray(v.transpose(2, 0, 1, 3)).reshape(
-            nm * nn * nc, nk * nb)
-        out += xf.reshape(nm * nn, -1) @ v
+    nb = int(np.prod(c.shape[3:])) if c.ndim > 3 else 1
+    phase = _diag_phase(op.fp)
+    y = c.reshape(nm, nn, nk, nb) * phase[:, :, None, None]
+    lm, lk = op.kernel_fft.shape[:2]
+    padded = np.zeros((lm, lk, nn, 2, nb), dtype=complex)
+    padded[:nm, :nk - 1, :, 0] = y[:, :, :-1].transpose(0, 2, 1, 3)    # k < n_k
+    padded[:nm, :nk - 1, :, 1] = y[:, :, :0:-1].transpose(0, 2, 1, 3)  # k > 0
+    spec = scipy.fft.fft2(padded.reshape(lm, lk, nn, 2 * nb), axes=(0, 1))
+    corr = scipy.fft.ifft2(op.kernel_fft @ spec, axes=(0, 1))[:nm, :nk]
+    corr = corr.reshape(nm, nk, nn, 2, nb)
+    out = corr[:, :, :, 0] + corr[:, ::-1, :, 1]              # (s, l, t, batch)
+    out = out.transpose(0, 2, 1, 3) * np.conj(phase)[:, :, None, None]
     return out.reshape(c.shape)
 
 
@@ -245,27 +234,36 @@ def forward_residual(coeffs: np.ndarray, inc_coeffs: np.ndarray,
 
 
 def assemble_green_matrix(op: DiscreteOperator) -> np.ndarray:
-    """Dense matrix of green_apply in (m*nn + n)*nk + k flattening."""
+    """Dense matrix of green_apply in (m*nn + n)*nk + k flattening.
+
+    Gathered from the kernel one m-s block at a time:
+    G[(s,t,l),(m,n,k)] = e^{-2 pi j ab s t} e^{+2 pi j ab m n}
+                         ([k < n_k] K[t,n,m-s,k-l] + [k > 0] K[t,n,m-s,l-k]).
+    """
     nm, nn, nk = coeff_shape(op.fp, op.zg)
-    n = nm * nn * nk
-    out = None
-    for xf, z in ((op.xf_spatial, op.z_spatial), (op.xf_spectral, op.z_spectral)):
-        big = xf.reshape(-1, xf.shape[-1]) @ z.reshape(z.shape[0], -1)
-        big = big.reshape(nm, nn, nm, nn, nk, nk).transpose(0, 1, 4, 2, 3, 5)
-        big = np.ascontiguousarray(big).reshape(n, n)
-        if out is None:
-            out = big
-        else:
-            out += big
-    return out
+    n_k, two_m = nk - 1, 2 * op.fp.M
+    idx = np.arange(nk)
+    d_fall = idx[None, :] - idx[:, None] + n_k           # [l, k] -> k - l
+    d_rise = idx[:, None] - idx[None, :] + n_k           # [l, k] -> l - k
+    phase = _diag_phase(op.fp)
+    g = np.empty((nm, nn, nk, nm, nn, nk), dtype=complex)
+    for r in range(-two_m, two_m + 1):
+        k_r = op.kernel[:, :, r + two_m]                 # (t, n, d)
+        z = k_r[:, :, d_fall] * (idx < n_k) + k_r[:, :, d_rise] * (idx > 0)
+        s_idx = np.arange(max(0, -r), min(nm, nm - r))
+        m_idx = s_idx + r
+        g[s_idx, :, :, m_idx] = (np.conj(phase)[s_idx, :, None, None, None]
+                                 * z.transpose(0, 2, 1, 3)[None]
+                                 * phase[m_idx][:, None, None, :, None])
+    return g.reshape(nm * nn * nk, nm * nn * nk)
 
 
-def assemble_dense(op: DiscreteOperator, cap: int = 8000,
-                   col_block: int = 512) -> np.ndarray:
-    """System matrix I - chi*G; columns are forward-map images of unit vectors.
+def assemble_dense(op: DiscreteOperator, cap: int = 8000) -> np.ndarray:
+    """System matrix I - chi*G, built in place over the Green matrix.
 
-    The contrast projection runs over column blocks to bound the synthesized
-    grid-field temporary.
+    The contrast multiplication acts on each z slice l separately, as the
+    (nm*nn)^2 projector analysis * diag(chi(., z_l)) * synthesis, which is
+    formed once per slice instead of synthesizing every column on the grid.
     """
     n = op.n_unknowns
     if n > cap:
@@ -273,17 +271,10 @@ def assemble_dense(op: DiscreteOperator, cap: int = 8000,
             f"{n} unknowns exceed the dense cap {cap}; use the iterative solver")
     nm, nn, nk = coeff_shape(op.fp, op.zg)
     a = assemble_green_matrix(op)
-    out = np.empty_like(a)
-    chi_t = op.chi_slices.T[:, :, None]
-    for j0 in range(0, n, col_block):
-        j1 = min(j0 + col_block, n)
-        view = np.ascontiguousarray(
-            a.reshape(nm * nn, nk, n)[:, :, j0:j1]).reshape(nm * nn, -1)
-        fields = (op.synth_matrix @ view).reshape(-1, nk, j1 - j0)
-        fields *= chi_t
-        block = op.analysis_matrix @ fields.reshape(-1, nk * (j1 - j0))
-        out.reshape(nm * nn, nk, n)[:, :, j0:j1] = block.reshape(
-            nm * nn, nk, j1 - j0)
-    out *= -1
-    out[np.arange(n), np.arange(n)] += 1
-    return out
+    by_slice = a.reshape(nm * nn, nk, n)
+    for l in range(nk):
+        proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
+        by_slice[:, l] = proj @ by_slice[:, l]
+    a *= -1
+    a[np.arange(n), np.arange(n)] += 1
+    return a

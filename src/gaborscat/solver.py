@@ -17,7 +17,8 @@ from .operators import (DiscreteOperator, assemble_dense, build_operator,
 from .scene import Scene, project_source, validate_scene
 from .tables import build_tables
 
-_MAX_ITER = 2000
+_MAX_ITER = 2000        # GMRES matvec budget per solve
+_RESTART = 200
 
 
 @dataclass
@@ -85,12 +86,18 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
             return (c - contrast_multiply(green_apply(c, operator), operator)
                     ).reshape(n)
 
+        # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
+        # (the last one recomputes the true residual)
+        cycles = -(-_MAX_ITER // (_RESTART + 1))
+        restart = _MAX_ITER // cycles - 1
         lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
                                                  dtype=complex)
         x, info = scipy.sparse.linalg.gmres(
-            lin, b, rtol=tol / 10, atol=0.0, maxiter=_MAX_ITER, restart=200)
+            lin, b, rtol=tol / 10, atol=0.0, maxiter=cycles, restart=restart)
         if info != 0:
-            raise NonConvergence(f"GMRES did not converge (info={info})")
+            raise NonConvergence(
+                f"GMRES did not converge within {iterations} matvecs "
+                f"(budget {_MAX_ITER})")
     else:
         raise ValueError(f"unknown method {method!r}")
 

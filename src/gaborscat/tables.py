@@ -15,7 +15,9 @@ docs/table-cache.md.
 """
 
 import hashlib
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -286,13 +288,22 @@ def cache_path(directory, kind: str, fp: FrameParams, zg: ZGrid,
 
 
 def save_table(table: KernelTable, path) -> Path:
+    """Write through a temporary file in the target directory and rename it
+    into place, so readers see either no file or a complete one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _header_bytes(table.kind, table.fp, table.zg, table.cfg,
                            table.n_u, table.n_v)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(table.data, dtype=complex).tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(table.data, dtype=complex).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -308,6 +319,10 @@ def load_table(path, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         raw = fh.read()
     q_max, p_max = index_bounds(fp, n_u, n_v)
     shape = (2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1)
+    expect = int(np.prod(shape)) * np.dtype(complex).itemsize
+    if len(raw) != expect:
+        raise DomainError(f"cache file {path} holds {len(raw)} data bytes, "
+                          f"expected {expect}")
     data = np.frombuffer(raw, dtype=complex).reshape(shape).copy()
     return KernelTable(data=data, kind=kind, fp=fp, zg=zg, cfg=cfg,
                        n_u=n_u, n_v=n_v)
@@ -322,7 +337,7 @@ def load_or_build(directory, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
             spatial = load_table(paths["spatial"], fp, zg, cfg, n_u, n_v, "spatial")
             spectral = load_table(paths["spectral"], fp, zg, cfg, n_u, n_v, "spectral")
             return spatial, spectral, True
-        except (DomainError, ValueError):
+        except DomainError:
             pass
     spatial, spectral = build_tables(fp, zg, cfg, n_u, n_v)
     save_table(spatial, paths["spatial"])

@@ -7,6 +7,8 @@ package internals, so each check is a genuine dual route.
 import numpy as np
 from scipy.integrate import quad_vec
 
+from gaborscat.frame import spectral_dual_coeffs
+
 # ---------------------------------------------------------------------------
 # Bessel J0/Y0 from scratch: power series for small argument, Hankel's
 # asymptotic expansion for large, cross-checked against published table values.
@@ -207,3 +209,148 @@ def unit_source_field(xp: float, zp: float, m: int, n: int, k: int,
     tri = np.clip(1 - np.abs(zgr - z_k) / zg.delta, 0, None)
     vals = green(r) * gw_vals * tri
     return complex(np.einsum("i,j,ij->", xw, zw, vals))
+
+
+# ---------------------------------------------------------------------------
+# x-factor contraction of the forward map: the explicit factorization
+#
+#     G[(s,t,l),(m,n,k)] = sum_(q,p)  Xf[(s,t),(m,n);(q,p)] * Z[(q,p);(l,k)]
+#
+# with q = m-s-u, p = n+t+v on the spatial side and q = s+v-m, p = n+t+u on the
+# spectral side, every (u, v) dual-window term, both diagonal phases and the
+# scalar prefactors written out.  Dense in (s, t, m, n), so only for small boxes.
+
+def _z_blocks(table):
+    """Live (q,p) columns and their (l,k) coupling blocks.
+
+    Z[c, l, k] = [k < n_k] T[q,p,k-l] + [k > 0] T[q,p,l-k]; the masks drop the
+    triangle half that the z-interval boundary cuts away.
+    """
+    n_k = table.zg.n_k
+    live = np.argwhere(np.abs(table.data).max(axis=2) > 0)
+    if len(live) == 0:
+        live = np.array([[table.q_max, table.p_max]])
+    rows = table.data[live[:, 0], live[:, 1], :]         # (nlive, 2*n_k+1)
+    l_idx = np.arange(n_k + 1)
+    k_idx = np.arange(n_k + 1)
+    d_fall = k_idx[None, :] - l_idx[:, None] + n_k       # k - l
+    d_rise = l_idx[:, None] - k_idx[None, :] + n_k       # l - k
+    z = (rows[:, d_fall] * (k_idx < n_k)[None, None, :]
+         + rows[:, d_rise] * (k_idx > 0)[None, None, :])
+    return live, z
+
+
+def _x_factor_spatial(fp, dw, live, q_max, p_max, k0):
+    """Xf[s,t,m,n,c] for live columns c; includes every scalar and phase factor."""
+    ab = fp.alpha * fp.beta
+    ms = fp.m_range
+    ns = fp.n_range
+    nm, nn = len(ms), len(ns)
+    col_of = -np.ones((2 * q_max + 1, 2 * p_max + 1), dtype=int)
+    col_of[live[:, 0], live[:, 1]] = np.arange(len(live))
+    xf = np.zeros((nm, nn, nm, nn, len(live)), dtype=complex)
+    s_g = ms[:, None]
+    m_g = ms[None, :]
+    for iu, u in enumerate(range(-dw.n_u, dw.n_u + 1)):
+        q_idx = m_g - s_g - u + q_max                    # (ns, nm)
+        q_ok = (q_idx >= 0) & (q_idx < 2 * q_max + 1)
+        for iv, v in enumerate(range(-dw.n_v, dw.n_v + 1)):
+            t_g = ns[:, None]
+            n_g = ns[None, :]
+            p_idx = n_g + t_g + v + p_max                # (nt, nn)
+            p_ok = (p_idx >= 0) & (p_idx < 2 * p_max + 1)
+            w_tn = (np.conj(dw.a[iu, iv])
+                    * np.exp(-2j * np.pi * ab * u * (t_g + v))
+                    * np.exp(-np.pi / 2 * fp.beta ** 2 * (v + t_g - n_g) ** 2))
+            cols = col_of[np.clip(q_idx, 0, None)[:, :, None, None],
+                          np.clip(p_idx, 0, None)[None, None, :, :]]
+            valid = q_ok[:, :, None, None] & p_ok[None, None, :, :] & (cols >= 0)
+            si, mi, ti, ni = np.nonzero(valid)
+            np.add.at(xf, (si, ti, mi, ni, cols[valid]),
+                      np.broadcast_to(w_tn[None, None, :, :],
+                                      valid.shape)[valid])
+    phase_row = np.exp(-2j * np.pi * ab * np.outer(ms, ns))     # e^{-2pi j ab s t}
+    phase_col = np.exp(+2j * np.pi * ab * np.outer(ms, ns))     # e^{+2pi j ab m n}
+    xf *= phase_row[:, :, None, None, None]
+    xf *= phase_col[None, None, :, :, None]
+    xf *= k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
+    return xf
+
+
+def _x_factor_spectral(fp, dw, live, q_max, p_max, k0):
+    ab = fp.alpha * fp.beta
+    a_hat = spectral_dual_coeffs(dw, fp)                 # (2 n_v+1, 2 n_u+1)
+    ms = fp.m_range
+    ns = fp.n_range
+    nm, nn = len(ms), len(ns)
+    col_of = -np.ones((2 * q_max + 1, 2 * p_max + 1), dtype=int)
+    col_of[live[:, 0], live[:, 1]] = np.arange(len(live))
+    xf = np.zeros((nm, nn, nm, nn, len(live)), dtype=complex)
+    s_g = ms[:, None]
+    m_g = ms[None, :]
+    for ih, uh in enumerate(range(-dw.n_v, dw.n_v + 1)):    # kx-shift index
+        t_g = ns[:, None]
+        n_g = ns[None, :]
+        p_idx = n_g + t_g + uh + p_max
+        p_ok = (p_idx >= 0) & (p_idx < 2 * p_max + 1)
+        decay = np.exp(-np.pi / 2 * fp.beta ** 2 * (n_g - t_g - uh) ** 2)
+        for jv, vh in enumerate(range(-dw.n_u, dw.n_u + 1)):  # phase index
+            q_idx = s_g + vh - m_g + q_max
+            q_ok = (q_idx >= 0) & (q_idx < 2 * q_max + 1)
+            w_tn = (np.conj(a_hat[ih, jv])
+                    * np.exp(-2j * np.pi * ab * t_g * vh) * decay)
+            cols = col_of[np.clip(q_idx, 0, None)[:, :, None, None],
+                          np.clip(p_idx, 0, None)[None, None, :, :]]
+            valid = q_ok[:, :, None, None] & p_ok[None, None, :, :] & (cols >= 0)
+            si, mi, ti, ni = np.nonzero(valid)
+            np.add.at(xf, (si, ti, mi, ni, cols[valid]),
+                      np.broadcast_to(w_tn[None, None, :, :],
+                                      valid.shape)[valid])
+    phase_row = np.exp(-2j * np.pi * ab * np.outer(ms, ns))
+    phase_col = np.exp(+2j * np.pi * ab * np.outer(ms, ns))
+    xf *= phase_row[:, :, None, None, None]
+    xf *= phase_col[None, None, :, :, None]
+    xf *= k0 * k0 * fp.X * np.sqrt(2 / np.pi)
+    return xf
+
+
+def _x_factor_sides(op):
+    """(Xf, Z) for the spatial and the spectral side of op's forward map."""
+    sides = []
+    for table, x_factor in ((op.spatial_table, _x_factor_spatial),
+                            (op.spectral_table, _x_factor_spectral)):
+        live, z = _z_blocks(table)
+        sides.append((x_factor(op.fp, op.dual, live, table.q_max, table.p_max,
+                               op.k0), z))
+    return sides
+
+
+def xfactor_green_apply(coeffs, op):
+    """k0^2 (G * J) for J given as (m, n, k[, batch]), through the live (q,p)
+    columns without forming G."""
+    c = np.asarray(coeffs, dtype=complex)
+    nm, nn, nk = c.shape[:3]
+    batch = c.shape[3:]
+    nb = int(np.prod(batch)) if batch else 1
+    cb = c.reshape(nm * nn, nk, nb)
+    c_by_k = np.ascontiguousarray(cb.transpose(1, 0, 2)).reshape(nk, -1)
+    out = np.zeros((nm * nn, nk * nb), dtype=complex)
+    for xf, z in _x_factor_sides(op):
+        nc = z.shape[0]
+        v = (z.reshape(nc * nk, nk) @ c_by_k).reshape(nc, nk, nm * nn, nb)
+        v = np.ascontiguousarray(v.transpose(2, 0, 1, 3)).reshape(
+            nm * nn * nc, nk * nb)
+        out += xf.reshape(nm * nn, -1) @ v
+    return out.reshape(c.shape)
+
+
+def xfactor_green_matrix(op):
+    """Dense matrix of the same map in (m*nn + n)*nk + k flattening."""
+    nm, nn, nk = 2 * op.fp.M + 1, 2 * op.fp.N + 1, op.zg.n_k + 1
+    n = nm * nn * nk
+    out = np.zeros((n, n), dtype=complex)
+    for xf, z in _x_factor_sides(op):
+        big = xf.reshape(-1, xf.shape[-1]) @ z.reshape(z.shape[0], -1)
+        big = big.reshape(nm, nn, nm, nn, nk, nk).transpose(0, 1, 4, 2, 3, 5)
+        out += big.reshape(n, n)
+    return out

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gaborscat import cli
 from gaborscat.cli import main, parse_config, write_field_csv, write_pgm
 from gaborscat.errors import ConfigError
 
@@ -88,6 +89,23 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
     sidecar = json.loads((out / "field.pgm.json").read_text())
     assert sidecar["vmin"] < sidecar["vmax"]
     assert sidecar["nx"] == 31 and sidecar["nz"] == 13
+
+
+def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return parse_config(path)
+
+    monkeypatch.setattr(cli, "parse_config", counting)
+    path = write_config(tmp_path)
+    assert main(["solve", str(path)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    bad = write_config(tmp_path, **{"frame.beta": "wide"})
+    assert main(["solve", str(bad)]) == 2
+    assert len(calls) == 1
 
 
 def test_field_csv_format(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import gaborscat as gs
 from gaborscat.errors import DimensionMismatch, SizeCap
 
-from .oracles import unit_source_field
+from .oracles import unit_source_field, xfactor_green_apply, xfactor_green_matrix
 
 
 def unit_coeffs(fp, zg, m=0, n=0, k=None):
@@ -20,6 +20,65 @@ def synth_at_points(coeffs, fp, zg, points):
         vals = gs.synthesize(coeffs[:, :, zi][:, :, None], np.array([x]), fp)
         out.append(vals[0, 0])
     return np.array(out)
+
+
+def random_tables(fp, zg, cfg, dual, seed=0):
+    """Spatial/spectral tables with every (q, p, d) entry random and nonzero."""
+    rng = np.random.default_rng(seed)
+    q_max, p_max = gs.index_bounds(fp, dual.n_u, dual.n_v)
+    shape = (2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1)
+    return [gs.KernelTable(data=rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape),
+                           kind=kind, fp=fp, zg=zg, cfg=cfg,
+                           n_u=dual.n_u, n_v=dual.n_v)
+            for kind in ("spatial", "spectral")]
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tables", ["built", "random"])
+def test_folded_kernel_matches_xfactor_contraction(
+        tables, scene_small_circle, fp_small, zg_small, cfg_small, dual_small,
+        tables_small):
+    pair = tables_small if tables == "built" else random_tables(
+        fp_small, zg_small, cfg_small, dual_small)
+    op = gs.build_operator(scene_small_circle, fp_small, zg_small, dual_small,
+                           *pair)
+    rng = np.random.default_rng(3)
+    shape = gs.coeff_shape(fp_small, zg_small) + (2, 3)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert rel_err(gs.green_apply(c[..., 0, 0], op),
+                   xfactor_green_apply(c[..., 0, 0], op)) <= 1e-12
+    batched = gs.green_apply(c, op)
+    assert batched.shape == shape
+    assert rel_err(batched, xfactor_green_apply(c, op)) <= 1e-12
+    assert rel_err(gs.assemble_green_matrix(op), xfactor_green_matrix(op)) <= 1e-12
+
+
+def test_operator_memory_grating_size(zg_small, cfg_small):
+    # grating box: the folded kernel and its DFT, not M^2 N^2 x-factor tensors
+    fp = gs.FrameParams(X=0.5, alpha=float(np.sqrt(2 / 3)),
+                        beta=float(np.sqrt(2 / 3)), M=11, N=7)
+    zg = gs.ZGrid(z_min=-0.825, delta=0.05, n_k=33)
+    rng = np.random.default_rng(8)
+    dual = gs.DualWindow(a=rng.standard_normal((5, 7)) + 0j, n_u=2, n_v=3,
+                         residual=0.0)
+    op = gs.build_operator(None, fp, zg, dual,
+                           *random_tables(fp, zg, cfg_small, dual))
+    held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    held += [op.spatial_table.data, op.spectral_table.data]
+    assert sum(a.nbytes for a in held) < 100e6
+
+
+def test_build_operator_rejects_small_table_box(fp_small, zg_small, cfg_small,
+                                                 dual_small):
+    narrow = gs.DualWindow(a=np.ones((3, 3), dtype=complex), n_u=1, n_v=1,
+                           residual=0.0)
+    with pytest.raises(DimensionMismatch):
+        gs.build_operator(None, fp_small, zg_small, dual_small,
+                          *random_tables(fp_small, zg_small, cfg_small, narrow))
 
 
 def test_green_apply_zero(op_small, fp_small, zg_small):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gaborscat as gs
-from gaborscat.errors import SizeCap
+from gaborscat import solver
+from gaborscat.errors import NonConvergence, SizeCap
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,23 @@ def test_size_cap(fp_small, zg_small, cfg_small, dual_small, tables_small):
     with pytest.raises(SizeCap):
         gs.solve(scene, fp_small, zg_small, cfg_small, dual=dual_small,
                  operator=op, check_scene=False, dense_cap=10)
+
+
+def test_gmres_matvec_budget(solve_ctx, monkeypatch):
+    # _MAX_ITER bounds matvecs, not restart cycles: an unreachable tolerance
+    # ends in NonConvergence after at most the budget
+    calls = []
+    green_apply = solver.green_apply
+
+    def counting(c, op):
+        calls.append(1)
+        return green_apply(c, op)
+
+    monkeypatch.setattr(solver, "_MAX_ITER", 7)
+    monkeypatch.setattr(solver, "green_apply", counting)
+    with pytest.raises(NonConvergence):
+        solve_ctx(small_circle(), method="iterative", tol=1e-300)
+    assert 0 < len(calls) <= 7
 
 
 def test_synthesize_field_selectors(solve_ctx, fp_small, zg_small):

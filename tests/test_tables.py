@@ -166,3 +166,26 @@ def test_magic_bytes(setup, tmp_path):
     path = gs.cache_path(tmp_path, "spatial", fp, zg, cfg, 2, 3)
     gs.save_table(spat, path)
     assert path.read_bytes()[:4] == b"EGKT"
+
+
+def test_truncated_cache_file_rejected_and_rebuilt(setup, tmp_path):
+    fp, zg, cfg, *_ = setup
+    spat, _, hit = gs.load_or_build(tmp_path, fp, zg, cfg, 2, 3)
+    assert not hit
+    path = gs.cache_path(tmp_path, "spatial", fp, zg, cfg, 2, 3)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(DomainError, match="data bytes"):
+        gs.load_table(path, fp, zg, cfg, 2, 3, "spatial")
+    again, _, hit = gs.load_or_build(tmp_path, fp, zg, cfg, 2, 3)
+    assert not hit
+    assert np.array_equal(again.data, spat.data)
+    assert gs.load_table(path, fp, zg, cfg, 2, 3, "spatial").data.tobytes() \
+        == spat.data.tobytes()
+
+
+def test_save_table_leaves_no_temporary(setup, tmp_path):
+    fp, zg, cfg, spat, _ = setup
+    path = gs.cache_path(tmp_path, "spatial", fp, zg, cfg, 2, 3)
+    gs.save_table(spat, path)
+    gs.save_table(spat, path)                   # replaces an existing file
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
