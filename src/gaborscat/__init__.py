@@ -23,14 +23,14 @@ from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
 from .kernels import (ZGrid, erf_complex, erf_diff, f_spatial, f_spectral,
                       g_z_spatial, g_z_spectral, h_z_spatial, h_z_spectral,
                       triangle_value)
-from .operators import (DiscreteOperator, assemble_dense, assemble_green_matrix,
-                        build_operator, coeff_shape, contrast_multiply,
-                        forward_residual, green_apply)
+from .operators import (DiscreteOperator, active_slices, assemble_dense,
+                        assemble_green_matrix, build_operator, coeff_shape,
+                        contrast_multiply, forward_residual, green_apply)
 from .oracle import (MoMConfig, MoMResult, compare_fields, interior_mask,
                      cylinder_reference_field, mom_solve)
 from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
                     incident_field, project_source, validate_scene)
-from .solver import Solution, solve, synthesize_field
+from .solver import Solution, solve, synthesize_field, synthesize_points
 from .tables import (KernelTable, build_spatial_table, build_spectral_table,
                      build_tables, cache_key, cache_path, index_bounds,
                      load_or_build, load_table, save_table, truncation_point)

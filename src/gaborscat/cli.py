@@ -13,6 +13,7 @@ schema and bundled examples under configs/.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .operators import build_operator
 from .oracle import MoMConfig, compare_fields, interior_mask, mom_solve
 from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
                     validate_scene)
-from .solver import Solution, solve, synthesize_field
+from .solver import Solution, solve, synthesize_field, synthesize_points
 from .tables import build_tables, load_or_build
 
 _SHAPES = {"circle", "rectangle", "grating"}
@@ -59,11 +60,22 @@ def _need(block: dict, key: str, blockname: str):
     return block[key]
 
 
-def _positive(value, name):
+def _number(value, name, integer=False):
+    """A config value as a finite float (or an int when integer is set);
+    anything else is a ConfigError naming the field."""
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(name, f"expected a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if isinstance(value, bool) or not math.isfinite(v) or \
+            (integer and not v.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(name, f"expected {kind}, got {value!r}")
+    return int(v) if integer else v
+
+
+def _positive(value, name, integer=False):
+    v = _number(value, name, integer)
     if v <= 0:
         raise ConfigError(name, "must be positive")
     return v
@@ -86,20 +98,24 @@ def parse_config(path) -> RunConfig:
                           height=_positive(_need(sc, "height", "scene"), "scene.height"))
     else:
         shape = Grating(
-            n_blocks=int(_need(sc, "n_blocks", "scene")),
+            n_blocks=_number(_need(sc, "n_blocks", "scene"), "scene.n_blocks",
+                             integer=True),
             block_w=_positive(_need(sc, "block_w", "scene"), "scene.block_w"),
             block_h=_positive(_need(sc, "block_h", "scene"), "scene.block_h"),
             spacing=_positive(_need(sc, "spacing", "scene"), "scene.spacing"))
-    theta_deg = float(sc.get("theta_deg", 0.0))
+    theta_deg = _number(sc.get("theta_deg", 0.0), "scene.theta_deg")
     if not 0 <= theta_deg < 360:
         raise ConfigError("scene.theta_deg", "must lie in [0, 360)")
+    center = sc.get("center", (0.0, 0.0))
+    if not isinstance(center, (list, tuple)) or len(center) != 2:
+        raise ConfigError("scene.center", f"expected [x, z], got {center!r}")
     try:
         scene = Scene(shape=shape,
-                      eps_r=float(_need(sc, "eps_r", "scene")),
+                      eps_r=_number(_need(sc, "eps_r", "scene"), "scene.eps_r"),
                       k0=_positive(_need(sc, "k0", "scene"), "scene.k0"),
                       theta=np.deg2rad(theta_deg),
-                      e0=float(sc.get("E0", 1.0)),
-                      center=tuple(sc.get("center", (0.0, 0.0))))
+                      e0=_number(sc.get("E0", 1.0), "scene.E0"),
+                      center=tuple(_number(c, "scene.center") for c in center))
     except GaborscatError as exc:
         raise ConfigError("scene", str(exc)) from exc
 
@@ -108,25 +124,25 @@ def parse_config(path) -> RunConfig:
         fp = FrameParams(X=_positive(_need(fr, "X", "frame"), "frame.X"),
                          alpha=_positive(_need(fr, "alpha", "frame"), "frame.alpha"),
                          beta=_positive(_need(fr, "beta", "frame"), "frame.beta"),
-                         M=int(_need(fr, "M", "frame")),
-                         N=int(_need(fr, "N", "frame")))
+                         M=_number(_need(fr, "M", "frame"), "frame.M", integer=True),
+                         N=_number(_need(fr, "N", "frame"), "frame.N", integer=True))
     except GaborscatError as exc:
         raise ConfigError("frame", str(exc)) from exc
 
     zb = raw.get("zgrid", {})
     try:
-        zg = ZGrid.from_bounds(float(_need(zb, "z_min", "zgrid")),
-                               float(_need(zb, "z_max", "zgrid")),
+        zg = ZGrid.from_bounds(_number(_need(zb, "z_min", "zgrid"), "zgrid.z_min"),
+                               _number(_need(zb, "z_max", "zgrid"), "zgrid.z_max"),
                                _positive(_need(zb, "delta", "zgrid"), "zgrid.delta"))
     except GaborscatError as exc:
         raise ConfigError("zgrid", str(exc)) from exc
 
     du = raw.get("dual", {})
-    n_u = int(du.get("N_u", 2))
-    n_v = int(du.get("N_v", 3))
+    n_u = _number(du.get("N_u", 2), "dual.N_u", integer=True)
+    n_v = _number(du.get("N_v", 3), "dual.N_v", integer=True)
     if n_u < 0 or n_v < 0:
         raise ConfigError("dual", "N_u and N_v must be nonnegative")
-    fit_tol = float(du.get("fit_tol", 5e-3))
+    fit_tol = _number(du.get("fit_tol", 5e-3), "dual.fit_tol")
 
     ew = raw.get("ewald", {})
     split = ew.get("split", "auto")
@@ -136,8 +152,10 @@ def parse_config(path) -> RunConfig:
         split = _positive(split, "ewald.split")
     try:
         ewald = EwaldConfig(split=split, k0=scene.k0,
-                            quad_tol=float(ew.get("quad_tol", 1e-10)),
-                            trunc_tol=float(ew.get("trunc_tol", 1e-14)))
+                            quad_tol=_number(ew.get("quad_tol", 1e-10),
+                                             "ewald.quad_tol"),
+                            trunc_tol=_number(ew.get("trunc_tol", 1e-14),
+                                              "ewald.trunc_tol"))
     except GaborscatError as exc:
         raise ConfigError("ewald", str(exc)) from exc
 
@@ -146,16 +164,18 @@ def parse_config(path) -> RunConfig:
     if method not in ("direct", "iterative"):
         raise ConfigError("solver.method", "must be 'direct' or 'iterative'")
     tol = so.get("tol")
-    tol = float(tol) if tol is not None else None
-    dense_cap = int(so.get("cap", 8000))
+    tol = _positive(tol, "solver.tol") if tol is not None else None
+    dense_cap = _number(so.get("cap", 8000), "solver.cap", integer=True)
 
     ob = raw.get("output", {})
     out_dir = Path(ob.get("out_dir", "out"))
-    xs = np.linspace(float(ob.get("x_min", -3.0)), float(ob.get("x_max", 3.0)),
-                     int(ob.get("nx", 121)))
-    zs = np.linspace(float(ob.get("z_min", zg.z_min)),
-                     float(ob.get("z_max", zg.z_max)),
-                     int(ob.get("nz", zg.n_k + 1)))
+    xs = np.linspace(_number(ob.get("x_min", -3.0), "output.x_min"),
+                     _number(ob.get("x_max", 3.0), "output.x_max"),
+                     _positive(ob.get("nx", 121), "output.nx", integer=True))
+    zs = np.linspace(_number(ob.get("z_min", zg.z_min), "output.z_min"),
+                     _number(ob.get("z_max", zg.z_max), "output.z_max"),
+                     _positive(ob.get("nz", zg.n_k + 1), "output.nz",
+                               integer=True))
     formats = tuple(ob.get("formats", ["csv"]))
     for f in formats:
         if f not in ("csv", "pgm"):
@@ -231,6 +251,7 @@ def _pipeline(rc: RunConfig):
         "wall_time_solve": solve_time,
         "table_cache_hit": hit,
         "condition_estimate": sol.condition_estimate,
+        "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
         "unknowns": sol.J.size,
     }
@@ -296,9 +317,7 @@ def cmd_compare(args, rc: RunConfig) -> int:
     cell = args.oracle_cell
     mom = mom_solve(rc.scene, MoMConfig(cell=cell))
     # main-solver chi*E^s at the oracle patch centroids (z interpolated)
-    main = np.array([
-        synthesize_field(sol, np.array([x]), np.array([z]))[0, 0]
-        for x, z in zip(mom.x, mom.z)])
+    main = synthesize_points(sol, mom.x, mom.z)
     oracle_field = rc.scene.chi * mom.e_scattered
     inside = interior_mask(mom)
     m = compare_fields(main, oracle_field, inside)
@@ -325,6 +344,16 @@ def _error_report(exc: Exception, out_dir: Path | None):
             (out_dir / "error.json").write_text(line)
         except OSError:
             pass
+
+
+def _declared_out_dir(config_path) -> Path | None:
+    """output.out_dir of a config that failed validation, when the file is
+    JSON and names one (or leaves the default)."""
+    try:
+        return Path(json.loads(Path(config_path).read_text())
+                    .get("output", {}).get("out_dir", "out"))
+    except (OSError, ValueError, AttributeError, TypeError):
+        return None
 
 
 def main(argv=None) -> int:
@@ -369,7 +398,8 @@ def main(argv=None) -> int:
             rc = parse_config(args.config)
         return args.func(args, rc)
     except ConfigError as exc:
-        _error_report(exc, rc.out_dir if rc else None)
+        _error_report(exc, rc.out_dir if rc
+                      else _declared_out_dir(getattr(args, "config", None)))
         return 2
     except (NonConvergence, QuadratureFailure, GaborscatError) as exc:
         _error_report(exc, rc.out_dir if rc else None)

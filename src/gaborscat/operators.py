@@ -17,7 +17,10 @@ and the map reads
 
 the masks dropping the triangle half that the z-interval boundary cuts away.
 green_apply runs the (m, k) correlations with zero-padded FFTs against the
-precomputed kernel DFT; assemble_dense gathers G from K for the direct solve.
+precomputed kernel DFT; assemble_dense gathers G from K for the direct solve,
+over the active z slices only (those where chi is nonzero somewhere on the
+grid): on any other slice the contrast projector is exactly zero, so its rows
+of I - chi*G are identity rows and its unknowns equal J_inc there.
 The prefactors and the spectral-to-spatial conversion phase are pinned by the
 end-to-end unit-source test against brute-force quadrature of the exact Green
 function.
@@ -233,8 +236,16 @@ def forward_residual(coeffs: np.ndarray, inc_coeffs: np.ndarray,
     return c - j0 - contrast_multiply(green_apply(c, op), op)
 
 
-def assemble_green_matrix(op: DiscreteOperator) -> np.ndarray:
-    """Dense matrix of green_apply in (m*nn + n)*nk + k flattening.
+def active_slices(op: DiscreteOperator) -> np.ndarray:
+    """Indices l of the z slices where chi(., z_l) is nonzero somewhere on the
+    grid; only these carry unknowns that the direct solve has to factor."""
+    return np.flatnonzero(np.any(op.chi_slices != 0, axis=1))
+
+
+def assemble_green_matrix(op: DiscreteOperator,
+                          slices: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix of green_apply restricted to the given z slices (all by
+    default), in (m*nn + n)*n_slices + i flattening for slice slices[i].
 
     Gathered from the kernel one m-s block at a time:
     G[(s,t,l),(m,n,k)] = e^{-2 pi j ab s t} e^{+2 pi j ab m n}
@@ -242,11 +253,12 @@ def assemble_green_matrix(op: DiscreteOperator) -> np.ndarray:
     """
     nm, nn, nk = coeff_shape(op.fp, op.zg)
     n_k, two_m = nk - 1, 2 * op.fp.M
-    idx = np.arange(nk)
+    idx = np.arange(nk) if slices is None else np.asarray(slices)
+    na = len(idx)
     d_fall = idx[None, :] - idx[:, None] + n_k           # [l, k] -> k - l
     d_rise = idx[:, None] - idx[None, :] + n_k           # [l, k] -> l - k
     phase = _diag_phase(op.fp)
-    g = np.empty((nm, nn, nk, nm, nn, nk), dtype=complex)
+    g = np.empty((nm, nn, na, nm, nn, na), dtype=complex)
     for r in range(-two_m, two_m + 1):
         k_r = op.kernel[:, :, r + two_m]                 # (t, n, d)
         z = k_r[:, :, d_fall] * (idx < n_k) + k_r[:, :, d_rise] * (idx > 0)
@@ -255,26 +267,33 @@ def assemble_green_matrix(op: DiscreteOperator) -> np.ndarray:
         g[s_idx, :, :, m_idx] = (np.conj(phase)[s_idx, :, None, None, None]
                                  * z.transpose(0, 2, 1, 3)[None]
                                  * phase[m_idx][:, None, None, :, None])
-    return g.reshape(nm * nn * nk, nm * nn * nk)
+    return g.reshape(nm * nn * na, nm * nn * na)
 
 
 def assemble_dense(op: DiscreteOperator, cap: int = 8000) -> np.ndarray:
-    """System matrix I - chi*G, built in place over the Green matrix.
+    """System matrix I - chi*G over the unknowns of the active z slices, in
+    (m*nn + n)*n_active + i flattening for slice active_slices(op)[i].
 
-    The contrast multiplication acts on each z slice l separately, as the
-    (nm*nn)^2 projector analysis * diag(chi(., z_l)) * synthesis, which is
-    formed once per slice instead of synthesizing every column on the grid.
+    This is exact: on a slice where chi == 0 the contrast projector below is
+    exactly zero, so that slice's rows of the full I - chi*G are identity rows
+    and its right-hand side analyze(chi*E_inc) is exactly zero; its unknowns
+    are J = J_inc = 0 and their columns drop out.  cap bounds the active
+    unknowns.  The contrast multiplication acts on each z slice l separately,
+    as the (nm*nn)^2 projector analysis * diag(chi(., z_l)) * synthesis, which
+    is formed once per slice instead of synthesizing every column on the grid.
     """
-    n = op.n_unknowns
+    active = active_slices(op)
+    nm, nn, _ = coeff_shape(op.fp, op.zg)
+    n = nm * nn * len(active)
     if n > cap:
         raise SizeCap(
-            f"{n} unknowns exceed the dense cap {cap}; use the iterative solver")
-    nm, nn, nk = coeff_shape(op.fp, op.zg)
-    a = assemble_green_matrix(op)
-    by_slice = a.reshape(nm * nn, nk, n)
-    for l in range(nk):
+            f"{n} active unknowns exceed the dense cap {cap}; "
+            "use the iterative solver")
+    a = assemble_green_matrix(op, active)
+    by_slice = a.reshape(nm * nn, len(active), n)
+    for i, l in enumerate(active):
         proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
-        by_slice[:, l] = proj @ by_slice[:, l]
+        by_slice[:, i] = proj @ by_slice[:, i]
     a *= -1
     a[np.arange(n), np.arange(n)] += 1
     return a

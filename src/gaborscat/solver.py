@@ -11,9 +11,9 @@ from .errors import NonConvergence, SingularMatrix, SizeCap
 from .frame import DualWindow, FrameParams, synthesize
 from .green import EwaldConfig
 from .kernels import ZGrid, triangle_value
-from .operators import (DiscreteOperator, assemble_dense, build_operator,
-                        coeff_shape, contrast_multiply, forward_residual,
-                        green_apply)
+from .operators import (DiscreteOperator, active_slices, assemble_dense,
+                        build_operator, coeff_shape, contrast_multiply,
+                        forward_residual, green_apply)
 from .scene import Scene, project_source, validate_scene
 from .tables import build_tables
 
@@ -32,12 +32,23 @@ class Solution:
     iterations: int
     wall_time: float
     condition_estimate: float = float("nan")
+    factored_unknowns: int = 0          # size of the dense LU, 0 for GMRES
 
 
-def _condition_estimate(lu, piv, a_norm: float) -> float:
-    """1-norm condition estimate from the LU factors (LAPACK gecon)."""
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, a_norm)
+def _norm_1(a: np.ndarray, rows: int = 256) -> float:
+    """||a||_1, the largest column sum of |a|, accumulated over row blocks so
+    that no |a|-sized temporary is formed."""
+    col = np.zeros(a.shape[1])
+    for i in range(0, a.shape[0], rows):
+        col += np.abs(a[i:i + rows]).sum(axis=0)
+    return float(col.max())
+
+
+def _condition_estimate(lu_t, a_norm: float) -> float:
+    """1-norm condition estimate of A from the LU factors of A^T (LAPACK
+    gecon in the infinity norm, with a_norm = ||A||_1 = ||A^T||_inf)."""
+    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu_t,))[0]
+    rcond, info = gecon(lu_t, a_norm, norm="I")
     if info != 0 or rcond == 0:
         return float("inf")
     return 1.0 / rcond
@@ -50,7 +61,9 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     """Solve J = J_inc + chi*(k0^2 G J) for the contrast-source coefficients.
 
     Pass prebuilt tables / operator to reuse cached quadratures; otherwise they
-    are built here.
+    are built here.  The direct method factors I - chi*G over the z slices
+    where chi is nonzero (see assemble_dense) and sets J = J_inc elsewhere;
+    dense_cap bounds those active unknowns.
     """
     t0 = time.perf_counter()
     if check_scene:
@@ -67,15 +80,24 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     n = nm * nn * nk
     b = j_inc.reshape(n)
     cond = float("nan")
+    factored = 0
     if method == "direct":
-        a = assemble_dense(operator, cap=dense_cap)
-        a_norm = np.linalg.norm(a, 1)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True)
-        if np.any(np.diag(lu) == 0):
-            raise SingularMatrix("dense system matrix is exactly singular")
-        x = scipy.linalg.lu_solve((lu, piv), b)
-        cond = _condition_estimate(lu, piv, a_norm)
         iterations = 0
+        x = b.copy()
+        a = assemble_dense(operator, cap=dense_cap)
+        factored = a.shape[0]
+        if factored:
+            active = active_slices(operator)
+            by_slice = x.reshape(nm * nn, nk)
+            a_norm = _norm_1(a)
+            # a.T is Fortran-ordered: getrf factors it in place, without a copy
+            lu, piv = scipy.linalg.lu_factor(a.T, overwrite_a=True)
+            if np.any(np.diag(lu) == 0):
+                raise SingularMatrix("dense system matrix is exactly singular")
+            by_slice[:, active] = scipy.linalg.lu_solve(
+                (lu, piv), by_slice[:, active].reshape(factored),
+                trans=1).reshape(nm * nn, len(active))
+            cond = _condition_estimate(lu, a_norm)
     elif method == "iterative":
         iterations = 0
 
@@ -108,7 +130,19 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg,
                     residual_norm=res_norm, iterations=iterations,
                     wall_time=time.perf_counter() - t0,
-                    condition_estimate=cond)
+                    condition_estimate=cond, factored_unknowns=factored)
+
+
+def _expansion(sol: Solution, xs: np.ndarray, zs: np.ndarray, which: str):
+    """Frame sums per z node at xs, (len(xs), n_k+1), and the triangles at zs,
+    (n_k+1, len(zs)), for the coefficients that which selects."""
+    coeffs = {"chiE_s": sol.J - sol.J_inc,
+              "chiE_total": sol.J,
+              "chiE_inc": sol.J_inc}[which]
+    slices = synthesize(coeffs, np.asarray(xs, dtype=float), sol.fp)
+    zs = np.asarray(zs, dtype=float)
+    tri = np.array([triangle_value(zs, k, sol.zg) for k in range(sol.zg.n_k + 1)])
+    return slices, tri
 
 
 def synthesize_field(sol: Solution, xs: np.ndarray, zs: np.ndarray,
@@ -118,12 +152,12 @@ def synthesize_field(sol: Solution, xs: np.ndarray, zs: np.ndarray,
     which selects the coefficients: 'chiE_s' (J - J_inc), 'chiE_total' (J) or
     'chiE_inc' (J_inc).  Returns shape (len(zs), len(xs)).
     """
-    coeffs = {"chiE_s": sol.J - sol.J_inc,
-              "chiE_total": sol.J,
-              "chiE_inc": sol.J_inc}[which]
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    slices = synthesize(coeffs, xs, sol.fp)              # (nx, n_k+1)
-    tri = np.array([triangle_value(zs, k, sol.zg)
-                    for k in range(sol.zg.n_k + 1)])     # (n_k+1, nz)
+    slices, tri = _expansion(sol, xs, zs, which)
     return (slices @ tri).T
+
+
+def synthesize_points(sol: Solution, xs: np.ndarray, zs: np.ndarray,
+                      which: str = "chiE_s") -> np.ndarray:
+    """The same expansion at the points (xs[i], zs[i]); shape (len(xs),)."""
+    slices, tri = _expansion(sol, xs, zs, which)
+    return np.einsum("ik,ki->i", slices, tri)

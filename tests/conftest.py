@@ -66,6 +66,19 @@ def op_small(scene_small_circle, fp_small, zg_small, dual_small, tables_small):
                              dual_small, *tables_small)
 
 
+@pytest.fixture(scope="session")
+def scene_partial() -> gs.Scene:
+    """Circle of radius 0.2 on the zg_small interval [-0.3, 0.3]: chi == 0 on
+    the outer z slices."""
+    return gs.Scene(shape=gs.Circle(radius=0.2), eps_r=2.0, k0=1.45, theta=0.0)
+
+
+@pytest.fixture(scope="session")
+def op_partial(scene_partial, fp_small, zg_small, dual_small, tables_small):
+    return gs.build_operator(scene_partial, fp_small, zg_small, dual_small,
+                             *tables_small)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from .test_acceptance import RESULTS

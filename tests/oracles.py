@@ -354,3 +354,24 @@ def xfactor_green_matrix(op):
         big = big.reshape(nm, nn, nm, nn, nk, nk).transpose(0, 1, 4, 2, 3, 5)
         out += big.reshape(n, n)
     return out
+
+
+def active_unknowns(op):
+    """Indices, in the (m*nn + n)*nk + k flattening, of the unknowns on z
+    slices where chi is nonzero, in the order assemble_dense uses."""
+    nm, nn, nk = 2 * op.fp.M + 1, 2 * op.fp.N + 1, op.zg.n_k + 1
+    active = np.flatnonzero(np.any(op.chi_slices != 0, axis=1))
+    return (np.arange(nm * nn)[:, None] * nk + active[None, :]).ravel()
+
+
+def full_system_matrix(op):
+    """I - chi*G over every unknown: the x-factor Green matrix with the
+    contrast projector analysis * diag(chi(., z_l)) * synthesis applied to
+    the rows of each z slice l."""
+    nm, nn, nk = 2 * op.fp.M + 1, 2 * op.fp.N + 1, op.zg.n_k + 1
+    n = nm * nn * nk
+    g = xfactor_green_matrix(op).reshape(nm * nn, nk, n)
+    for l in range(nk):
+        proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
+        g[:, l] = proj @ g[:, l]
+    return np.eye(n) - g.reshape(n, n)

@@ -1,13 +1,17 @@
 import json
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gaborscat import cli
-from gaborscat.cli import main, parse_config, write_field_csv, write_pgm
+from gaborscat.cli import (RunConfig, main, parse_config, write_field_csv,
+                           write_pgm)
 from gaborscat.errors import ConfigError
 
 SMALL_CONFIG = {
@@ -75,6 +79,8 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
     metrics1 = json.loads((out / "metrics.json").read_text())
     assert metrics1["table_cache_hit"] is False
     assert metrics1["residual_norm"] < 1e-8
+    # radius 0.25 on z in [-0.3, 0.3]: the outer slices carry no unknowns
+    assert 0 < metrics1["factored_unknowns"] < metrics1["unknowns"]
     header = field1.decode().splitlines()[0]
     assert header == "x,z,re,im"
     # warm rerun: byte-identical field, cache hit flagged
@@ -89,6 +95,59 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
     sidecar = json.loads((out / "field.pgm.json").read_text())
     assert sidecar["vmin"] < sidecar["vmax"]
     assert sidecar["nx"] == 31 and sidecar["nz"] == 13
+
+
+@pytest.mark.parametrize("overrides", [
+    {"frame.M": "six"},
+    {"frame.N": 2.5},
+    {"scene.shape": "grating", "scene.n_blocks": "five"},
+    {"scene.theta_deg": "north"},
+    {"scene.eps_r": None},
+    {"scene.center": "ab"},
+    {"dual.N_u": [2]},
+    {"dual.fit_tol": "loose"},
+    {"ewald.quad_tol": {"value": 1e-10}},
+    {"solver.tol": "tight"},
+    {"solver.cap": "big"},
+    {"output.nx": -3},
+    {"output.x_min": float("nan")},
+    {"output.nz": True},
+], ids=lambda o: ",".join(o))
+def test_config_rejects_non_numeric_field(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["solve", str(path)]) == 2
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "ConfigError"
+
+
+NUMERIC_FIELDS = ["frame.M", "frame.N", "scene.theta_deg", "scene.eps_r",
+                  "scene.E0", "dual.N_u", "dual.N_v", "dual.fit_tol",
+                  "ewald.split", "ewald.quad_tol", "ewald.trunc_tol",
+                  "solver.tol", "solver.cap", "output.x_min", "output.x_max",
+                  "output.nx", "output.z_min", "output.z_max", "output.nz"]
+# no digits in the text and |numbers| <= 1e6, so that an accepted value never
+# asks for a large output grid
+JUNK = st.one_of(st.none(), st.booleans(),
+                 st.text(alphabet=string.ascii_letters + " .-", max_size=8),
+                 st.integers(-10 ** 6, 10 ** 6),
+                 st.floats(-1e6, 1e6),
+                 st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                 st.lists(st.integers(0, 9), max_size=3),
+                 st.dictionaries(st.sampled_from("ab"), st.integers(0, 9),
+                                 max_size=2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(NUMERIC_FIELDS), value=JUNK)
+def test_parse_config_fuzz_numeric_fields(tmp_path, field, value):
+    path = write_config(tmp_path, **{field: value})
+    try:
+        assert isinstance(parse_config(path), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,8 @@ import pytest
 import gaborscat as gs
 from gaborscat.errors import DimensionMismatch, SizeCap
 
-from .oracles import unit_source_field, xfactor_green_apply, xfactor_green_matrix
+from .oracles import (active_unknowns, full_system_matrix, unit_source_field,
+                      xfactor_green_apply, xfactor_green_matrix)
 
 
 def unit_coeffs(fp, zg, m=0, n=0, k=None):
@@ -228,6 +229,31 @@ def test_assemble_dense_identity_for_zero_contrast(fp_small, zg_small,
 def test_assemble_dense_size_cap(op_small):
     with pytest.raises(SizeCap):
         gs.assemble_dense(op_small, cap=10)
+
+
+def test_assemble_dense_is_active_block_of_full_system(op_partial):
+    # chi == 0 on the outer slices: their rows of the full I - chi*G are exact
+    # identity rows, and assemble_dense keeps the block of the other slices
+    nk = op_partial.zg.n_k + 1
+    active = gs.active_slices(op_partial)
+    assert 0 < len(active) < nk
+    assert not np.any(op_partial.chi_slices[np.setdiff1d(np.arange(nk), active)])
+    rows = active_unknowns(op_partial)
+    idle = np.setdiff1d(np.arange(op_partial.n_unknowns), rows)
+    full = full_system_matrix(op_partial)
+    assert np.array_equal(full[idle], np.eye(op_partial.n_unknowns)[idle])
+    block = np.ix_(rows, rows)
+    assert rel_err(gs.assemble_green_matrix(op_partial, active),
+                   xfactor_green_matrix(op_partial)[block]) <= 1e-12
+    assert rel_err(gs.assemble_dense(op_partial), full[block]) <= 1e-12
+
+
+def test_assemble_dense_cap_counts_active_unknowns(op_partial):
+    n_active = len(active_unknowns(op_partial))
+    assert n_active < op_partial.n_unknowns
+    with pytest.raises(SizeCap):
+        gs.assemble_dense(op_partial, cap=n_active - 1)
+    assert gs.assemble_dense(op_partial, cap=n_active).shape == (n_active,) * 2
 
 
 @pytest.mark.slow

@@ -5,6 +5,8 @@ import gaborscat as gs
 from gaborscat import solver
 from gaborscat.errors import NonConvergence, SizeCap
 
+from .oracles import full_system_matrix
+
 
 @pytest.fixture(scope="module")
 def solve_ctx(fp_small, zg_small, cfg_small, dual_small, tables_small):
@@ -55,6 +57,23 @@ def test_direct_vs_iterative(solve_ctx):
     assert diff <= 10 * tol
     assert iterative.iterations > 0
     assert iterative.residual_norm <= tol
+    assert iterative.factored_unknowns == 0
+
+
+def test_direct_solve_factors_active_slices(op_partial, scene_partial, fp_small,
+                                            zg_small, cfg_small, dual_small):
+    sol = gs.solve(scene_partial, fp_small, zg_small, cfg_small,
+                   dual=dual_small, operator=op_partial, check_scene=False)
+    ref = np.linalg.solve(full_system_matrix(op_partial), sol.J_inc.ravel())
+    assert np.linalg.norm(sol.J.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+    idle = np.setdiff1d(np.arange(zg_small.n_k + 1),
+                        gs.active_slices(op_partial))
+    assert np.all(sol.J_inc[:, :, idle] == 0)
+    assert np.array_equal(sol.J[:, :, idle], sol.J_inc[:, :, idle])
+    a = gs.assemble_dense(op_partial)
+    assert sol.factored_unknowns == a.shape[0] < sol.J.size
+    kappa = np.linalg.cond(a, 1)
+    assert kappa / 10 <= sol.condition_estimate <= kappa * (1 + 1e-8)
 
 
 def test_linearity_in_amplitude(solve_ctx):
@@ -94,6 +113,17 @@ def test_gmres_matvec_budget(solve_ctx, monkeypatch):
     with pytest.raises(NonConvergence):
         solve_ctx(small_circle(), method="iterative", tol=1e-300)
     assert 0 < len(calls) <= 7
+
+
+def test_synthesize_points_matches_pointwise_loop(solve_ctx):
+    sol = solve_ctx(small_circle())
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-1.0, 1.0, 40)
+    zs = rng.uniform(-0.3, 0.3, 40)
+    loop = np.array([gs.synthesize_field(sol, np.array([x]), np.array([z]))[0, 0]
+                     for x, z in zip(xs, zs)])
+    got = gs.synthesize_points(sol, xs, zs)
+    assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
 
 
 def test_synthesize_field_selectors(solve_ctx, fp_small, zg_small):
