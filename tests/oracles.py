@@ -4,6 +4,9 @@ Everything here is written against the defining formulas, not against the
 package internals, so each check is a genuine dual route.
 """
 
+import cmath
+import math
+
 import numpy as np
 from scipy.integrate import quad_vec
 
@@ -99,24 +102,41 @@ def lstsq_reconstruction(f_vals: np.ndarray, xs: np.ndarray, fp, box_m: int,
 
 def xx_double_integral(m, n, s, t, u, v, xi, fp, half_width=4.0):
     """Direct nested quadrature of the x/x' double integral for one (u, v) term
-    of the dual-window sum (coefficient a*_uv excluded)."""
-    gw = lambda y: 2 ** 0.25 * np.exp(-np.pi * y * y / fp.X ** 2)
-    bk = fp.beta * fp.K
+    of the dual-window sum (coefficient a*_uv excluded).
 
-    def eta_term(x):
-        y = x - fp.alpha * s * fp.X
-        return (gw(y - fp.alpha * u * fp.X) * np.exp(1j * bk * v * y)
-                * np.exp(1j * bk * t * x))
+    The integrands are evaluated with scalar `math`/`cmath` arithmetic: quad_vec
+    calls them one point at a time (about 3e5 inner points per value), where
+    numpy's per-call overhead would dominate the oracle's run time. Each
+    Gaussian window carries 2**0.25, hence the sqrt(2) in front."""
+    # plain floats throughout: the indices may arrive as numpy integers, and
+    # arithmetic on numpy scalars is several times slower than on floats
+    a = math.pi / fp.X ** 2
+    xi2 = float(xi) ** 2
+    bk_n = float(fp.beta * fp.K * n)
+    bk_t = float(fp.beta * fp.K * t)
+    bk_v = float(fp.beta * fp.K * v)
+    c_m = float(fp.alpha * m * fp.X)
+    c_s = float(fp.alpha * s * fp.X)
+    c_su = float(fp.alpha * (s + u) * fp.X)
 
     def inner(x):
-        g = lambda xp: (np.exp(-(x - xp) ** 2 * xi * xi)
-                        * gw(xp - fp.alpha * m * fp.X) * np.exp(1j * bk * n * xp))
+        # exp(-(x - x')^2 xi^2) * g(x' - alpha m X) * exp(i beta K n x')
+        def g(xp):
+            xp = float(xp)
+            return cmath.exp(complex(-(x - xp) ** 2 * xi2 - a * (xp - c_m) ** 2,
+                                     bk_n * xp))
+
         val, _ = quad_vec(g, -half_width, half_width, epsabs=1e-13, epsrel=1e-12)
         return val
 
-    outer = lambda x: np.conj(eta_term(x)) * inner(x)
+    def outer(x):
+        # conj of g(y - alpha u X) exp(i beta K v y) exp(i beta K t x), y = x - alpha s X
+        x = float(x)
+        eta = cmath.exp(complex(-a * (x - c_su) ** 2, bk_v * (x - c_s) + bk_t * x))
+        return eta.conjugate() * inner(x)
+
     val, _ = quad_vec(outer, -half_width, half_width, epsabs=1e-12, epsrel=1e-11)
-    return val
+    return math.sqrt(2) * val
 
 
 def kx_integral(n, m, t, s, u, v, zeta, fp, half_width=None):
