@@ -54,6 +54,21 @@ class RunConfig:
     cache_dir: Path | None
 
 
+def _block(raw: dict, name: str) -> dict:
+    """Config block `name` (empty when absent); anything but an object is a
+    ConfigError."""
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(name, f"expected an object, got {block!r}")
+    return block
+
+
+def _string(value, name) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(name, f"expected a string, got {value!r}")
+    return value
+
+
 def _need(block: dict, key: str, blockname: str):
     if key not in block:
         raise ConfigError(f"{blockname}.{key}", "missing required field")
@@ -86,10 +101,12 @@ def parse_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(str(path), "config must be a JSON object")
 
-    sc = raw.get("scene", {})
+    sc = _block(raw, "scene")
     shape_name = _need(sc, "shape", "scene")
-    if shape_name not in _SHAPES:
+    if not isinstance(shape_name, str) or shape_name not in _SHAPES:
         raise ConfigError("scene.shape", f"must be one of {sorted(_SHAPES)}")
     if shape_name == "circle":
         shape = Circle(radius=_positive(_need(sc, "radius", "scene"), "scene.radius"))
@@ -119,7 +136,7 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("scene", str(exc)) from exc
 
-    fr = raw.get("frame", {})
+    fr = _block(raw, "frame")
     try:
         fp = FrameParams(X=_positive(_need(fr, "X", "frame"), "frame.X"),
                          alpha=_positive(_need(fr, "alpha", "frame"), "frame.alpha"),
@@ -129,7 +146,7 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("frame", str(exc)) from exc
 
-    zb = raw.get("zgrid", {})
+    zb = _block(raw, "zgrid")
     try:
         zg = ZGrid.from_bounds(_number(_need(zb, "z_min", "zgrid"), "zgrid.z_min"),
                                _number(_need(zb, "z_max", "zgrid"), "zgrid.z_max"),
@@ -137,14 +154,14 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("zgrid", str(exc)) from exc
 
-    du = raw.get("dual", {})
+    du = _block(raw, "dual")
     n_u = _number(du.get("N_u", 2), "dual.N_u", integer=True)
     n_v = _number(du.get("N_v", 3), "dual.N_v", integer=True)
     if n_u < 0 or n_v < 0:
         raise ConfigError("dual", "N_u and N_v must be nonnegative")
     fit_tol = _number(du.get("fit_tol", 5e-3), "dual.fit_tol")
 
-    ew = raw.get("ewald", {})
+    ew = _block(raw, "ewald")
     split = ew.get("split", "auto")
     if split == "auto":
         split = optimal_split(scene.k0, zg.delta)
@@ -159,7 +176,7 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("ewald", str(exc)) from exc
 
-    so = raw.get("solver", {})
+    so = _block(raw, "solver")
     method = so.get("method", "direct")
     if method not in ("direct", "iterative"):
         raise ConfigError("solver.method", "must be 'direct' or 'iterative'")
@@ -167,8 +184,8 @@ def parse_config(path) -> RunConfig:
     tol = _positive(tol, "solver.tol") if tol is not None else None
     dense_cap = _number(so.get("cap", 8000), "solver.cap", integer=True)
 
-    ob = raw.get("output", {})
-    out_dir = Path(ob.get("out_dir", "out"))
+    ob = _block(raw, "output")
+    out_dir = Path(_string(ob.get("out_dir", "out"), "output.out_dir"))
     xs = np.linspace(_number(ob.get("x_min", -3.0), "output.x_min"),
                      _number(ob.get("x_max", 3.0), "output.x_max"),
                      _positive(ob.get("nx", 121), "output.nx", integer=True))
@@ -176,13 +193,20 @@ def parse_config(path) -> RunConfig:
                      _number(ob.get("z_max", zg.z_max), "output.z_max"),
                      _positive(ob.get("nz", zg.n_k + 1), "output.nz",
                                integer=True))
-    formats = tuple(ob.get("formats", ["csv"]))
+    formats = ob.get("formats", ["csv"])
+    if not isinstance(formats, list):
+        raise ConfigError("output.formats", f"expected a list, got {formats!r}")
     for f in formats:
         if f not in ("csv", "pgm"):
             raise ConfigError("output.formats", f"unknown format {f!r}")
+    formats = tuple(formats)
 
-    cb = raw.get("cache", {})
-    cache_dir = Path(cb.get("dir", ".egkt-cache")) if cb.get("enabled", True) else None
+    cb = _block(raw, "cache")
+    enabled = cb.get("enabled", True)
+    if not isinstance(enabled, bool):
+        raise ConfigError("cache.enabled", f"expected true or false, got {enabled!r}")
+    cache_dir = Path(_string(cb.get("dir", ".egkt-cache"), "cache.dir")) \
+        if enabled else None
 
     return RunConfig(scene=scene, fp=fp, zg=zg, n_u=n_u, n_v=n_v,
                      fit_tol=fit_tol, ewald=ewald, method=method, tol=tol,
@@ -229,44 +253,52 @@ def write_pgm(path, field_real, xs, zs):
 
 
 def _pipeline(rc: RunConfig):
-    """Dual window, tables (cached), operator, solve.  Returns (sol, metrics)."""
+    """Dual window, tables (cached), operator, solve.  Returns (sol, metrics);
+    metrics["stages"] holds each stage's wall time in seconds."""
     t0 = time.perf_counter()
     _, _, dw = _fit_dual(rc)
+    t1 = time.perf_counter()
     if rc.cache_dir is not None:
         spat, spec, hit = load_or_build(rc.cache_dir, rc.fp, rc.zg, rc.ewald,
                                         rc.n_u, rc.n_v)
     else:
         spat, spec = build_tables(rc.fp, rc.zg, rc.ewald, rc.n_u, rc.n_v)
         hit = False
+    t2 = time.perf_counter()
     op = build_operator(rc.scene, rc.fp, rc.zg, dw, spat, spec)
-    setup_time = time.perf_counter() - t0
-    t1 = time.perf_counter()
+    t3 = time.perf_counter()
     sol = solve(rc.scene, rc.fp, rc.zg, rc.ewald, dual=dw, method=rc.method,
                 tol=rc.tol, operator=op, dense_cap=rc.dense_cap)
-    solve_time = time.perf_counter() - t1
+    t4 = time.perf_counter()
     metrics = {
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
-        "wall_time_setup": setup_time,
-        "wall_time_solve": solve_time,
+        "wall_time_setup": t3 - t0,
+        "wall_time_solve": t4 - t3,
         "table_cache_hit": hit,
         "condition_estimate": sol.condition_estimate,
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
         "unknowns": sol.J.size,
+        "stages": {"dual_fit_s": t1 - t0, "tables_s": t2 - t1,
+                   "operator_s": t3 - t2, "solve_s": t4 - t3},
     }
     return sol, metrics
 
 
 def cmd_solve(args, rc: RunConfig) -> int:
     sol, metrics = _pipeline(rc)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     xs, zs = rc.output_grid
     field = synthesize_field(sol, xs, zs, which="chiE_s")
+    t1 = time.perf_counter()
+    rc.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in rc.formats:
         write_field_csv(rc.out_dir / "field.csv", xs, zs, field)
     if "pgm" in rc.formats:
         write_pgm(rc.out_dir / "field.pgm", field.real, xs, zs)
+    metrics["stages"].update(synthesize_s=t1 - t0,
+                             write_s=time.perf_counter() - t1)
     (rc.out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1))
     print(f"solved: residual {metrics['residual_norm']:.3e}, "
           f"setup {metrics['wall_time_setup']:.2f}s, "

@@ -6,7 +6,8 @@ The tail integrands all share the structure exp(-j*k0^2*w^2/8 - j*c/w^2) * S(w)
 with S slowly varying and |c| bounded.  Zone A resolves the mixed-phase region
 with panels of bounded phase variation; zone B sums half-period blocks of the
 quadratic phase and extrapolates the conditionally convergent remainder by
-repeated averaging of the partial sums.
+repeated averaging of the partial sums.  The averaging is linear in the block
+sums, so zone B is evaluated as one weighted node sum (see limit_weights).
 """
 
 import numpy as np
@@ -118,6 +119,19 @@ def averaged_limit(block_sums: np.ndarray, depth: int = 40):
     return t[..., -1]
 
 
+def limit_weights(block_offsets: np.ndarray, n_nodes: int, depth: int = 40):
+    """Per-node weights c with sum_n c_n v_n == averaged_limit(block sums of v).
+
+    block_offsets holds the first node index of each block, as returned by
+    subdivided_panels.  averaged_limit is a fixed linear functional of the
+    block sums: every block but the last depth+1 gets weight 1 and those get
+    binomial tails, dyadic rationals that the averaging of the identity
+    computes exactly.
+    """
+    per_block = averaged_limit(np.eye(len(block_offsets)), depth)
+    return np.repeat(per_block, np.diff(block_offsets, append=n_nodes))
+
+
 def oscillatory_tail(f, w0: float, k0: float, phase_coeff: float,
                      n_blocks: int = 170, depth: int = 40):
     """Integrate f over (w0, inf) for quadratic-phase oscillatory integrands.
@@ -132,6 +146,5 @@ def oscillatory_tail(f, w0: float, k0: float, phase_coeff: float,
         vals = f(nodes)
         total = np.tensordot(vals, weights, axes=(-1, 0))
     nodes, weights, block_offsets = subdivided_panels(bounds_b)
-    vals = f(nodes) * weights
-    blocks = np.add.reduceat(vals, block_offsets, axis=-1)
-    return total + averaged_limit(blocks, depth)
+    weights = weights * limit_weights(block_offsets, len(nodes), depth)
+    return total + f(nodes) @ weights

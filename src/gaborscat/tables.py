@@ -6,7 +6,11 @@ truncation point and the algebraic remainder is folded in through the
 1/xi compactification, so no entry carries truncation error.  Spectral entries
 integrate e^{k0^2 zeta^2/4} * f~(q,p,zeta) * g~(d,zeta) along the
 inverse-variable contour; the conditionally convergent 1/w tail is summed in
-half-period phase blocks and extrapolated by repeated averaging.
+half-period phase blocks and extrapolated by repeated averaging.  Because that
+averaging limit is linear in the block sums, the whole phase-block tail is
+summed as one weighted contraction: each node carries its block's limit
+weight, and every zone of the contour is one (q*p x nodes) @ (nodes x d)
+matrix product.
 
 Entries whose integrand envelope at the lower limit is below trunc_tol are set
 to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
@@ -27,7 +31,7 @@ from .errors import DomainError, QuadratureFailure
 from .frame import FrameParams
 from .green import EwaldConfig, zeta_path, zeta_path_derivative
 from .kernels import ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral
-from .quadrature import (adaptive_quad, averaged_limit, oscillatory_tail_bounds,
+from .quadrature import (adaptive_quad, limit_weights, oscillatory_tail_bounds,
                          panel_nodes, subdivided_panels)
 
 _FORMAT_VERSION = 1
@@ -216,14 +220,14 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         w1, k0, phase_coeff, n_blocks=16, w_cap=200 / e)
 
     def contract(w_nodes, weights):
+        """sum_n f~[q, p, n] g~[d, n] s_n weights_n as one matrix product."""
         zeta = zeta_path(w_nodes, e)
         shared = (np.exp(k0 * k0 * zeta * zeta / 4)
                   * zeta_path_derivative(w_nodes, e))
-        fvals = f_spectral(qg, pg, zeta[None, None, :], fp)
-        gvals = np.array([g_z_spectral(d, zeta, zg) for d in ds])
-        if weights is None:
-            return fvals, gvals, shared
-        return np.einsum('qpn,dn,n->qpd', fvals, gvals, shared * weights)
+        fvals = f_spectral(qg, pg, zeta, fp).reshape(-1, len(zeta))
+        gvals = g_z_spectral(ds[:, None], zeta[None, :], zg)
+        out = fvals @ (gvals * (shared * weights)).T
+        return out.reshape(len(qs), len(live_p), len(ds))
 
     def head_value(n_panels):
         nodes, weights = panel_nodes(np.linspace(w0, w1, n_panels + 1))
@@ -241,14 +245,11 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         nodes_a, weights_a, _ = subdivided_panels(bounds_a)
         head = head + contract(nodes_a, weights_a)
 
+    # zone B: the repeated-averaging limit of the phase-block sums is linear,
+    # so it enters as one more weight per node
     nodes_b, weights_b, block_offsets = subdivided_panels(bounds_b)
-    fvals, gvals, shared = contract(nodes_b, None)
-    shared = shared * weights_b
-    tail = np.empty(head.shape, dtype=complex)
-    for di in range(len(ds)):
-        node_terms = fvals * (gvals[di] * shared)[None, None, :]
-        blocks = np.add.reduceat(node_terms, block_offsets, axis=-1)
-        tail[:, :, di] = averaged_limit(blocks, averaging_depth)
+    tail = contract(nodes_b, weights_b * limit_weights(
+        block_offsets, len(nodes_b), averaging_depth))
 
     data[:, live_p + p_max, :] = head + tail
     return KernelTable(data=data, kind="spectral", fp=fp, zg=zg, cfg=cfg,

@@ -11,6 +11,12 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from gaborscat.frame import spectral_dual_coeffs
+from gaborscat.green import zeta_path, zeta_path_derivative
+from gaborscat.kernels import f_spectral, g_z_spectral
+from gaborscat.quadrature import (averaged_limit, oscillatory_tail_bounds,
+                                  panel_nodes, subdivided_panels)
+from gaborscat.tables import (_spectral_envelope, _spectral_head_envelope,
+                              index_bounds)
 
 # ---------------------------------------------------------------------------
 # Bessel J0/Y0 from scratch: power series for small argument, Hankel's
@@ -395,3 +401,56 @@ def full_system_matrix(op):
         proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
         g[:, l] = proj @ g[:, l]
     return np.eye(n) - g.reshape(n, n)
+
+
+# ---------------------------------------------------------------------------
+# spectral table with its phase-block tail summed block by block: per d, the
+# node terms are reduced to block sums and extrapolated by averaged_limit,
+# the route the weighted single-product build folds into per-node weights.
+# The contour, panels and live-p rule are the package's own.
+
+def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
+                             averaging_depth=40):
+    q_max, p_max = index_bounds(fp, n_u, n_v)
+    qs = np.arange(-q_max, q_max + 1)
+    ps = np.arange(-p_max, p_max + 1)
+    data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
+    e, k0 = cfg.split, cfg.k0
+    w0, w1 = 1 / e, 2 / e
+    live_p = ps[np.array([max(_spectral_envelope(w1, p, fp, zg),
+                              _spectral_head_envelope(p, fp, zg, cfg))
+                          for p in ps]) >= cfg.trunc_tol]
+    qg = qs[:, None, None].astype(float)
+    pg = live_p[None, :, None].astype(float)
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
+                                     + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
+                   + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
+    bounds_a, bounds_b = oscillatory_tail_bounds(
+        w1, k0, phase_coeff, n_blocks=16, w_cap=200 / e)
+
+    def node_factors(w_nodes):
+        zeta = zeta_path(w_nodes, e)
+        shared = (np.exp(k0 * k0 * zeta * zeta / 4)
+                  * zeta_path_derivative(w_nodes, e))
+        fvals = f_spectral(qg, pg, zeta[None, None, :], fp)
+        gvals = np.array([g_z_spectral(d, zeta, zg) for d in ds])
+        return fvals, gvals, shared
+
+    def weighted_sum(w_nodes, weights):
+        fvals, gvals, shared = node_factors(w_nodes)
+        return np.einsum('qpn,dn,n->qpd', fvals, gvals, shared * weights)
+
+    total = weighted_sum(*panel_nodes(np.linspace(w0, w1, 2 * head_panels + 1)))
+    if len(bounds_a) > 1:
+        nodes_a, weights_a, _ = subdivided_panels(bounds_a)
+        total = total + weighted_sum(nodes_a, weights_a)
+    nodes_b, weights_b, block_offsets = subdivided_panels(bounds_b)
+    fvals, gvals, shared = node_factors(nodes_b)
+    shared = shared * weights_b
+    for di in range(len(ds)):
+        node_terms = fvals * (gvals[di] * shared)[None, None, :]
+        blocks = np.add.reduceat(node_terms, block_offsets, axis=-1)
+        total[:, :, di] += averaged_limit(blocks, averaging_depth)
+    data[:, live_p + p_max, :] = total
+    return data

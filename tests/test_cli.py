@@ -2,6 +2,7 @@ import json
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,11 @@ def write_config(tmp_path, **overrides) -> Path:
     cfg["output"]["out_dir"] = str(tmp_path / "out")
     cfg["cache"]["dir"] = str(tmp_path / "cache")
     for dotted, value in overrides.items():
-        block, key = dotted.split(".")
-        cfg[block][key] = value
+        if "." in dotted:
+            block, key = dotted.split(".")
+            cfg[block][key] = value
+        else:                                   # a whole block
+            cfg[dotted] = value
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -122,6 +126,45 @@ def test_config_rejects_non_numeric_field(tmp_path, capsys, overrides):
     assert report["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"scene": 5},
+    {"frame": [3, 2]},
+    {"zgrid": "fine"},
+    {"dual": None},
+    {"ewald": 1e-10},
+    {"solver": ["direct"]},
+    {"output": True},
+    {"cache": "on"},
+    {"scene.shape": ["circle"]},
+    {"output.formats": 5},
+    {"output.formats": "csv"},
+    {"output.formats": [5]},
+    {"output.formats": [["csv"]]},
+    {"output.out_dir": 5},
+    {"cache.dir": 5},
+    {"cache.dir": ["cache"]},
+    {"cache.enabled": "no"},
+], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+def test_config_rejects_malformed_structure(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["solve", str(path)]) == 2
+    # the error report lands in the declared out_dir when the config has a
+    # usable one
+    if not any(k in ("output", "output.out_dir") for k in overrides):
+        report = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert report["error"] == "ConfigError"
+
+
+def test_config_rejects_non_object_top_level(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["solve", str(path)]) == 2
+
+
 NUMERIC_FIELDS = ["frame.M", "frame.N", "scene.theta_deg", "scene.eps_r",
                   "scene.E0", "dual.N_u", "dual.N_v", "dual.fit_tol",
                   "ewald.split", "ewald.quad_tol", "ewald.trunc_tol",
@@ -148,6 +191,37 @@ def test_parse_config_fuzz_numeric_fields(tmp_path, field, value):
         assert isinstance(parse_config(path), RunConfig)
     except ConfigError:
         pass
+
+
+STRUCTURE_FIELDS = ["scene", "frame", "zgrid", "dual", "ewald", "solver",
+                    "output", "cache", "scene.shape", "solver.method",
+                    "output.formats", "output.out_dir", "cache.dir",
+                    "cache.enabled"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(STRUCTURE_FIELDS), value=JUNK)
+def test_parse_config_fuzz_blocks_and_structure(tmp_path, field, value):
+    path = write_config(tmp_path, **{field: value})
+    try:
+        assert isinstance(parse_config(path), RunConfig)
+    except ConfigError:
+        pass
+
+
+def test_metrics_stages_cover_the_run(tmp_path, capsys):
+    path = write_config(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["solve", str(path)]) == 0
+    wall = time.perf_counter() - t0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    stages = metrics["stages"]
+    assert list(stages) == ["dual_fit_s", "tables_s", "operator_s", "solve_s",
+                            "synthesize_s", "write_s"]
+    assert all(v >= 0 for v in stages.values())
+    assert sum(stages.values()) <= wall
+    assert stages["solve_s"] == metrics["wall_time_solve"]
 
 
 def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy import special
 
 from gaborscat.errors import QuadratureFailure
 from gaborscat.quadrature import (adaptive_quad, averaged_limit,
-                                  oscillatory_tail, oscillatory_tail_bounds,
-                                  panel_nodes)
+                                  limit_weights, oscillatory_tail,
+                                  oscillatory_tail_bounds, panel_nodes)
 
 
 def test_adaptive_quad_scalar_complex():
@@ -76,6 +79,36 @@ def test_averaged_limit_alternating_series():
     n = np.arange(200)
     blocks = (-1.0) ** n / (n + 1)
     assert abs(averaged_limit(blocks) - np.log(2)) < 1e-14
+
+
+@pytest.mark.parametrize("n_blocks, depth", [(160, 40), (42, 40), (41, 40),
+                                             (12, 40), (1, 40), (50, 3)])
+def test_limit_weights_reproduce_averaged_limit(n_blocks, depth):
+    # uneven blocks of 1..19 nodes; the weighted node sum must equal the
+    # averaged limit of the block sums up to the rounding of either sum
+    rng = np.random.default_rng(n_blocks * 100 + depth)
+    sizes = rng.integers(1, 20, n_blocks)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    n = int(sizes.sum())
+    vals = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    expect = averaged_limit(np.add.reduceat(vals, offsets, axis=-1), depth)
+    got = vals @ limit_weights(offsets, n, depth)
+    scale = np.abs(vals).sum(axis=-1)
+    assert np.all(np.abs(got - expect) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("n_blocks, depth", [(160, 40), (41, 40), (7, 40),
+                                             (50, 3)])
+def test_limit_weights_are_exact_binomial_tails(n_blocks, depth):
+    # block n_blocks-1-D+m carries sum_{k>=m} C(D, k) / 2^D, D = min(depth,
+    # n_blocks-1); earlier blocks carry 1 (exactly, in floating point)
+    offsets = np.arange(n_blocks) * 3
+    got = limit_weights(offsets, 3 * n_blocks, depth)[::3]
+    dd = min(depth, n_blocks - 1)
+    tails = [Fraction(sum(comb(dd, k) for k in range(m, dd + 1)), 2 ** dd)
+             for m in range(1, dd + 1)]
+    expect = [Fraction(1)] * (n_blocks - dd) + tails
+    assert [Fraction(float(c)) for c in got] == expect
 
 
 def test_tail_bounds_cap_extends_blocks():

@@ -4,6 +4,8 @@ import pytest
 import gaborscat as gs
 from gaborscat.errors import DomainError
 
+from .oracles import spectral_table_blockwise
+
 K0 = 1.45
 
 
@@ -100,6 +102,16 @@ def test_spectral_cap_doubling_negligible(setup):
     wide = gs.build_spectral_table(fp, zg, cfg, 2, 3, averaging_depth=60)
     scale = np.abs(spec.data).max()
     assert np.abs(wide.data - spec.data).max() <= cfg.quad_tol * scale
+
+
+def test_spectral_table_matches_blockwise_tail(setup):
+    # the weighted single-product build against per-d block sums extrapolated
+    # by averaged_limit: same zero pattern, entries equal up to rounding
+    fp, zg, cfg, _, spec = setup
+    ref = spectral_table_blockwise(fp, zg, cfg, 2, 3)
+    assert np.array_equal(spec.data == 0, ref == 0)
+    scale = np.abs(ref).max()
+    assert np.abs(spec.data - ref).max() <= 1e-13 * scale
 
 
 def test_truncation_point_monotone_in_p(setup):
