@@ -12,11 +12,12 @@ from .errors import (ConfigError, DimensionMismatch, DomainError, GaborscatError
                      GridMismatch, GridTooCoarse, IllConditionedFit,
                      NonConvergence, OverflowGuard, QuadratureFailure,
                      SingularFrame, SingularMatrix, SizeCap)
-from .frame import (DualWindow, FrameParams, analysis_grid, analyze,
-                    dual_window_value, fit_dual_coeffs, frame_element,
-                    lstsq_dual_window, spectral_dual_coeffs,
-                    spectral_frame_element, spectral_window_value, synthesize,
-                    window_value, zak_dual_window)
+from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
+                    analyze, dual_window_value, fit_dual_coeffs, frame_element,
+                    frame_matrix, lstsq_dual_window, spectral_dual_coeffs,
+                    spectral_frame_element, spectral_window_value,
+                    synthesis_matrix, synthesize, window_value,
+                    zak_dual_window)
 from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
                     optimal_split, split_identity_error, xi_path, zeta_path,
                     zeta_path_derivative)

@@ -428,6 +428,10 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "config"):
             rc = parse_config(args.config)
+        for dest in ("oracle_cell", "k0", "rmin", "rmax", "n", "split", "delta", "tol"):
+            value = getattr(args, dest, None)      # numeric options, when given
+            if value is not None:
+                _positive(value, "--" + dest.replace("_", "-"), integer=dest == "n")
         return args.func(args, rc)
     except ConfigError as exc:
         _error_report(exc, rc.out_dir if rc

@@ -2,6 +2,9 @@
 modulated-Gaussian-sum approximation of the dual used by the analytic
 coupling-integral reductions.
 
+Every Gabor sum on a grid multiplies a shifted window (Gaussian or fitted dual)
+by a modulation e^{j beta K n x}; `frame_matrix` is the one such evaluator.
+
 The canonical dual is computed on a rational-oversampling lattice where the
 frame operator block-diagonalizes over residue classes of the modulation
 period (the discrete Zak / Walnut factorization); each block is solved with an
@@ -17,6 +20,10 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse, IllConditionedFit, SingularFrame
 
 TWO_QUARTER = 2.0 ** 0.25
+_SAMPLES_PER_SHIFT = 16   # Zak lattice points per window shift alpha*X
+_SPAN_FACTOR = 9          # Zak lattice length in lattice periods
+_COND_LIMIT = 1e12        # dual fit: truncated SVD above this normal-equation condition
+_LSTSQ_SV_CUT = 1e-2      # dense dual: relative singular-value floor of the frame span
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,31 @@ def window_value(x, fp: FrameParams):
     return TWO_QUARTER * np.exp(-np.pi * x * x / (fp.X * fp.X))
 
 
+def _shifted_windows(x, ms, fp: FrameParams, dual: DualWindow | None = None):
+    """Window (or fitted dual) at x - alpha m X, over a trailing m axis."""
+    shifted = np.asarray(x, dtype=float)[..., None] - fp.alpha * np.asarray(ms) * fp.X
+    return window_value(shifted, fp) if dual is None \
+        else dual_window_value(shifted, dual, fp)
+
+
+def _modulations(x, ns, fp: FrameParams):
+    """Modulations e^{j beta K n x}, over a trailing n axis."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(1j * fp.beta * fp.K * np.multiply.outer(x, ns))
+
+
+def frame_matrix(x, ms, ns, fp: FrameParams, dual: DualWindow | None = None):
+    """Frame elements g(x - alpha m X) e^{j beta K n x} over one trailing axis
+    in m*len(ns) + n order, shape x.shape + (len(ms)*len(ns),); with `dual`
+    the window g is replaced by the fitted dual window eta."""
+    prod = _shifted_windows(x, ms, fp, dual)[..., :, None] \
+        * _modulations(x, ns, fp)[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
+
+
 def frame_element(x, m: int, n: int, fp: FrameParams):
     """Shifted, modulated window g(x - alpha m X) e^{j beta K n x}."""
-    x = np.asarray(x, dtype=float)
-    return window_value(x - fp.alpha * m * fp.X, fp) * np.exp(1j * fp.beta * fp.K * n * x)
+    return frame_matrix(x, [m], [n], fp)[..., 0]
 
 
 def spectral_window_value(kx, fp: FrameParams):
@@ -107,46 +135,25 @@ def analysis_grid(fp: FrameParams, oversample: int = 16) -> np.ndarray:
     return np.arange(-n, n + 1) * h
 
 
-def zak_dual_window(fp: FrameParams, grid: np.ndarray | None = None,
-                    samples_per_shift: int = 16, span_factor: int = 9,
-                    sv_tol: float = 1e-12):
+def zak_dual_window(fp: FrameParams, *, sv_tol: float = 1e-12):
     """Canonical (minimum-norm) dual window sampled on a rational lattice.
 
-    Returns (x_grid, eta).  When `grid` is given its spacing must divide
-    alpha*X and produce an integer modulation period X/(beta*h); otherwise an
-    internal lattice with `samples_per_shift` points per window shift is used.
+    Returns (x_grid, eta) on an internal lattice with _SAMPLES_PER_SHIFT
+    points per window shift, _SPAN_FACTOR lattice periods long.
 
     Raises SingularFrame when any frame-operator block has an eigenvalue below
     sv_tol relative to the largest (no usable dual at these alpha, beta).
     """
-    if grid is not None:
-        h = float(grid[1] - grid[0])
-        a_hop = fp.alpha * fp.X / h
-        m_disc = fp.X / (fp.beta * h)
-        if abs(a_hop - round(a_hop)) > 1e-9 or abs(m_disc - round(m_disc)) > 1e-9:
-            raise DomainError(
-                "grid spacing must divide alpha*X and give integer X/(beta*h); "
-                "use lstsq_dual_window for irrational lattices")
-        a_hop = round(a_hop)
-        m_disc = round(m_disc)
-        xs = np.asarray(grid, dtype=float)
-        length = len(xs)
-    else:
-        a_hop = samples_per_shift
-        m_disc = a_hop / (fp.alpha * fp.beta)
-        if abs(m_disc - round(m_disc)) > 1e-6:
-            raise DomainError(
-                f"samples_per_shift={a_hop} does not yield an integer modulation "
-                "period for alpha*beta; pick a multiple of the denominator or use "
-                "lstsq_dual_window")
-        m_disc = round(m_disc)
-        h = fp.alpha * fp.X / a_hop
-        period = int(np.lcm(a_hop, m_disc))
-        length = period * span_factor
-        xs = (np.arange(length) - length // 2) * h
-
-    if length % a_hop or length % m_disc:
-        raise DomainError("grid length must be a multiple of both lattice periods")
+    a_hop = _SAMPLES_PER_SHIFT
+    m_disc = a_hop / (fp.alpha * fp.beta)
+    if abs(m_disc - round(m_disc)) > 1e-6:
+        raise DomainError(
+            f"{a_hop} samples per window shift do not yield an integer "
+            "modulation period for alpha*beta; use lstsq_dual_window")
+    m_disc = round(m_disc)
+    h = fp.alpha * fp.X / a_hop
+    length = int(np.lcm(a_hop, m_disc)) * _SPAN_FACTOR
+    xs = (np.arange(length) - length // 2) * h
 
     g = window_value(xs, fp)
     n_hops = length // a_hop
@@ -172,30 +179,25 @@ def zak_dual_window(fp: FrameParams, grid: np.ndarray | None = None,
     return xs, gamma / h     # continuous normalization: <f, eta> as an integral
 
 
-def lstsq_dual_window(fp: FrameParams, grid: np.ndarray,
-                      box_m: int | None = None, box_n: int | None = None,
-                      sv_cut: float = 1e-2):
+def lstsq_dual_window(fp: FrameParams, grid: np.ndarray):
     """Dense frame-operator dual for lattices without a rational structure.
 
     Solves S eta = g with S = sum_mn <., g_mn> g_mn discretized on the grid
     (pseudo-inverse restricted to the frame span), over a box of shifts large
     enough to emulate the infinite lattice near the center.  The true frame
-    operator has a spectral floor; singular values below sv_cut of the top
-    belong to box-edge artifacts and are dropped (the default covers
+    operator has a spectral floor; singular values below _LSTSQ_SV_CUT of the
+    top belong to box-edge artifacts and are dropped (this covers
     oversampling up to alpha*beta ~ 0.9).  Best-effort fallback: accurate to
     a few 1e-3 near the center, degrading toward the box edge.
     """
-    box_m = 2 * fp.M + 4 if box_m is None else box_m
-    box_n = 2 * fp.N + 4 if box_n is None else box_n
+    box_m, box_n = 2 * fp.M + 4, 2 * fp.N + 4
     xs = np.asarray(grid, dtype=float)
     h = float(xs[1] - xs[0])
-    cols = [frame_element(xs, m, n, fp)
-            for m in range(-box_m, box_m + 1)
-            for n in range(-box_n, box_n + 1)]
-    gmat = np.array(cols).T                          # (ngrid, nframe)
+    gmat = frame_matrix(xs, np.arange(-box_m, box_m + 1),
+                        np.arange(-box_n, box_n + 1), fp)   # (ngrid, nframe)
     # S = h * G G^H via the thin SVD of G; pseudo-inverse on the span
     u, sv, _ = np.linalg.svd(gmat, full_matrices=False)
-    keep = sv > sv_cut * sv[0]
+    keep = sv > _LSTSQ_SV_CUT * sv[0]
     if not np.any(keep):
         raise SingularFrame("frame operator numerically singular on this grid")
     g0 = window_value(xs, fp)
@@ -204,26 +206,23 @@ def lstsq_dual_window(fp: FrameParams, grid: np.ndarray,
 
 
 def fit_dual_coeffs(eta_sampled: np.ndarray, grid: np.ndarray, n_u: int, n_v: int,
-                    fp: FrameParams, cond_limit: float = 1e12) -> DualWindow:
+                    fp: FrameParams) -> DualWindow:
     """Least-squares fit of the sampled dual by a modulated-Gaussian sum.
 
     Falls back to a truncated-SVD solution (with an IllConditionedFit warning)
-    when the normal-equation condition number exceeds cond_limit.
+    when the normal-equation condition number exceeds _COND_LIMIT.
     """
     if n_u < 0 or n_v < 0:
         raise DomainError("fit bounds must be nonnegative")
     xs = np.asarray(grid, dtype=float)
-    cols = [frame_element(xs, u, v, fp)
-            for u in range(-n_u, n_u + 1)
-            for v in range(-n_v, n_v + 1)]
-    design = np.array(cols).T
+    design = frame_matrix(xs, np.arange(-n_u, n_u + 1), np.arange(-n_v, n_v + 1), fp)
     sv = np.linalg.svd(design, compute_uv=False)
     cond_normal = (sv[0] / sv[-1]) ** 2
-    if cond_normal > cond_limit:
+    if cond_normal > _COND_LIMIT:
         warnings.warn(
-            f"normal-equation condition {cond_normal:.2e} exceeds {cond_limit:.0e}; "
+            f"normal-equation condition {cond_normal:.2e} exceeds {_COND_LIMIT:.0e}; "
             "using truncated-SVD fit", IllConditionedFit)
-        rcond = np.sqrt(1.0 / cond_limit)
+        rcond = np.sqrt(1.0 / _COND_LIMIT)
         coef, *_ = np.linalg.lstsq(design, eta_sampled, rcond=rcond)
     else:
         coef, *_ = np.linalg.lstsq(design, eta_sampled, rcond=None)
@@ -235,14 +234,11 @@ def fit_dual_coeffs(eta_sampled: np.ndarray, grid: np.ndarray, n_u: int, n_v: in
 
 
 def dual_window_value(x, dw: DualWindow, fp: FrameParams):
-    """Evaluate the fitted dual window sum_{uv} a_uv g_uv(x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for iu, u in enumerate(range(-dw.n_u, dw.n_u + 1)):
-        gu = window_value(x - fp.alpha * u * fp.X, fp)
-        for iv, v in enumerate(range(-dw.n_v, dw.n_v + 1)):
-            out += dw.a[iu, iv] * gu * np.exp(1j * fp.beta * fp.K * v * x)
-    return out
+    """Evaluate the fitted dual window sum_{uv} a_uv g_uv(x), contracting the
+    window and modulation factors separately."""
+    return np.einsum("...u,uv,...v->...",
+                     _shifted_windows(x, np.arange(-dw.n_u, dw.n_u + 1), fp),
+                     dw.a, _modulations(x, np.arange(-dw.n_v, dw.n_v + 1), fp))
 
 
 def spectral_dual_coeffs(dw: DualWindow, fp: FrameParams) -> np.ndarray:
@@ -257,11 +253,22 @@ def spectral_dual_coeffs(dw: DualWindow, fp: FrameParams) -> np.ndarray:
     return dw.a.T * np.exp(2j * np.pi * fp.alpha * fp.beta * uh * vh)
 
 
-def _check_grid(grid: np.ndarray, fp: FrameParams):
+def analysis_matrix(grid: np.ndarray, dw: DualWindow, fp: FrameParams) -> np.ndarray:
+    """Discrete inner products <., eta_mn> on the grid as a matrix, rows in
+    m*(2N+1) + n order: h conj(eta_mn(x)), shape ((2M+1)(2N+1), len(grid))."""
     h = float(grid[1] - grid[0])
     if h > fp.X / 8 * (1 + 1e-12):
         raise GridTooCoarse(f"grid spacing {h:.4g} exceeds X/8 = {fp.X / 8:.4g}")
-    return h
+    ana = frame_matrix(grid, fp.m_range, fp.n_range, fp, dw).T
+    np.conjugate(ana, out=ana)
+    ana *= h
+    return ana
+
+
+def synthesis_matrix(grid: np.ndarray, fp: FrameParams) -> np.ndarray:
+    """Frame elements g_mn on the grid as a matrix, columns in m*(2N+1) + n
+    order, shape (len(grid), (2M+1)(2N+1))."""
+    return frame_matrix(grid, fp.m_range, fp.n_range, fp)
 
 
 def analyze(f_sampled: np.ndarray, grid: np.ndarray, dw: DualWindow,
@@ -270,27 +277,16 @@ def analyze(f_sampled: np.ndarray, grid: np.ndarray, dw: DualWindow,
 
     f_sampled may carry trailing batch axes after the grid axis.
     """
-    h = _check_grid(grid, fp)
-    xs = np.asarray(grid, dtype=float)
     f = np.asarray(f_sampled)
-    coeffs = np.empty((2 * fp.M + 1, 2 * fp.N + 1) + f.shape[1:], dtype=complex)
-    mod = np.exp(-1j * fp.beta * fp.K * np.outer(fp.n_range, xs))   # conj of e^{+j..}
-    for im, m in enumerate(fp.m_range):
-        eta_m = np.conj(dual_window_value(xs - fp.alpha * m * fp.X, dw, fp))
-        coeffs[im] = h * np.tensordot(mod * eta_m[None, :], f, axes=(1, 0))
-    return coeffs
+    coeffs = analysis_matrix(grid, dw, fp) @ f.reshape(len(f), -1)
+    return coeffs.reshape((2 * fp.M + 1, 2 * fp.N + 1) + f.shape[1:])
 
 
 def synthesize(coeffs: np.ndarray, grid: np.ndarray, fp: FrameParams) -> np.ndarray:
-    """Pointwise frame sum sum_mn c_mn g_mn(x) on the grid."""
-    xs = np.asarray(grid, dtype=float)
+    """Pointwise frame sum sum_mn c_mn g_mn(x) on the grid; coeffs may carry
+    trailing batch axes after (m, n)."""
     c = np.asarray(coeffs, dtype=complex)
     if c.shape[:2] != (2 * fp.M + 1, 2 * fp.N + 1):
         raise DomainError("coefficient array shape inconsistent with FrameParams")
-    mod = np.exp(1j * fp.beta * fp.K * np.outer(xs, fp.n_range))
-    out = np.zeros((len(xs),) + c.shape[2:], dtype=complex)
-    for im, m in enumerate(fp.m_range):
-        gm = window_value(xs - fp.alpha * m * fp.X, fp)
-        out += gm[:, None].reshape((len(xs),) + (1,) * (c.ndim - 2)) \
-            * np.tensordot(mod, c[im], axes=(1, 0))
-    return out
+    out = synthesis_matrix(grid, fp) @ c.reshape(c.shape[0] * c.shape[1], -1)
+    return out.reshape((len(grid),) + c.shape[2:])

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import DimensionMismatch, SizeCap
-from .frame import (DualWindow, FrameParams, analysis_grid, dual_window_value,
-                    frame_element, spectral_dual_coeffs)
+from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
+                    spectral_dual_coeffs, synthesis_matrix)
 from .kernels import ZGrid
 from .scene import Scene, contrast_at
 from .tables import KernelTable
@@ -137,10 +137,10 @@ class DiscreteOperator:
     spectral_table: KernelTable
     grid: np.ndarray
     chi_slices: np.ndarray                   # (n_k+1, ngrid), real
-    kernel: np.ndarray = field(repr=False, default=None)       # (t, n, r, d)
-    kernel_fft: np.ndarray = field(repr=False, default=None)   # (L_m, L_k, t, n)
-    synth_matrix: np.ndarray = field(repr=False, default=None)
-    analysis_matrix: np.ndarray = field(repr=False, default=None)
+    kernel: np.ndarray = field(repr=False)          # (t, n, r, d)
+    kernel_fft: np.ndarray = field(repr=False)      # (L_m, L_k, t, n)
+    synth_matrix: np.ndarray = field(repr=False)    # (ngrid, (2M+1)(2N+1))
+    analysis_matrix: np.ndarray = field(repr=False)  # ((2M+1)(2N+1), ngrid)
 
     @property
     def n_unknowns(self) -> int:
@@ -150,13 +150,12 @@ class DiscreteOperator:
 
 def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
                    dual: DualWindow, spatial_table: KernelTable,
-                   spectral_table: KernelTable,
-                   grid: np.ndarray | None = None) -> DiscreteOperator:
+                   spectral_table: KernelTable) -> DiscreteOperator:
     """Fold the tables into the operator kernel; scene=None means chi == 0."""
     for t in (spatial_table, spectral_table):
         if t.fp != fp or t.zg != zg:
             raise DimensionMismatch("table metadata inconsistent with fp/zg")
-    xs = analysis_grid(fp) if grid is None else np.asarray(grid, dtype=float)
+    xs = analysis_grid(fp)
     k0 = spatial_table.cfg.k0
     if scene is None:
         chi = np.zeros((zg.n_k + 1, len(xs)))
@@ -164,25 +163,12 @@ def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
 
     kernel = _fold_kernel(fp, dual, spatial_table, spectral_table, k0)
-    op = DiscreteOperator(
+    return DiscreteOperator(
         fp=fp, zg=zg, k0=k0, dual=dual, spatial_table=spatial_table,
         spectral_table=spectral_table, grid=xs, chi_slices=chi,
-        kernel=kernel, kernel_fft=_kernel_fft(kernel))
-
-    mod = np.exp(1j * fp.beta * fp.K * np.outer(xs, fp.n_range))
-    nm, nn = 2 * fp.M + 1, 2 * fp.N + 1
-    synth = np.empty((len(xs), nm * nn), dtype=complex)
-    ana = np.empty((nm * nn, len(xs)), dtype=complex)
-    h = float(xs[1] - xs[0])
-    for im, m in enumerate(fp.m_range):
-        gm = frame_element(xs, m, 0, fp).real
-        eta_m = np.conj(dual_window_value(xs - fp.alpha * m * fp.X, dual, fp))
-        for inn in range(nn):
-            synth[:, im * nn + inn] = gm * mod[:, inn]
-            ana[im * nn + inn, :] = h * eta_m * np.conj(mod[:, inn])
-    op.synth_matrix = synth
-    op.analysis_matrix = ana
-    return op
+        kernel=kernel, kernel_fft=_kernel_fft(kernel),
+        synth_matrix=synthesis_matrix(xs, fp),
+        analysis_matrix=analysis_matrix(xs, dual, fp))
 
 
 def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:

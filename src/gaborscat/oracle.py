@@ -7,6 +7,7 @@ the analytic cylinder series at the same cell size.  The self term integrates
 the Green function over the equal-area circle of the patch in closed form.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ from .scene import (Scene, contrast_at, incident_field, inside_shape,
 
 _MAX_CELLS = 40000
 _FRACTION_SUBSAMPLE = 16
+_BYTES_PER_ENTRY = 72    # dx, dz, r real; s, a and np.linalg.solve's copy complex
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -29,6 +35,8 @@ class MoMConfig:
 
     def resolved_cell(self, scene: Scene) -> float:
         cell = self.cell if self.cell is not None else scene.wavelength / 20
+        if not (np.isfinite(cell) and cell > 0):
+            raise DomainError(f"MoM cell must be positive and finite, got {cell!r}")
         if cell > scene.wavelength / 10:
             raise DomainError("MoM cell must be at most lambda/10")
         return cell
@@ -101,6 +109,9 @@ def mom_solve(scene: Scene, cfg: MoMConfig = MoMConfig()) -> MoMResult:
         raise SizeCap(f"{n} MoM cells exceed the {_MAX_CELLS} cap")
     if n == 0:
         raise DomainError("scene has no material cells")
+    if _BYTES_PER_ENTRY * n * n > _physical_memory():
+        raise SizeCap(f"{n} MoM cells need {_BYTES_PER_ENTRY * n * n / 2**30:.1f} GiB "
+                      "for the dense solve, more than the machine's memory")
     k0 = scene.k0
     area = cell * cell * frac
     dx = xc[:, None] - xc[None, :]

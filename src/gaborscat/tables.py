@@ -37,6 +37,7 @@ from .quadrature import (adaptive_quad, limit_weights, oscillatory_tail_bounds,
 _FORMAT_VERSION = 1
 _MAGIC = b"EGKT"
 _KINDS = ("spatial", "spectral")
+_HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head, checked by doubling
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
@@ -193,7 +194,7 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
 
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
-                         n_u: int, n_v: int, head_panels: int = 24,
+                         n_u: int, n_v: int,
                          averaging_depth: int = 40) -> KernelTable:
     """Inverse-variable contour table with phase-block tail extrapolation."""
     _check(fp, zg, cfg)
@@ -233,8 +234,8 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         nodes, weights = panel_nodes(np.linspace(w0, w1, n_panels + 1))
         return contract(nodes, weights)
 
-    head = head_value(head_panels)
-    head_check = head_value(2 * head_panels)
+    head = head_value(_HEAD_PANELS)
+    head_check = head_value(2 * _HEAD_PANELS)
     scale = np.max(np.abs(head_check))
     if np.max(np.abs(head - head_check)) > max(cfg.quad_tol * scale, 1e-15):
         raise QuadratureFailure(

@@ -104,6 +104,53 @@ def lstsq_reconstruction(f_vals: np.ndarray, xs: np.ndarray, fp, box_m: int,
 
 
 # ---------------------------------------------------------------------------
+# Gabor sums written out per index: the fitted dual window as a double loop
+# over (u, v), analysis and synthesis as loops over the window shift m
+
+def _window(x, fp):
+    return 2 ** 0.25 * np.exp(-np.pi * x * x / (fp.X * fp.X))
+
+
+def dual_window_loop(x, dw, fp):
+    """eta(x) = sum_uv a_uv g(x - alpha u X) e^{j beta K v x}."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for iu, u in enumerate(range(-dw.n_u, dw.n_u + 1)):
+        gu = _window(x - fp.alpha * u * fp.X, fp)
+        for iv, v in enumerate(range(-dw.n_v, dw.n_v + 1)):
+            out += dw.a[iu, iv] * gu * np.exp(1j * fp.beta * fp.K * v * x)
+    return out
+
+
+def analyze_loop(f_sampled, grid, dw, fp):
+    """<f, eta_mn> = h sum_x f(x) conj(eta(x - alpha m X) e^{j beta K n x}),
+    with trailing batch axes after the grid axis."""
+    xs = np.asarray(grid, dtype=float)
+    h = xs[1] - xs[0]
+    f = np.asarray(f_sampled)
+    coeffs = np.empty((2 * fp.M + 1, 2 * fp.N + 1) + f.shape[1:], dtype=complex)
+    mod = np.exp(-1j * fp.beta * fp.K * np.outer(fp.n_range, xs))
+    for im, m in enumerate(fp.m_range):
+        eta_m = np.conj(dual_window_loop(xs - fp.alpha * m * fp.X, dw, fp))
+        coeffs[im] = h * np.tensordot(mod * eta_m[None, :], f, axes=(1, 0))
+    return coeffs
+
+
+def synthesize_loop(coeffs, grid, fp):
+    """sum_mn c_mn g(x - alpha m X) e^{j beta K n x}, with trailing batch axes
+    after (m, n)."""
+    xs = np.asarray(grid, dtype=float)
+    c = np.asarray(coeffs, dtype=complex)
+    mod = np.exp(1j * fp.beta * fp.K * np.outer(xs, fp.n_range))
+    out = np.zeros((len(xs),) + c.shape[2:], dtype=complex)
+    for im, m in enumerate(fp.m_range):
+        gm = _window(xs - fp.alpha * m * fp.X, fp)
+        out += gm.reshape((len(xs),) + (1,) * (c.ndim - 2)) \
+            * np.tensordot(mod, c[im], axes=(1, 0))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # quadrature oracles for the kernel reductions
 
 def xx_double_integral(m, n, s, t, u, v, xi, fp, half_width=4.0):

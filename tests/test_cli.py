@@ -290,6 +290,37 @@ def test_compare_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "compare_error.csv").exists()
 
 
+@pytest.mark.parametrize("cell", ["0", "-0.05", "nan", "inf"])
+def test_compare_rejects_bad_oracle_cell(tmp_path, capsys, cell):
+    path = write_config(tmp_path)
+    assert main(["compare", str(path), "--oracle-cell", cell]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert "--oracle-cell" in payload["message"]
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == payload
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--n", "0"), ("--rmin", "0"), ("--k0", "-1"), ("--rmax", "nan"),
+    ("--split", "0"), ("--delta", "-0.05"), ("--tol", "inf")])
+def test_green_check_rejects_bad_option(capsys, option, value):
+    argv = {"--k0": "1.45", "--n": "6", option: value}
+    assert main(["green-check"] + [a for kv in argv.items() for a in kv]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert option in payload["message"]
+
+
+def test_compare_oracle_memory_estimate(tmp_path, capsys, monkeypatch):
+    # a machine too small for the oracle's dense solve: SizeCap before any
+    # n x n array is allocated, reported as a numerical failure
+    monkeypatch.setattr("gaborscat.oracle._physical_memory", lambda: 1000)
+    path = write_config(tmp_path)
+    assert main(["compare", str(path), "--oracle-cell", "0.05"]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "SizeCap"
+
+
 def test_error_report_json(tmp_path, capsys):
     path = write_config(tmp_path, **{"zgrid.delta": 0.043})
     assert main(["solve", str(path)]) == 2

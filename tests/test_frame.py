@@ -7,7 +7,8 @@ import gaborscat as gs
 from gaborscat.errors import DomainError, GridTooCoarse, SingularFrame
 
 from .conftest import RT23
-from .oracles import lstsq_reconstruction
+from .oracles import (analyze_loop, dual_window_loop, lstsq_reconstruction,
+                      synthesize_loop)
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +133,6 @@ def test_critical_sampling_rejected_or_singular():
         gs.zak_dual_window(fp, sv_tol=0.9)
 
 
-def test_zak_dual_rejects_incompatible_grid(fp):
-    grid = np.arange(-64, 65) * (fp.X / 16)     # X/16 does not divide alpha X
-    with pytest.raises(DomainError):
-        gs.zak_dual_window(fp, grid=grid)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-sum fit
 
@@ -188,6 +183,61 @@ def test_spectral_dual_coeffs_match_transform_fit(fp, dual):
     coef, *_ = np.linalg.lstsq(np.array(cols).T, eta_hat, rcond=None)
     got = gs.spectral_dual_coeffs(dw, fp)
     assert np.allclose(coef.reshape(got.shape), got, atol=1e-8 * np.abs(got).max())
+
+
+# ---------------------------------------------------------------------------
+# frame-matrix evaluator against the per-index loops
+
+def rel_diff(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def test_frame_matrix_entries(fp, dual):
+    _, _, dw = dual
+    xs = np.linspace(-2.0, 2.0, 40).reshape(5, 8)
+    ms, ns = np.array([-2, 0, 3]), np.array([-1, 2])
+    fm = gs.frame_matrix(xs, ms, ns, fp)
+    dm = gs.frame_matrix(xs, ms, ns, fp, dual=dw)
+    assert fm.shape == dm.shape == (5, 8, 6)
+    for i, m in enumerate(ms):
+        for j, n in enumerate(ns):
+            mod = np.exp(1j * fp.beta * fp.K * n * xs)
+            g = 2 ** 0.25 * np.exp(-np.pi * (xs - fp.alpha * m * fp.X) ** 2 / fp.X ** 2)
+            eta = dual_window_loop(xs - fp.alpha * m * fp.X, dw, fp)
+            assert rel_diff(fm[..., i * len(ns) + j], g * mod) <= 1e-14
+            assert rel_diff(dm[..., i * len(ns) + j], eta * mod) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (7, 11)])
+def test_dual_window_value_matches_loop(fp, dual, shape):
+    _, _, dw = dual
+    x = np.random.default_rng(11).uniform(-3.0, 3.0, shape)
+    got = gs.dual_window_value(x, dw, fp)
+    assert np.shape(got) == shape
+    assert rel_diff(got, dual_window_loop(x, dw, fp)) <= 1e-14
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (3, 2)])
+def test_analyze_matches_loop(fp, dual, batch):
+    _, _, dw = dual
+    xs = gs.analysis_grid(fp)
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((len(xs),) + batch) \
+        + 1j * rng.standard_normal((len(xs),) + batch)
+    got = gs.analyze(f, xs, dw, fp)
+    assert got.shape == (2 * fp.M + 1, 2 * fp.N + 1) + batch
+    assert rel_diff(got, analyze_loop(f, xs, dw, fp)) <= 1e-14
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (3, 2)])
+def test_synthesize_matches_loop(fp, batch):
+    xs = gs.analysis_grid(fp)
+    rng = np.random.default_rng(13)
+    shape = (2 * fp.M + 1, 2 * fp.N + 1) + batch
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = gs.synthesize(c, xs, fp)
+    assert got.shape == (len(xs),) + batch
+    assert rel_diff(got, synthesize_loop(c, xs, fp)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_folded_kernel_matches_xfactor_contraction(
     assert rel_err(gs.assemble_green_matrix(op), xfactor_green_matrix(op)) <= 1e-12
 
 
+def test_operator_x_matrices_come_from_frame(op_small, fp_small, dual_small):
+    assert np.array_equal(op_small.synth_matrix,
+                          gs.synthesis_matrix(op_small.grid, fp_small))
+    assert np.array_equal(op_small.analysis_matrix,
+                          gs.analysis_matrix(op_small.grid, dual_small, fp_small))
+
+
 def test_operator_memory_grating_size(zg_small, cfg_small):
     # grating box: the folded kernel and its DFT, not M^2 N^2 x-factor tensors
     fp = gs.FrameParams(X=0.5, alpha=float(np.sqrt(2 / 3)),

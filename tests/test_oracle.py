@@ -30,6 +30,22 @@ def test_mom_cell_default_and_cap():
         gs.mom_solve(circle_scene(), gs.MoMConfig(cell=0.005))
 
 
+@pytest.mark.parametrize("cell", [0.0, -0.05, float("nan"), float("inf")])
+def test_mom_cell_rejects_non_positive_or_non_finite(cell):
+    with pytest.raises(DomainError):
+        gs.MoMConfig(cell=cell).resolved_cell(circle_scene())
+
+
+def test_mom_memory_estimate_before_allocation(monkeypatch, mom_circle):
+    # the dense set-up needs 72 B per n x n entry; with the memory reading
+    # below that, mom_solve refuses before allocating any n x n array
+    n = len(mom_circle.x)
+    monkeypatch.setattr("gaborscat.oracle._physical_memory",
+                        lambda: 72 * n * n - 1)
+    with pytest.raises(SizeCap):
+        gs.mom_solve(circle_scene(), gs.MoMConfig())
+
+
 def test_mom_matches_cylinder_series(mom_circle):
     # the oracle-for-the-oracle: analytic series at the patch centroids
     scene = circle_scene()
