@@ -14,16 +14,13 @@ from .errors import (ConfigError, DimensionMismatch, DomainError, GaborscatError
                      SingularFrame, SingularMatrix, SizeCap)
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
                     analyze, dual_window_value, fit_dual_coeffs, frame_element,
-                    frame_matrix, lstsq_dual_window, spectral_dual_coeffs,
-                    spectral_frame_element, spectral_window_value,
-                    synthesis_matrix, synthesize, window_value,
-                    zak_dual_window)
+                    frame_matrix, spectral_dual_coeffs, synthesis_matrix,
+                    synthesize, window_value, zak_dual_window)
 from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
                     optimal_split, split_identity_error, xi_path, zeta_path,
                     zeta_path_derivative)
-from .kernels import (ZGrid, erf_complex, erf_diff, f_spatial, f_spectral,
-                      g_z_spatial, g_z_spectral, h_z_spatial, h_z_spectral,
-                      triangle_value)
+from .kernels import (ZGrid, erf_diff, f_spatial, f_spectral, g_z_spatial,
+                      g_z_spectral, triangle_value)
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
                         assemble_green_matrix, build_operator, coeff_shape,
                         contrast_multiply, forward_residual, green_apply)

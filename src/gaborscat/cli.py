@@ -345,9 +345,8 @@ def cmd_tables(args, rc: RunConfig) -> int:
 
 
 def cmd_compare(args, rc: RunConfig) -> int:
+    mom = mom_solve(rc.scene, MoMConfig(cell=args.oracle_cell))
     sol, metrics = _pipeline(rc)
-    cell = args.oracle_cell
-    mom = mom_solve(rc.scene, MoMConfig(cell=cell))
     # main-solver chi*E^s at the oracle patch centroids (z interpolated)
     main = synthesize_points(sol, mom.x, mom.z)
     oracle_field = rc.scene.chi * mom.e_scattered

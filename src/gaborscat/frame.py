@@ -8,8 +8,8 @@ by a modulation e^{j beta K n x}; `frame_matrix` is the one such evaluator.
 The canonical dual is computed on a rational-oversampling lattice where the
 frame operator block-diagonalizes over residue classes of the modulation
 period (the discrete Zak / Walnut factorization); each block is solved with an
-eigenvalue-thresholded inverse.  For irrational alpha*beta no such lattice
-exists and `lstsq_dual_window` provides the dense fallback.
+eigenvalue-thresholded inverse.  Parameters without such a lattice (alpha*beta
+irrational, or 16/(alpha*beta) not an integer) are rejected.
 """
 
 import warnings
@@ -23,7 +23,6 @@ TWO_QUARTER = 2.0 ** 0.25
 _SAMPLES_PER_SHIFT = 16   # Zak lattice points per window shift alpha*X
 _SPAN_FACTOR = 9          # Zak lattice length in lattice periods
 _COND_LIMIT = 1e12        # dual fit: truncated SVD above this normal-equation condition
-_LSTSQ_SV_CUT = 1e-2      # dense dual: relative singular-value floor of the frame span
 
 
 @dataclass(frozen=True)
@@ -106,23 +105,6 @@ def frame_element(x, m: int, n: int, fp: FrameParams):
     return frame_matrix(x, [m], [n], fp)[..., 0]
 
 
-def spectral_window_value(kx, fp: FrameParams):
-    """Fourier transform of the window, 2^(1/4) X exp(-pi kx^2 / K^2)."""
-    kx = np.asarray(kx, dtype=float)
-    return TWO_QUARTER * fp.X * np.exp(-np.pi * kx * kx / (fp.K * fp.K))
-
-
-def spectral_frame_element(kx, n: int, m: int, fp: FrameParams):
-    """Spectral frame element ghat(kx - n beta K) e^{-j m alpha X kx}.
-
-    The forward transform of frame_element(., m, n) equals
-    e^{2 pi j alpha beta m n} times this element.
-    """
-    kx = np.asarray(kx, dtype=float)
-    return (spectral_window_value(kx - n * fp.beta * fp.K, fp)
-            * np.exp(-1j * m * fp.alpha * fp.X * kx))
-
-
 def analysis_grid(fp: FrameParams, oversample: int = 16) -> np.ndarray:
     """Default uniform x-grid for discrete inner products (spacing X/oversample).
 
@@ -149,7 +131,8 @@ def zak_dual_window(fp: FrameParams, *, sv_tol: float = 1e-12):
     if abs(m_disc - round(m_disc)) > 1e-6:
         raise DomainError(
             f"{a_hop} samples per window shift do not yield an integer "
-            "modulation period for alpha*beta; use lstsq_dual_window")
+            f"modulation period for alpha*beta = {fp.alpha * fp.beta:.6g}; "
+            f"{a_hop}/(alpha*beta) must be an integer")
     m_disc = round(m_disc)
     h = fp.alpha * fp.X / a_hop
     length = int(np.lcm(a_hop, m_disc)) * _SPAN_FACTOR
@@ -177,32 +160,6 @@ def zak_dual_window(fp: FrameParams, *, sv_tol: float = 1e-12):
     for idx, s_r in blocks:
         gamma[idx] = np.linalg.solve(s_r, g[idx])
     return xs, gamma / h     # continuous normalization: <f, eta> as an integral
-
-
-def lstsq_dual_window(fp: FrameParams, grid: np.ndarray):
-    """Dense frame-operator dual for lattices without a rational structure.
-
-    Solves S eta = g with S = sum_mn <., g_mn> g_mn discretized on the grid
-    (pseudo-inverse restricted to the frame span), over a box of shifts large
-    enough to emulate the infinite lattice near the center.  The true frame
-    operator has a spectral floor; singular values below _LSTSQ_SV_CUT of the
-    top belong to box-edge artifacts and are dropped (this covers
-    oversampling up to alpha*beta ~ 0.9).  Best-effort fallback: accurate to
-    a few 1e-3 near the center, degrading toward the box edge.
-    """
-    box_m, box_n = 2 * fp.M + 4, 2 * fp.N + 4
-    xs = np.asarray(grid, dtype=float)
-    h = float(xs[1] - xs[0])
-    gmat = frame_matrix(xs, np.arange(-box_m, box_m + 1),
-                        np.arange(-box_n, box_n + 1), fp)   # (ngrid, nframe)
-    # S = h * G G^H via the thin SVD of G; pseudo-inverse on the span
-    u, sv, _ = np.linalg.svd(gmat, full_matrices=False)
-    keep = sv > _LSTSQ_SV_CUT * sv[0]
-    if not np.any(keep):
-        raise SingularFrame("frame operator numerically singular on this grid")
-    g0 = window_value(xs, fp)
-    proj = u[:, keep].conj().T @ g0
-    return xs, u[:, keep] @ (proj / (h * sv[keep] ** 2))
 
 
 def fit_dual_coeffs(eta_sampled: np.ndarray, grid: np.ndarray, n_u: int, n_v: int,

@@ -163,7 +163,8 @@ def green_spectral(dx, dz, cfg: EwaldConfig):
     def tail(w):
         return np.exp(-2j * rc * rc / (w * w) - 1j * k0 * k0 * w * w / 8) / w
 
-    v = v + oscillatory_tail(tail, 2 / e, k0, 2 * float(r.max()) ** 2)
+    v = v + oscillatory_tail(lambda w, weights: tail(w) @ weights, 2 / e, k0,
+                             2 * float(r.max()) ** 2)
     v /= 2 * np.pi
     return complex(v[0]) if scalar else v
 

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, OverflowGuard
+from .errors import DomainError
 from .frame import FrameParams
-
-# |Im z|^2 beyond this overflows exp() in double precision
-_ERF_IM_LIMIT = 26.5
 
 
 @dataclass(frozen=True)
@@ -51,15 +48,6 @@ def triangle_value(z, k: int, zg: ZGrid):
     """Piecewise-linear nodal basis, 1 at node k, 0 beyond +-delta."""
     z = np.asarray(z, dtype=float)
     return np.clip(1 - np.abs(z - zg.z_min - k * zg.delta) / zg.delta, 0.0, None)
-
-
-def erf_complex(z):
-    """Entire error function for complex argument via the Faddeeva route."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z.imag) > _ERF_IM_LIMIT):
-        raise OverflowGuard(
-            f"|Im z| > {_ERF_IM_LIMIT} would overflow exp(|Im z|^2)")
-    return special.erf(z)
 
 
 def erf_diff(a, b):
@@ -139,30 +127,3 @@ def g_z_spectral(d, zeta, zg: ZGrid):
     return (np.sqrt(np.pi) * dp / 2 * zeta * bracket
             + zeta * zeta / (2 * dd) * (np.exp(-dp * dp * dd * dd / (zeta * zeta))
                                         - np.exp(-d * d * dd * dd / (zeta * zeta))))
-
-
-def _check_triangle_index(k: int, l: int, zg: ZGrid):
-    if not (0 <= k <= zg.n_k and 0 <= l <= zg.n_k):
-        raise IndexError(f"triangle indices must lie in [0, {zg.n_k}]")
-
-
-def h_z_spatial(k: int, l: int, xi, zg: ZGrid):
-    """Full triangle-k z' integral: both halves for interior k, one at the ends."""
-    _check_triangle_index(k, l, zg)
-    out = 0.0
-    if k < zg.n_k:
-        out = out + g_z_spatial(k - l, xi, zg)
-    if k > 0:
-        out = out + g_z_spatial(l - k, xi, zg)
-    return out
-
-
-def h_z_spectral(k: int, l: int, zeta, zg: ZGrid):
-    """Spectral counterpart of h_z_spatial."""
-    _check_triangle_index(k, l, zg)
-    out = 0.0
-    if k < zg.n_k:
-        out = out + g_z_spectral(k - l, zeta, zg)
-    if k > 0:
-        out = out + g_z_spectral(l - k, zeta, zg)
-    return out

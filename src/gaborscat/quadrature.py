@@ -1,6 +1,6 @@
-"""Quadrature helpers: adaptive panels for smooth complex integrands and
-phase-block summation for the oscillatory 1/w tails that appear on the
-inverse-variable Green-function contour.
+"""Quadrature helpers: Gauss-Legendre panels, phase-block summation of the
+oscillatory 1/w tails on the inverse-variable Green-function contour, and
+adaptive Gauss-Kronrod quadrature, which only `green` uses.
 
 The tail integrands all share the structure exp(-j*k0^2*w^2/8 - j*c/w^2) * S(w)
 with S slowly varying and |c| bounded.  Zone A resolves the mixed-phase region
@@ -132,19 +132,20 @@ def limit_weights(block_offsets: np.ndarray, n_nodes: int, depth: int = 40):
     return np.repeat(per_block, np.diff(block_offsets, append=n_nodes))
 
 
-def oscillatory_tail(f, w0: float, k0: float, phase_coeff: float,
-                     n_blocks: int = 170, depth: int = 40):
-    """Integrate f over (w0, inf) for quadratic-phase oscillatory integrands.
+def oscillatory_tail(contract, w0: float, k0: float, phase_coeff: float,
+                     n_blocks: int = 170, depth: int = 40,
+                     w_cap: float | None = None):
+    """Integrate over (w0, inf) for quadratic-phase oscillatory integrands.
 
-    f must be vectorized over its (last) node axis and may return any leading
-    shape; the tail value has that leading shape.
+    contract(nodes, weights) returns sum_n F(nodes_n) weights_n, of any
+    leading shape, for the integrand F; it is called once per tail zone.
+    w_cap extends zone B to at least that w (see oscillatory_tail_bounds).
     """
-    bounds_a, bounds_b = oscillatory_tail_bounds(w0, k0, phase_coeff, n_blocks)
-    total = 0.0
+    bounds_a, bounds_b = oscillatory_tail_bounds(w0, k0, phase_coeff, n_blocks,
+                                                 w_cap)
+    nodes, weights, block_offsets = subdivided_panels(bounds_b)
+    total = contract(nodes, weights * limit_weights(block_offsets, len(nodes), depth))
     if len(bounds_a) > 1:
         nodes, weights, _ = subdivided_panels(bounds_a)
-        vals = f(nodes)
-        total = np.tensordot(vals, weights, axes=(-1, 0))
-    nodes, weights, block_offsets = subdivided_panels(bounds_b)
-    weights = weights * limit_weights(block_offsets, len(nodes), depth)
-    return total + f(nodes) @ weights
+        total = total + contract(nodes, weights)
+    return total

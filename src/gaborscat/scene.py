@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .frame import DualWindow, FrameParams, analysis_grid, analyze
+from .frame import FrameParams
 from .kernels import ZGrid
 
 
@@ -125,12 +125,12 @@ def validate_scene(scene: Scene, fp: FrameParams, zg: ZGrid) -> None:
             "will be truncated", stacklevel=2)
 
 
-def project_source(scene: Scene, fp: FrameParams, zg: ZGrid, dw: DualWindow,
-                   grid: np.ndarray | None = None) -> np.ndarray:
-    """Frame/triangle coefficients of chi * E_inc (triangles are interpolatory,
-    so the z direction is plain nodal sampling)."""
-    xs = analysis_grid(fp) if grid is None else np.asarray(grid, dtype=float)
-    fields = np.empty((len(xs), zg.n_k + 1), dtype=complex)
+def project_source(scene: Scene, zg: ZGrid, grid: np.ndarray,
+                   analysis: np.ndarray) -> np.ndarray:
+    """Frame/triangle coefficients of chi * E_inc, ((2M+1)(2N+1), n_k+1), by
+    the analysis matrix of the x-grid (triangles are interpolatory, so the z
+    direction is plain nodal sampling)."""
+    fields = np.empty((len(grid), zg.n_k + 1), dtype=complex)
     for k, z_k in enumerate(zg.nodes):
-        fields[:, k] = contrast_at(xs, z_k, scene) * incident_field(xs, z_k, scene)
-    return analyze(fields, xs, dw, fp)
+        fields[:, k] = contrast_at(grid, z_k, scene) * incident_field(grid, z_k, scene)
+    return analysis @ fields

@@ -72,11 +72,12 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
         if tables is None:
             tables = build_tables(fp, zg, cfg, dual.n_u, dual.n_v)
         operator = build_operator(scene, fp, zg, dual, *tables)
-    j_inc = project_source(scene, fp, zg, dual, grid=operator.grid)
+    nm, nn, nk = coeff_shape(fp, zg)
+    j_inc = project_source(scene, zg, operator.grid,
+                           operator.analysis_matrix).reshape(nm, nn, nk)
     if tol is None:
         tol = 1e-8 if method == "direct" else 1e-6
 
-    nm, nn, nk = coeff_shape(fp, zg)
     n = nm * nn * nk
     b = j_inc.reshape(n)
     cond = float("nan")

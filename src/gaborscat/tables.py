@@ -1,16 +1,17 @@
 """Assembly of the two coupling-integral tables over (q, p, d).
 
 Spatial entries integrate e^{k0^2/4xi^2}/xi * f(q,p,xi) * g(d,xi) over the real
-axis from the splitting point; the finite part runs to the envelope-based
-truncation point and the algebraic remainder is folded in through the
-1/xi compactification, so no entry carries truncation error.  Spectral entries
-integrate e^{k0^2 zeta^2/4} * f~(q,p,zeta) * g~(d,zeta) along the
-inverse-variable contour; the conditionally convergent 1/w tail is summed in
-half-period phase blocks and extrapolated by repeated averaging.  Because that
-averaging limit is linear in the block sums, the whole phase-block tail is
-summed as one weighted contraction: each node carries its block's limit
-weight, and every zone of the contour is one (q*p x nodes) @ (nodes x d)
-matrix product.
+axis from the splitting point E: geometric panels run to the d = 0 truncation
+point xc, which bounds every d, and the algebraic remainder is folded in
+through the compactification xi = xc/t, so no entry carries truncation error.
+Spectral entries integrate e^{k0^2 zeta^2/4} * f~(q,p,zeta) * g~(d,zeta) along
+the inverse-variable contour; the conditionally convergent 1/w tail is summed
+in half-period phase blocks and extrapolated by repeated averaging, which is
+linear in the block sums and so enters as one more weight per node.
+
+Both tables are fixed-node contractions: every node set is one
+(q*p x nodes) @ (nodes x d) matrix product.  The spatial node set and the
+spectral head are each checked against the rule with every panel halved.
 
 Entries whose integrand envelope at the lower limit is below trunc_tol are set
 to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
@@ -31,13 +32,14 @@ from .errors import DomainError, QuadratureFailure
 from .frame import FrameParams
 from .green import EwaldConfig, zeta_path, zeta_path_derivative
 from .kernels import ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral
-from .quadrature import (adaptive_quad, limit_weights, oscillatory_tail_bounds,
-                         panel_nodes, subdivided_panels)
+from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
 
 _FORMAT_VERSION = 1
 _MAGIC = b"EGKT"
 _KINDS = ("spatial", "spectral")
-_HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head, checked by doubling
+_HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
+_SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
+_TAIL_PANELS = 8     # Gauss-Legendre panels of the compactified spatial tail
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
@@ -123,25 +125,15 @@ def _spectral_head_envelope(p: int, fp: FrameParams, zg: ZGrid,
     return scale * np.exp(-_p_decay_rate_spectral(fp, cfg.split) * p * p)
 
 
-def truncation_point(kind: str, q: int, p: int, d: int, fp: FrameParams,
-                     zg: ZGrid, cfg: EwaldConfig) -> float:
-    """Argument beyond which the asymptotic envelope is below trunc_tol.
+def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
+    """Spatial cutoff xc: where the d = 0, q = 0 envelope falls below trunc_tol.
 
-    Spatial points are capped at 100*split (the compactified remainder is
-    integrated anyway); spectral points at 200/split (past it the oscillation
-    blocks are extrapolated).  Returns the lower limit itself when the envelope
-    already starts below threshold (the entry is skipped).
+    The envelope is largest at m_d = 0 and q = 0, so xc bounds the cutoff of
+    every entry.  Capped at 100*split (the compactified remainder beyond xc
+    is integrated anyway).
     """
-    if kind == "spatial":
-        lo, hi = cfg.split, 100 * cfg.split
-        env = lambda x: _spatial_envelope(x, q, d, fp, zg, cfg)
-    elif kind == "spectral":
-        lo, hi = 2 / cfg.split, 200 / cfg.split
-        env = lambda w: _spectral_envelope(w, p, fp, zg)
-    else:
-        raise DomainError(f"kind must be one of {_KINDS}")
-    if env(lo) <= cfg.trunc_tol:
-        return lo
+    lo, hi = cfg.split, 100 * cfg.split
+    env = lambda x: _spatial_envelope(x, 0, 0, fp, zg, cfg)
     if env(hi) > cfg.trunc_tol:
         return hi
     for _ in range(80):
@@ -153,42 +145,62 @@ def truncation_point(kind: str, q: int, p: int, d: int, fp: FrameParams,
     return hi
 
 
-def _check(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig):
-    if cfg.split <= 0:
-        raise DomainError("EwaldConfig.split must be positive")
+def _contract(fvals: np.ndarray, gvals: np.ndarray, node_weights: np.ndarray):
+    """sum_n fvals[..., n] gvals[d, n] node_weights[n] as one
+    (rows x nodes) @ (nodes x d) matrix product; shape fvals.shape[:-1] + (d,)."""
+    out = fvals.reshape(-1, fvals.shape[-1]) @ (gvals * node_weights).T
+    return out.reshape(fvals.shape[:-1] + (len(gvals),))
+
+
+def _doubling_checked(contract, rule, tol: float, what: str):
+    """contract(*rule(2)), checked against contract(*rule(1)).
+
+    rule(k) returns (nodes, weights) of the base rule with its panels refined
+    k-fold; the two results must agree within tol of the largest entry, or
+    QuadratureFailure is raised.
+    """
+    coarse = contract(*rule(1))
+    fine = contract(*rule(2))
+    scale = np.max(np.abs(fine), initial=0.0)
+    if np.max(np.abs(coarse - fine), initial=0.0) > max(tol * scale, 1e-15):
+        raise QuadratureFailure(f"{what} failed the panel-doubling check")
+    return fine
 
 
 def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                         n_u: int, n_v: int) -> KernelTable:
-    """Real-axis table; adaptive panels plus a compactified algebraic tail."""
-    _check(fp, zg, cfg)
+    """Real-axis table: geometric panels on [E, xc] plus the compactified
+    tail xi = xc/t, one fixed-node contraction checked by panel doubling."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
     ps = np.arange(-p_max, p_max + 1)
-    data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    data = np.zeros((len(qs), len(ps), len(ds)), dtype=complex)
     e = cfg.split
     k0 = cfg.k0
 
     # q-range that survives the q-Gaussian at its slowest (lower-limit) rate
     rate = _q_decay_rate(fp, cfg.split)
     live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
+    live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.trunc_tol
+                 for d in ds]]
     qg = live_q[:, None, None].astype(float)
     pg = ps[None, :, None].astype(float)
+    xc = truncation_point(fp, zg, cfg)
 
-    for di, d in enumerate(range(-zg.n_k, zg.n_k + 1)):
-        if _spatial_envelope(e, 0, d, fp, zg, cfg) <= cfg.trunc_tol:
-            continue
-        xc = truncation_point("spatial", 0, 0, d, fp, zg, cfg)
+    def contract(x, weights):
+        shared = np.exp(k0 * k0 / (4 * x * x)) / x
+        return _contract(f_spatial(qg, pg, x, fp),
+                         g_z_spatial(live_d[:, None], x[None, :], zg),
+                         shared * weights)
 
-        def body(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            shared = np.exp(k0 * k0 / (4 * x * x)) / x * g_z_spatial(d, x, zg)
-            return f_spatial(qg, pg, x[None, None, :], fp) * shared
+    def rule(k):
+        x, wx, _ = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
+        t, wt = panel_nodes(np.linspace(0.0, 1.0, k * _TAIL_PANELS + 1))
+        return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
 
-        val = adaptive_quad(lambda x: body(x)[..., 0], e, xc, rtol=cfg.quad_tol)
-        val = val + adaptive_quad(lambda t: body(xc / t)[..., 0] * xc / t ** 2,
-                                  1e-12, 1.0, rtol=cfg.quad_tol)
-        data[live_q + q_max, :, di] = val
+    data[np.ix_(live_q + q_max, ps + p_max, live_d + zg.n_k)] = \
+        _doubling_checked(contract, rule, cfg.quad_tol, "spatial table")
     return KernelTable(data=data, kind="spatial", fp=fp, zg=zg, cfg=cfg,
                        n_u=n_u, n_v=n_v)
 
@@ -197,7 +209,6 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                          n_u: int, n_v: int,
                          averaging_depth: int = 40) -> KernelTable:
     """Inverse-variable contour table with phase-block tail extrapolation."""
-    _check(fp, zg, cfg)
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
     ps = np.arange(-p_max, p_max + 1)
@@ -217,41 +228,20 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
                                      + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
                    + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
-    bounds_a, bounds_b = oscillatory_tail_bounds(
-        w1, k0, phase_coeff, n_blocks=16, w_cap=200 / e)
 
     def contract(w_nodes, weights):
-        """sum_n f~[q, p, n] g~[d, n] s_n weights_n as one matrix product."""
         zeta = zeta_path(w_nodes, e)
         shared = (np.exp(k0 * k0 * zeta * zeta / 4)
                   * zeta_path_derivative(w_nodes, e))
-        fvals = f_spectral(qg, pg, zeta, fp).reshape(-1, len(zeta))
-        gvals = g_z_spectral(ds[:, None], zeta[None, :], zg)
-        out = fvals @ (gvals * (shared * weights)).T
-        return out.reshape(len(qs), len(live_p), len(ds))
+        return _contract(f_spectral(qg, pg, zeta, fp),
+                         g_z_spectral(ds[:, None], zeta[None, :], zg),
+                         shared * weights)
 
-    def head_value(n_panels):
-        nodes, weights = panel_nodes(np.linspace(w0, w1, n_panels + 1))
-        return contract(nodes, weights)
-
-    head = head_value(_HEAD_PANELS)
-    head_check = head_value(2 * _HEAD_PANELS)
-    scale = np.max(np.abs(head_check))
-    if np.max(np.abs(head - head_check)) > max(cfg.quad_tol * scale, 1e-15):
-        raise QuadratureFailure(
-            "spectral head integral failed the panel-doubling check")
-    head = head_check
-
-    if len(bounds_a) > 1:
-        nodes_a, weights_a, _ = subdivided_panels(bounds_a)
-        head = head + contract(nodes_a, weights_a)
-
-    # zone B: the repeated-averaging limit of the phase-block sums is linear,
-    # so it enters as one more weight per node
-    nodes_b, weights_b, block_offsets = subdivided_panels(bounds_b)
-    tail = contract(nodes_b, weights_b * limit_weights(
-        block_offsets, len(nodes_b), averaging_depth))
-
+    head = _doubling_checked(
+        contract, lambda k: panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1)),
+        cfg.quad_tol, "spectral head integral")
+    tail = oscillatory_tail(contract, w1, k0, phase_coeff, n_blocks=16,
+                            depth=averaging_depth, w_cap=200 / e)
     data[:, live_p + p_max, :] = head + tail
     return KernelTable(data=data, kind="spectral", fp=fp, zg=zg, cfg=cfg,
                        n_u=n_u, n_v=n_v)

@@ -1,21 +1,29 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written against the defining formulas, not against the
-package internals, so each check is a genuine dual route.
+package internals, so each check is a genuine dual route.  The module also
+holds helpers that only the tests use (the dense least-squares dual, the
+Fourier-side frame elements, the guarded complex erf and the full-triangle z'
+integrals); the tests check those in their own right.
 """
 
 import cmath
 import math
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad_vec
 
-from gaborscat.frame import spectral_dual_coeffs
+from gaborscat.errors import OverflowGuard, SingularFrame
+from gaborscat.frame import (TWO_QUARTER, frame_matrix, spectral_dual_coeffs,
+                             window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
-from gaborscat.kernels import f_spectral, g_z_spectral
-from gaborscat.quadrature import (averaged_limit, oscillatory_tail_bounds,
-                                  panel_nodes, subdivided_panels)
-from gaborscat.tables import (_spectral_envelope, _spectral_head_envelope,
+from gaborscat.kernels import f_spatial, f_spectral, g_z_spatial, g_z_spectral
+from gaborscat.quadrature import (adaptive_quad, averaged_limit,
+                                  oscillatory_tail_bounds, panel_nodes,
+                                  subdivided_panels)
+from gaborscat.tables import (_q_decay_rate, _spatial_envelope,
+                              _spectral_envelope, _spectral_head_envelope,
                               index_bounds)
 
 # ---------------------------------------------------------------------------
@@ -101,6 +109,56 @@ def lstsq_reconstruction(f_vals: np.ndarray, xs: np.ndarray, fp, box_m: int,
     design = np.array(cols).T
     coef, *_ = np.linalg.lstsq(design, f_vals, rcond=None)
     return design @ coef
+
+
+# ---------------------------------------------------------------------------
+# dense frame-operator dual for lattices without a rational structure, and the
+# Fourier-side frame elements
+
+_LSTSQ_SV_CUT = 1e-2      # relative singular-value floor of the frame span
+
+
+def lstsq_dual_window(fp, grid: np.ndarray):
+    """Dense frame-operator dual for lattices without a rational structure.
+
+    Solves S eta = g with S = sum_mn <., g_mn> g_mn discretized on the grid
+    (pseudo-inverse restricted to the frame span), over a box of shifts large
+    enough to emulate the infinite lattice near the center.  The true frame
+    operator has a spectral floor; singular values below _LSTSQ_SV_CUT of the
+    top belong to box-edge artifacts and are dropped (this covers
+    oversampling up to alpha*beta ~ 0.9).  Best-effort: accurate to a few
+    1e-3 near the center, degrading toward the box edge.
+    """
+    box_m, box_n = 2 * fp.M + 4, 2 * fp.N + 4
+    xs = np.asarray(grid, dtype=float)
+    h = float(xs[1] - xs[0])
+    gmat = frame_matrix(xs, np.arange(-box_m, box_m + 1),
+                        np.arange(-box_n, box_n + 1), fp)   # (ngrid, nframe)
+    # S = h * G G^H via the thin SVD of G; pseudo-inverse on the span
+    u, sv, _ = np.linalg.svd(gmat, full_matrices=False)
+    keep = sv > _LSTSQ_SV_CUT * sv[0]
+    if not np.any(keep):
+        raise SingularFrame("frame operator numerically singular on this grid")
+    g0 = window_value(xs, fp)
+    proj = u[:, keep].conj().T @ g0
+    return xs, u[:, keep] @ (proj / (h * sv[keep] ** 2))
+
+
+def spectral_window_value(kx, fp):
+    """Fourier transform of the window, 2^(1/4) X exp(-pi kx^2 / K^2)."""
+    kx = np.asarray(kx, dtype=float)
+    return TWO_QUARTER * fp.X * np.exp(-np.pi * kx * kx / (fp.K * fp.K))
+
+
+def spectral_frame_element(kx, n: int, m: int, fp):
+    """Spectral frame element ghat(kx - n beta K) e^{-j m alpha X kx}.
+
+    The forward transform of frame_element(., m, n) equals
+    e^{2 pi j alpha beta m n} times this element.
+    """
+    kx = np.asarray(kx, dtype=float)
+    return (spectral_window_value(kx - n * fp.beta * fp.K, fp)
+            * np.exp(-1j * m * fp.alpha * fp.X * kx))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +288,46 @@ def erf_maclaurin(z: complex, terms: int = 15) -> complex:
             fact *= n
         acc += (-1) ** n * z ** (2 * n + 1) / (fact * (2 * n + 1))
     return 2 / np.sqrt(np.pi) * acc
+
+
+# |Im z|^2 beyond this overflows exp() in double precision
+_ERF_IM_LIMIT = 26.5
+
+
+def erf_complex(z):
+    """Entire error function for complex argument via the Faddeeva route."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z.imag) > _ERF_IM_LIMIT):
+        raise OverflowGuard(
+            f"|Im z| > {_ERF_IM_LIMIT} would overflow exp(|Im z|^2)")
+    return special.erf(z)
+
+
+def _check_triangle_index(k: int, l: int, zg):
+    if not (0 <= k <= zg.n_k and 0 <= l <= zg.n_k):
+        raise IndexError(f"triangle indices must lie in [0, {zg.n_k}]")
+
+
+def h_z_spatial(k: int, l: int, xi, zg):
+    """Full triangle-k z' integral: both halves for interior k, one at the ends."""
+    _check_triangle_index(k, l, zg)
+    out = 0.0
+    if k < zg.n_k:
+        out = out + g_z_spatial(k - l, xi, zg)
+    if k > 0:
+        out = out + g_z_spatial(l - k, xi, zg)
+    return out
+
+
+def h_z_spectral(k: int, l: int, zeta, zg):
+    """Spectral counterpart of h_z_spatial."""
+    _check_triangle_index(k, l, zg)
+    out = 0.0
+    if k < zg.n_k:
+        out = out + g_z_spectral(k - l, zeta, zg)
+    if k > 0:
+        out = out + g_z_spectral(l - k, zeta, zg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,4 +598,52 @@ def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
         blocks = np.add.reduceat(node_terms, block_offsets, axis=-1)
         total[:, :, di] += averaged_limit(blocks, averaging_depth)
     data[:, live_p + p_max, :] = total
+    return data
+
+
+# ---------------------------------------------------------------------------
+# spatial table by per-d adaptive quadrature: for each live d, quad_vec on
+# [E, xc_d], xc_d that d's own envelope cutoff, plus the compactified
+# remainder xi = xc_d/t, the route the fixed-node contraction replaces.  The
+# live-q and live-d rules are the package's own.
+
+def _spatial_cutoff(d, fp, zg, cfg):
+    """Where the q = 0 envelope of d falls below trunc_tol, capped at 100*split."""
+    lo, hi = cfg.split, 100 * cfg.split
+    env = lambda x: _spatial_envelope(x, 0, d, fp, zg, cfg)
+    if env(hi) > cfg.trunc_tol:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if env(mid) > cfg.trunc_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def spatial_table_adaptive(fp, zg, cfg, n_u, n_v):
+    q_max, p_max = index_bounds(fp, n_u, n_v)
+    qs = np.arange(-q_max, q_max + 1)
+    ps = np.arange(-p_max, p_max + 1)
+    data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
+    e, k0 = cfg.split, cfg.k0
+    rate = _q_decay_rate(fp, cfg.split)
+    live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
+    qg = live_q[:, None, None].astype(float)
+    pg = ps[None, :, None].astype(float)
+    for di, d in enumerate(range(-zg.n_k, zg.n_k + 1)):
+        if _spatial_envelope(e, 0, d, fp, zg, cfg) <= cfg.trunc_tol:
+            continue
+        xc = _spatial_cutoff(d, fp, zg, cfg)
+
+        def body(x):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            shared = np.exp(k0 * k0 / (4 * x * x)) / x * g_z_spatial(d, x, zg)
+            return f_spatial(qg, pg, x[None, None, :], fp) * shared
+
+        val = adaptive_quad(lambda x: body(x)[..., 0], e, xc, rtol=cfg.quad_tol)
+        val = val + adaptive_quad(lambda t: body(xc / t)[..., 0] * xc / t ** 2,
+                                  1e-12, 1.0, rtol=cfg.quad_tol)
+        data[live_q + q_max, :, di] = val
     return data

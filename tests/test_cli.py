@@ -321,6 +321,20 @@ def test_compare_oracle_memory_estimate(tmp_path, capsys, monkeypatch):
     assert report["error"] == "SizeCap"
 
 
+def test_compare_checks_oracle_before_solving(tmp_path, capsys, monkeypatch):
+    # a cell above lambda/10 ends the run before the main solve starts
+    def no_pipeline(rc):
+        raise AssertionError("compare ran the solve before the oracle check")
+
+    monkeypatch.setattr(cli, "_pipeline", no_pipeline)
+    monkeypatch.chdir(tmp_path)              # the config's out_dir is relative
+    config = Path(__file__).resolve().parents[1] / "configs" / "rectangle.json"
+    assert main(["compare", str(config), "--oracle-cell", "1.0"]) == 3
+    report = json.loads((tmp_path / "out" / "rectangle" / "error.json").read_text())
+    assert report["error"] == "DomainError"
+    assert "lambda/10" in report["message"]
+
+
 def test_error_report_json(tmp_path, capsys):
     path = write_config(tmp_path, **{"zgrid.delta": 0.043})
     assert main(["solve", str(path)]) == 2

