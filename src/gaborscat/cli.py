@@ -177,9 +177,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("ewald", str(exc)) from exc
 
     so = _block(raw, "solver")
-    method = so.get("method", "direct")
-    if method not in ("direct", "iterative"):
-        raise ConfigError("solver.method", "must be 'direct' or 'iterative'")
+    method = so.get("method", "auto")
+    if method not in ("auto", "direct", "iterative"):
+        raise ConfigError("solver.method",
+                          "must be 'auto', 'direct' or 'iterative'")
     tol = so.get("tol")
     tol = _positive(tol, "solver.tol") if tol is not None else None
     dense_cap = _number(so.get("cap", 8000), "solver.cap", integer=True)
@@ -212,6 +213,23 @@ def parse_config(path) -> RunConfig:
                      fit_tol=fit_tol, ewald=ewald, method=method, tol=tol,
                      dense_cap=dense_cap, out_dir=out_dir,
                      output_grid=(xs, zs), formats=formats, cache_dir=cache_dir)
+
+
+def _finite(value):
+    """value with every non-finite float (nested in dicts and lists) as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON (no NaN or Infinity tokens): non-finite numbers become
+    null."""
+    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
 
 
 def _fit_dual(rc: RunConfig):
@@ -249,7 +267,7 @@ def write_pgm(path, field_real, xs, zs):
                "x_range": [float(xs[0]), float(xs[-1])],
                "z_range": [float(zs[0]), float(zs[-1])],
                "rows": "z descending"}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1))
+    Path(str(path) + ".json").write_text(_dumps(sidecar, indent=1))
 
 
 def _pipeline(rc: RunConfig):
@@ -271,6 +289,7 @@ def _pipeline(rc: RunConfig):
                 tol=rc.tol, operator=op, dense_cap=rc.dense_cap)
     t4 = time.perf_counter()
     metrics = {
+        "method": sol.method,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
         "wall_time_setup": t3 - t0,
@@ -280,6 +299,7 @@ def _pipeline(rc: RunConfig):
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
         "unknowns": sol.J.size,
+        "gmres_residuals": sol.gmres_residuals,
         "stages": {"dual_fit_s": t1 - t0, "tables_s": t2 - t1,
                    "operator_s": t3 - t2, "solve_s": t4 - t3},
     }
@@ -299,7 +319,7 @@ def cmd_solve(args, rc: RunConfig) -> int:
         write_pgm(rc.out_dir / "field.pgm", field.real, xs, zs)
     metrics["stages"].update(synthesize_s=t1 - t0,
                              write_s=time.perf_counter() - t1)
-    (rc.out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1))
+    (rc.out_dir / "metrics.json").write_text(_dumps(metrics, indent=1))
     print(f"solved: residual {metrics['residual_norm']:.3e}, "
           f"setup {metrics['wall_time_setup']:.2f}s, "
           f"solve {metrics['wall_time_solve']:.2f}s -> {rc.out_dir}")
@@ -329,7 +349,7 @@ def cmd_dual_window(args, rc: RunConfig) -> int:
             fh.write(f"{x:.17g},{e:.17g},{f.real:.17g},{f.imag:.17g}\n")
     report = {"residual": dw.residual, "condition": dw.condition,
               "N_u": dw.n_u, "N_v": dw.n_v}
-    (rc.out_dir / "dual_window.json").write_text(json.dumps(report, indent=1))
+    (rc.out_dir / "dual_window.json").write_text(_dumps(report, indent=1))
     print(f"dual fit residual {dw.residual:.6e} (N_u={dw.n_u}, N_v={dw.n_v})")
     return 0
 
@@ -359,14 +379,16 @@ def cmd_compare(args, rc: RunConfig) -> int:
             fh.write(f"{x:.17g},{z:.17g},{e:.17g}\n")
     metrics.update({"oracle_cell": mom.cell, "oracle_cells": len(mom.x),
                     "rel_l2_inside": m["rel_l2"], "max_abs_inside": m["max_abs"]})
-    (rc.out_dir / "compare.json").write_text(json.dumps(metrics, indent=1))
+    (rc.out_dir / "compare.json").write_text(_dumps(metrics, indent=1))
     print(f"main vs MoM (cell={mom.cell:.4g}): rel L2 inside = {m['rel_l2']:.4f}")
     return 0
 
 
 def _error_report(exc: Exception, out_dir: Path | None):
     report = {"error": type(exc).__name__, "message": str(exc)}
-    line = json.dumps(report)
+    if isinstance(exc, NonConvergence):
+        report.update(iterations=exc.matvecs, gmres_residuals=exc.residuals)
+    line = _dumps(report)
     print(f"error: {exc}", file=sys.stderr)
     print(line, file=sys.stderr)
     if out_dir is not None:

@@ -34,7 +34,15 @@ class SizeCap(GaborscatError):
 
 
 class NonConvergence(GaborscatError):
-    """Iterative solver failed to reach tolerance within the iteration cap."""
+    """Iterative solver failed to reach tolerance within the iteration cap.
+
+    Carries the relative residual history (one entry per GMRES inner
+    iteration) and the matvecs spent."""
+
+    def __init__(self, message: str, *, residuals: list, matvecs: int):
+        super().__init__(message)
+        self.residuals = list(residuals)
+        self.matvecs = matvecs
 
 
 class GridMismatch(GaborscatError):

@@ -1,7 +1,7 @@
 """Solve the discrete contrast-source equation and synthesize output fields."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -28,11 +28,13 @@ class Solution:
     J_inc: np.ndarray
     fp: FrameParams
     zg: ZGrid
+    method: str                         # the path that produced J
     residual_norm: float
-    iterations: int
+    iterations: int                     # GMRES matvecs, also before a fallback
     wall_time: float
-    condition_estimate: float = float("nan")
+    condition_estimate: float | None = None     # None unless LU ran
     factored_unknowns: int = 0          # size of the dense LU, 0 for GMRES
+    gmres_residuals: list[float] = field(default_factory=list)
 
 
 def _norm_1(a: np.ndarray, rows: int = 256) -> float:
@@ -54,17 +56,84 @@ def _condition_estimate(lu_t, a_norm: float) -> float:
     return 1.0 / rcond
 
 
+def _direct(operator: DiscreteOperator, b: np.ndarray, dense_cap: int):
+    """LU solve of I - chi*G over the z slices where chi is nonzero (see
+    assemble_dense), J = J_inc elsewhere.  Returns (x, condition estimate,
+    factored unknowns); the estimate is None when nothing was factored."""
+    nm, nn, nk = coeff_shape(operator.fp, operator.zg)
+    x = b.copy()
+    a = assemble_dense(operator, cap=dense_cap)
+    factored = a.shape[0]
+    if not factored:
+        return x, None, 0
+    active = active_slices(operator)
+    by_slice = x.reshape(nm * nn, nk)
+    a_norm = _norm_1(a)
+    # a.T is Fortran-ordered: getrf factors it in place, without a copy
+    lu, piv = scipy.linalg.lu_factor(a.T, overwrite_a=True)
+    if np.any(np.diag(lu) == 0):
+        raise SingularMatrix("dense system matrix is exactly singular")
+    by_slice[:, active] = scipy.linalg.lu_solve(
+        (lu, piv), by_slice[:, active].reshape(factored),
+        trans=1).reshape(nm * nn, len(active))
+    return x, _condition_estimate(lu, a_norm), factored
+
+
+def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
+    """GMRES on the matrix-free forward map J - chi*(k0^2 G J), each matvec
+    one FFT green_apply plus one contrast_multiply.  Returns (x, matvecs,
+    relative residual history, one entry per inner iteration); raises
+    NonConvergence, carrying both, when _MAX_ITER matvecs do not reach tol."""
+    nm, nn, nk = coeff_shape(operator.fp, operator.zg)
+    n = b.size
+    matvecs = 0
+    history = []
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        c = v.reshape(nm, nn, nk)
+        return (c - contrast_multiply(green_apply(c, operator), operator)
+                ).reshape(n)
+
+    # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
+    # (the last one recomputes the true residual)
+    cycles = -(-_MAX_ITER // (_RESTART + 1))
+    restart = _MAX_ITER // cycles - 1
+    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
+                                             dtype=complex)
+    x, info = scipy.sparse.linalg.gmres(
+        lin, b, rtol=tol / 10, atol=0.0, maxiter=cycles, restart=restart,
+        callback=lambda r: history.append(float(r)), callback_type="pr_norm")
+    if info != 0:
+        raise NonConvergence(
+            f"GMRES did not converge within {matvecs} matvecs "
+            f"(budget {_MAX_ITER})", residuals=history, matvecs=matvecs)
+    return x, matvecs, history
+
+
 def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
-          dual: DualWindow, method: str = "direct", tol: float | None = None,
+          dual: DualWindow, method: str = "auto", tol: float | None = None,
           operator: DiscreteOperator | None = None,
           tables=None, dense_cap: int = 8000, check_scene: bool = True) -> Solution:
     """Solve J = J_inc + chi*(k0^2 G J) for the contrast-source coefficients.
 
     Pass prebuilt tables / operator to reuse cached quadratures; otherwise they
-    are built here.  The direct method factors I - chi*G over the z slices
-    where chi is nonzero (see assemble_dense) and sets J = J_inc elsewhere;
-    dense_cap bounds those active unknowns.
+    are built here.  method is one of
+      "auto"       GMRES on the matrix-free FFT forward map; only when it
+                   exhausts its _MAX_ITER matvec budget and the active
+                   unknowns fit dense_cap, the direct solve (the GMRES
+                   residual history is kept); otherwise NonConvergence;
+      "iterative"  GMRES only;
+      "direct"     dense LU of I - chi*G over the z slices where chi is
+                   nonzero (see assemble_dense), J = J_inc elsewhere.
+    dense_cap bounds the active unknowns of the direct path and so of the
+    fallback.  tol defaults to 1e-8, or 1e-6 for "iterative".
+    Solution.method names the path that produced J, and
+    Solution.condition_estimate is None unless LU ran.
     """
+    if method not in ("auto", "direct", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     if check_scene:
         validate_scene(scene, fp, zg)
@@ -76,62 +145,38 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     j_inc = project_source(scene, zg, operator.grid,
                            operator.analysis_matrix).reshape(nm, nn, nk)
     if tol is None:
-        tol = 1e-8 if method == "direct" else 1e-6
+        tol = 1e-6 if method == "iterative" else 1e-8
 
-    n = nm * nn * nk
-    b = j_inc.reshape(n)
-    cond = float("nan")
-    factored = 0
+    b = j_inc.reshape(nm * nn * nk)
+    used, iterations, history, cond, factored = method, 0, [], None, 0
     if method == "direct":
-        iterations = 0
-        x = b.copy()
-        a = assemble_dense(operator, cap=dense_cap)
-        factored = a.shape[0]
-        if factored:
-            active = active_slices(operator)
-            by_slice = x.reshape(nm * nn, nk)
-            a_norm = _norm_1(a)
-            # a.T is Fortran-ordered: getrf factors it in place, without a copy
-            lu, piv = scipy.linalg.lu_factor(a.T, overwrite_a=True)
-            if np.any(np.diag(lu) == 0):
-                raise SingularMatrix("dense system matrix is exactly singular")
-            by_slice[:, active] = scipy.linalg.lu_solve(
-                (lu, piv), by_slice[:, active].reshape(factored),
-                trans=1).reshape(nm * nn, len(active))
-            cond = _condition_estimate(lu, a_norm)
-    elif method == "iterative":
-        iterations = 0
-
-        def matvec(v):
-            nonlocal iterations
-            iterations += 1
-            c = v.reshape(nm, nn, nk)
-            return (c - contrast_multiply(green_apply(c, operator), operator)
-                    ).reshape(n)
-
-        # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
-        # (the last one recomputes the true residual)
-        cycles = -(-_MAX_ITER // (_RESTART + 1))
-        restart = _MAX_ITER // cycles - 1
-        lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
-                                                 dtype=complex)
-        x, info = scipy.sparse.linalg.gmres(
-            lin, b, rtol=tol / 10, atol=0.0, maxiter=cycles, restart=restart)
-        if info != 0:
-            raise NonConvergence(
-                f"GMRES did not converge within {iterations} matvecs "
-                f"(budget {_MAX_ITER})")
+        x, cond, factored = _direct(operator, b, dense_cap)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        try:
+            x, iterations, history = _gmres(operator, b, tol)
+            used = "iterative"
+        except NonConvergence as exc:
+            if method == "iterative":
+                raise
+            iterations, history = exc.matvecs, exc.residuals
+            try:
+                x, cond, factored = _direct(operator, b, dense_cap)
+            except SizeCap:
+                raise NonConvergence(
+                    f"{exc}, and the direct fallback exceeds the dense cap "
+                    f"{dense_cap}", residuals=history,
+                    matvecs=iterations) from None
+            used = "direct"
 
     j = x.reshape(nm, nn, nk)
     res = forward_residual(j, j_inc, operator)
     res_norm = float(np.linalg.norm(res) / np.linalg.norm(j_inc)) \
         if np.linalg.norm(j_inc) > 0 else 0.0
-    return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg,
+    return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg, method=used,
                     residual_norm=res_norm, iterations=iterations,
                     wall_time=time.perf_counter() - t0,
-                    condition_estimate=cond, factored_unknowns=factored)
+                    condition_estimate=cond, factored_unknowns=factored,
+                    gmres_residuals=history)
 
 
 def _expansion(sol: Solution, xs: np.ndarray, zs: np.ndarray, which: str):

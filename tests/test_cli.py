@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaborscat import cli
+from gaborscat import cli, solver
 from gaborscat.cli import (RunConfig, main, parse_config, write_field_csv,
                            write_pgm)
 from gaborscat.errors import ConfigError
@@ -239,6 +239,53 @@ def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):
     bad = write_config(tmp_path, **{"frame.beta": "wide"})
     assert main(["solve", str(bad)]) == 2
     assert len(calls) == 1
+
+
+def test_parse_config_method_defaults_to_auto(tmp_path):
+    assert parse_config(write_config(tmp_path,
+                                     **{"solver.method": "auto"})).method == "auto"
+    assert parse_config(write_config(tmp_path, solver={})).method == "auto"
+    with pytest.raises(ConfigError, match="solver.method"):
+        parse_config(write_config(tmp_path, **{"solver.method": "lu"}))
+
+
+def _no_constants(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_metrics_json_is_strict(tmp_path, capsys, method):
+    path = write_config(tmp_path, **{"solver.method": method})
+    assert main(["solve", str(path)]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text(),
+                         parse_constant=_no_constants)
+    assert metrics["method"] == method
+    if method == "direct":
+        assert metrics["condition_estimate"] > 1
+        assert metrics["gmres_residuals"] == []
+    else:
+        assert metrics["condition_estimate"] is None
+        assert 0 < len(metrics["gmres_residuals"]) <= metrics["iterations"]
+
+
+def test_json_artifacts_write_non_finite_as_null():
+    text = cli._dumps({"a": [float("nan"), 1.5], "b": float("inf"),
+                       "c": {"d": -float("inf")}})
+    assert text == '{"a": [null, 1.5], "b": null, "c": {"d": null}}'
+
+
+def test_auto_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
+    # GMRES out of budget and the active unknowns above solver.cap: exit 3,
+    # and error.json holds the residual history and the matvecs spent
+    monkeypatch.setattr(solver, "_MAX_ITER", 7)
+    path = write_config(tmp_path, solver={"method": "auto", "tol": 1e-300,
+                                          "cap": 10})
+    assert main(["solve", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text(),
+                        parse_constant=_no_constants)
+    assert report["error"] == "NonConvergence"
+    assert 0 < report["iterations"] <= 7
+    assert 0 < len(report["gmres_residuals"]) <= report["iterations"]
 
 
 def test_field_csv_format(tmp_path):

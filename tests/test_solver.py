@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gaborscat as gs
 from gaborscat import solver
@@ -32,7 +33,7 @@ def test_zero_contrast_returns_incident(solve_ctx):
 
 
 def test_direct_solve_residual(solve_ctx):
-    sol = solve_ctx(small_circle())
+    sol = solve_ctx(small_circle(), method="direct")
     assert sol.residual_norm < 1e-8
     assert np.isfinite(sol.condition_estimate)
     assert sol.condition_estimate < 1e4
@@ -63,7 +64,8 @@ def test_direct_vs_iterative(solve_ctx):
 def test_direct_solve_factors_active_slices(op_partial, scene_partial, fp_small,
                                             zg_small, cfg_small, dual_small):
     sol = gs.solve(scene_partial, fp_small, zg_small, cfg_small,
-                   dual=dual_small, operator=op_partial, check_scene=False)
+                   dual=dual_small, operator=op_partial, check_scene=False,
+                   method="direct")
     ref = np.linalg.solve(full_system_matrix(op_partial), sol.J_inc.ravel())
     assert np.linalg.norm(sol.J.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
     idle = np.setdiff1d(np.arange(zg_small.n_k + 1),
@@ -95,7 +97,56 @@ def test_size_cap(fp_small, zg_small, cfg_small, dual_small, tables_small):
     op = gs.build_operator(scene, fp_small, zg_small, dual_small, *tables_small)
     with pytest.raises(SizeCap):
         gs.solve(scene, fp_small, zg_small, cfg_small, dual=dual_small,
-                 operator=op, check_scene=False, dense_cap=10)
+                 operator=op, check_scene=False, dense_cap=10,
+                 method="direct")
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("the solve took the dense path")
+
+
+def test_auto_is_matrix_free(solve_ctx, monkeypatch):
+    # the default method solves by GMRES alone and matches the direct solve
+    tol = 1e-8
+    direct = solve_ctx(small_circle(), method="direct", tol=tol)
+    monkeypatch.setattr(gs.operators, "assemble_dense", _no_dense)
+    monkeypatch.setattr(solver, "assemble_dense", _no_dense)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", _no_dense)
+    auto = solve_ctx(small_circle(), tol=tol)
+    assert auto.method == "iterative"
+    assert (np.linalg.norm(auto.J - direct.J)
+            / np.linalg.norm(direct.J)) <= 10 * tol
+    assert auto.residual_norm <= tol
+    assert auto.factored_unknowns == 0
+    assert auto.condition_estimate is None
+    assert 0 < len(auto.gmres_residuals) <= auto.iterations
+    assert direct.method == "direct" and direct.gmres_residuals == []
+
+
+def test_auto_falls_back_to_direct(solve_ctx, monkeypatch):
+    # GMRES out of budget: the direct path produces J, bit for bit, and the
+    # GMRES history is kept
+    direct = solve_ctx(small_circle(), method="direct")
+    monkeypatch.setattr(solver, "_MAX_ITER", 7)
+    auto = solve_ctx(small_circle(), method="auto", tol=1e-300)
+    assert auto.method == "direct"
+    assert np.array_equal(auto.J, direct.J)
+    assert auto.factored_unknowns == direct.factored_unknowns > 0
+    assert auto.condition_estimate == direct.condition_estimate
+    assert 0 < auto.iterations <= 7
+    assert 0 < len(auto.gmres_residuals) <= auto.iterations
+
+
+def test_auto_without_fallback_raises(solve_ctx, monkeypatch):
+    # GMRES out of budget and the active unknowns above the cap: no dense
+    # matrix is formed and NonConvergence carries the history
+    monkeypatch.setattr(solver, "_MAX_ITER", 7)
+    monkeypatch.setattr(gs.operators, "assemble_green_matrix", _no_dense)
+    with pytest.raises(NonConvergence) as info:
+        solve_ctx(small_circle(), method="auto", tol=1e-300, dense_cap=10)
+    assert 0 < info.value.matvecs <= 7
+    assert 0 < len(info.value.residuals) <= info.value.matvecs
+    assert all(r > 0 for r in info.value.residuals)
 
 
 def test_gmres_matvec_budget(solve_ctx, monkeypatch):
