@@ -30,7 +30,8 @@ from .operators import build_operator
 from .oracle import MoMConfig, compare_fields, interior_mask, mom_solve
 from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
                     validate_scene)
-from .solver import Solution, solve, synthesize_field, synthesize_points
+from .solver import (METHODS, Solution, solve, synthesize_field,
+                     synthesize_points)
 from .tables import build_tables, load_or_build
 
 _SHAPES = {"circle", "rectangle", "grating"}
@@ -177,10 +178,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("ewald", str(exc)) from exc
 
     so = _block(raw, "solver")
-    method = so.get("method", "auto")
-    if method not in ("auto", "direct", "iterative"):
-        raise ConfigError("solver.method",
-                          "must be 'auto', 'direct' or 'iterative'")
+    method = so.get("method", METHODS[0])
+    if method not in METHODS:
+        raise ConfigError("solver.method", "must be one of " +
+                          ", ".join(repr(m) for m in METHODS))
     tol = so.get("tol")
     tol = _positive(tol, "solver.tol") if tol is not None else None
     dense_cap = _number(so.get("cap", 8000), "solver.cap", integer=True)
@@ -289,7 +290,7 @@ def _pipeline(rc: RunConfig):
                 tol=rc.tol, operator=op, dense_cap=rc.dense_cap)
     t4 = time.perf_counter()
     metrics = {
-        "method": sol.method,
+        "method": rc.method,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
         "wall_time_setup": t3 - t0,

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import NonConvergence, SingularMatrix, SizeCap
+from .errors import NonConvergence, SingularMatrix
 from .frame import DualWindow, FrameParams, synthesize
 from .green import EwaldConfig
 from .kernels import ZGrid, triangle_value
@@ -19,6 +19,7 @@ from .tables import build_tables
 
 _MAX_ITER = 2000        # GMRES matvec budget per solve
 _RESTART = 200
+METHODS = ("iterative", "direct")   # solver.method values, the default first
 
 
 @dataclass
@@ -28,9 +29,8 @@ class Solution:
     J_inc: np.ndarray
     fp: FrameParams
     zg: ZGrid
-    method: str                         # the path that produced J
     residual_norm: float
-    iterations: int                     # GMRES matvecs, also before a fallback
+    iterations: int                     # GMRES matvecs
     wall_time: float
     condition_estimate: float | None = None     # None unless LU ran
     factored_unknowns: int = 0          # size of the dense LU, 0 for GMRES
@@ -113,26 +113,22 @@ def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
 
 
 def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
-          dual: DualWindow, method: str = "auto", tol: float | None = None,
+          dual: DualWindow, method: str = METHODS[0], tol: float | None = None,
           operator: DiscreteOperator | None = None,
           tables=None, dense_cap: int = 8000, check_scene: bool = True) -> Solution:
     """Solve J = J_inc + chi*(k0^2 G J) for the contrast-source coefficients.
 
     Pass prebuilt tables / operator to reuse cached quadratures; otherwise they
-    are built here.  method is one of
-      "auto"       GMRES on the matrix-free FFT forward map; only when it
-                   exhausts its _MAX_ITER matvec budget and the active
-                   unknowns fit dense_cap, the direct solve (the GMRES
-                   residual history is kept); otherwise NonConvergence;
-      "iterative"  GMRES only;
+    are built here.  method is one of METHODS:
+      "iterative"  (the default) GMRES on the matrix-free FFT forward map to
+                   the relative residual tol (default 1e-8); NonConvergence
+                   when _MAX_ITER matvecs do not reach it;
       "direct"     dense LU of I - chi*G over the z slices where chi is
-                   nonzero (see assemble_dense), J = J_inc elsewhere.
-    dense_cap bounds the active unknowns of the direct path and so of the
-    fallback.  tol defaults to 1e-8, or 1e-6 for "iterative".
-    Solution.method names the path that produced J, and
+                   nonzero (see assemble_dense), J = J_inc elsewhere;
+                   dense_cap bounds those active unknowns.
     Solution.condition_estimate is None unless LU ran.
     """
-    if method not in ("auto", "direct", "iterative"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     if check_scene:
@@ -144,35 +140,20 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     nm, nn, nk = coeff_shape(fp, zg)
     j_inc = project_source(scene, zg, operator.grid,
                            operator.analysis_matrix).reshape(nm, nn, nk)
-    if tol is None:
-        tol = 1e-6 if method == "iterative" else 1e-8
 
     b = j_inc.reshape(nm * nn * nk)
-    used, iterations, history, cond, factored = method, 0, [], None, 0
+    iterations, history, cond, factored = 0, [], None, 0
     if method == "direct":
         x, cond, factored = _direct(operator, b, dense_cap)
     else:
-        try:
-            x, iterations, history = _gmres(operator, b, tol)
-            used = "iterative"
-        except NonConvergence as exc:
-            if method == "iterative":
-                raise
-            iterations, history = exc.matvecs, exc.residuals
-            try:
-                x, cond, factored = _direct(operator, b, dense_cap)
-            except SizeCap:
-                raise NonConvergence(
-                    f"{exc}, and the direct fallback exceeds the dense cap "
-                    f"{dense_cap}", residuals=history,
-                    matvecs=iterations) from None
-            used = "direct"
+        x, iterations, history = _gmres(operator, b,
+                                        1e-8 if tol is None else tol)
 
     j = x.reshape(nm, nn, nk)
     res = forward_residual(j, j_inc, operator)
     res_norm = float(np.linalg.norm(res) / np.linalg.norm(j_inc)) \
         if np.linalg.norm(j_inc) > 0 else 0.0
-    return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg, method=used,
+    return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg,
                     residual_norm=res_norm, iterations=iterations,
                     wall_time=time.perf_counter() - t0,
                     condition_estimate=cond, factored_unknowns=factored,

@@ -241,12 +241,11 @@ def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_parse_config_method_defaults_to_auto(tmp_path):
-    assert parse_config(write_config(tmp_path,
-                                     **{"solver.method": "auto"})).method == "auto"
-    assert parse_config(write_config(tmp_path, solver={})).method == "auto"
-    with pytest.raises(ConfigError, match="solver.method"):
-        parse_config(write_config(tmp_path, **{"solver.method": "lu"}))
+def test_parse_config_method_defaults_to_iterative(tmp_path):
+    assert parse_config(write_config(tmp_path, solver={})).method == "iterative"
+    for bad in ("auto", "lu"):
+        with pytest.raises(ConfigError, match="solver.method"):
+            parse_config(write_config(tmp_path, **{"solver.method": bad}))
 
 
 def _no_constants(token):
@@ -274,12 +273,11 @@ def test_json_artifacts_write_non_finite_as_null():
     assert text == '{"a": [null, 1.5], "b": null, "c": {"d": null}}'
 
 
-def test_auto_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
-    # GMRES out of budget and the active unknowns above solver.cap: exit 3,
-    # and error.json holds the residual history and the matvecs spent
+def test_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
+    # GMRES out of budget: exit 3, and error.json holds the residual history
+    # and the matvecs spent
     monkeypatch.setattr(solver, "_MAX_ITER", 7)
-    path = write_config(tmp_path, solver={"method": "auto", "tol": 1e-300,
-                                          "cap": 10})
+    path = write_config(tmp_path, solver={"tol": 1e-300})
     assert main(["solve", str(path)]) == 3
     report = json.loads((tmp_path / "out" / "error.json").read_text(),
                         parse_constant=_no_constants)

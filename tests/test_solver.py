@@ -42,11 +42,12 @@ def test_direct_solve_residual(solve_ctx):
 def test_born_limit(solve_ctx, fp_small, zg_small, dual_small, tables_small):
     # eps_r = 1 + 1e-6: first-order correction matches one operator application
     scene = small_circle(eps_r=1.0 + 1e-6)
-    sol = solve_ctx(scene)
     op = gs.build_operator(scene, fp_small, zg_small, dual_small, *tables_small)
-    born = gs.contrast_multiply(gs.green_apply(sol.J_inc, op), op)
-    delta = sol.J - sol.J_inc
-    assert np.linalg.norm(delta - born) / np.linalg.norm(born) < 1e-4
+    for method in solver.METHODS:
+        sol = solve_ctx(scene, method=method)
+        born = gs.contrast_multiply(gs.green_apply(sol.J_inc, op), op)
+        delta = sol.J - sol.J_inc
+        assert np.linalg.norm(delta - born) / np.linalg.norm(born) < 1e-4
 
 
 def test_direct_vs_iterative(solve_ctx):
@@ -105,48 +106,21 @@ def _no_dense(*args, **kwargs):
     raise AssertionError("the solve took the dense path")
 
 
-def test_auto_is_matrix_free(solve_ctx, monkeypatch):
+def test_default_solve_is_matrix_free(solve_ctx, monkeypatch):
     # the default method solves by GMRES alone and matches the direct solve
     tol = 1e-8
     direct = solve_ctx(small_circle(), method="direct", tol=tol)
     monkeypatch.setattr(gs.operators, "assemble_dense", _no_dense)
     monkeypatch.setattr(solver, "assemble_dense", _no_dense)
     monkeypatch.setattr(scipy.linalg, "lu_factor", _no_dense)
-    auto = solve_ctx(small_circle(), tol=tol)
-    assert auto.method == "iterative"
-    assert (np.linalg.norm(auto.J - direct.J)
+    default = solve_ctx(small_circle())
+    assert (np.linalg.norm(default.J - direct.J)
             / np.linalg.norm(direct.J)) <= 10 * tol
-    assert auto.residual_norm <= tol
-    assert auto.factored_unknowns == 0
-    assert auto.condition_estimate is None
-    assert 0 < len(auto.gmres_residuals) <= auto.iterations
-    assert direct.method == "direct" and direct.gmres_residuals == []
-
-
-def test_auto_falls_back_to_direct(solve_ctx, monkeypatch):
-    # GMRES out of budget: the direct path produces J, bit for bit, and the
-    # GMRES history is kept
-    direct = solve_ctx(small_circle(), method="direct")
-    monkeypatch.setattr(solver, "_MAX_ITER", 7)
-    auto = solve_ctx(small_circle(), method="auto", tol=1e-300)
-    assert auto.method == "direct"
-    assert np.array_equal(auto.J, direct.J)
-    assert auto.factored_unknowns == direct.factored_unknowns > 0
-    assert auto.condition_estimate == direct.condition_estimate
-    assert 0 < auto.iterations <= 7
-    assert 0 < len(auto.gmres_residuals) <= auto.iterations
-
-
-def test_auto_without_fallback_raises(solve_ctx, monkeypatch):
-    # GMRES out of budget and the active unknowns above the cap: no dense
-    # matrix is formed and NonConvergence carries the history
-    monkeypatch.setattr(solver, "_MAX_ITER", 7)
-    monkeypatch.setattr(gs.operators, "assemble_green_matrix", _no_dense)
-    with pytest.raises(NonConvergence) as info:
-        solve_ctx(small_circle(), method="auto", tol=1e-300, dense_cap=10)
-    assert 0 < info.value.matvecs <= 7
-    assert 0 < len(info.value.residuals) <= info.value.matvecs
-    assert all(r > 0 for r in info.value.residuals)
+    assert default.residual_norm <= tol
+    assert default.factored_unknowns == 0
+    assert default.condition_estimate is None
+    assert 0 < len(default.gmres_residuals) <= default.iterations
+    assert direct.gmres_residuals == []
 
 
 def test_gmres_matvec_budget(solve_ctx, monkeypatch):
@@ -161,9 +135,13 @@ def test_gmres_matvec_budget(solve_ctx, monkeypatch):
 
     monkeypatch.setattr(solver, "_MAX_ITER", 7)
     monkeypatch.setattr(solver, "green_apply", counting)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as info:
         solve_ctx(small_circle(), method="iterative", tol=1e-300)
     assert 0 < len(calls) <= 7
+    # the error carries the matvecs spent and the residual history
+    assert info.value.matvecs == len(calls)
+    assert 0 < len(info.value.residuals) <= info.value.matvecs
+    assert all(r > 0 for r in info.value.residuals)
 
 
 def test_synthesize_points_matches_pointwise_loop(solve_ctx):
