@@ -23,15 +23,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GaborscatError, NonConvergence, QuadratureFailure
-from .frame import FrameParams, analysis_grid, fit_dual_coeffs, zak_dual_window
+from .frame import FrameParams, fit_dual_coeffs, zak_dual_window
 from .green import EwaldConfig, optimal_split, split_identity_error
 from .kernels import ZGrid
 from .operators import build_operator
 from .oracle import MoMConfig, compare_fields, interior_mask, mom_solve
-from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
-                    validate_scene)
-from .solver import (METHODS, Solution, solve, synthesize_field,
-                     synthesize_points)
+from .scene import Circle, Grating, Rectangle, Scene, validate_scene
+from .solver import METHODS, solve, synthesize_field, synthesize_points
 from .tables import build_tables, load_or_build
 
 _SHAPES = {"circle", "rectangle", "grating"}
@@ -48,7 +46,6 @@ class RunConfig:
     ewald: EwaldConfig
     method: str
     tol: float | None
-    dense_cap: int
     out_dir: Path
     output_grid: tuple          # (xs, zs)
     formats: tuple
@@ -184,7 +181,6 @@ def parse_config(path) -> RunConfig:
                           ", ".join(repr(m) for m in METHODS))
     tol = so.get("tol")
     tol = _positive(tol, "solver.tol") if tol is not None else None
-    dense_cap = _number(so.get("cap", 8000), "solver.cap", integer=True)
 
     ob = _block(raw, "output")
     out_dir = Path(_string(ob.get("out_dir", "out"), "output.out_dir"))
@@ -212,8 +208,8 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(scene=scene, fp=fp, zg=zg, n_u=n_u, n_v=n_v,
                      fit_tol=fit_tol, ewald=ewald, method=method, tol=tol,
-                     dense_cap=dense_cap, out_dir=out_dir,
-                     output_grid=(xs, zs), formats=formats, cache_dir=cache_dir)
+                     out_dir=out_dir, output_grid=(xs, zs), formats=formats,
+                     cache_dir=cache_dir)
 
 
 def _finite(value):
@@ -243,14 +239,17 @@ def _fit_dual(rc: RunConfig):
     return xs, eta, dw
 
 
+def _write_csv(path, header, *columns):
+    """One row per entry of the equal-length columns, 17 significant digits."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
 def write_field_csv(path, xs, zs, field):
     """Header x,z,re,im; rows z-outer; 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("x,z,re,im\n")
-        for iz, z in enumerate(zs):
-            for ix, x in enumerate(xs):
-                v = field[iz, ix]
-                fh.write(f"{x:.17g},{z:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    x, z = np.meshgrid(xs, zs)
+    _write_csv(path, "x,z,re,im", x.ravel(), z.ravel(), field.real.ravel(),
+               field.imag.ravel())
 
 
 def write_pgm(path, field_real, xs, zs):
@@ -272,8 +271,10 @@ def write_pgm(path, field_real, xs, zs):
 
 
 def _pipeline(rc: RunConfig):
-    """Dual window, tables (cached), operator, solve.  Returns (sol, metrics);
-    metrics["stages"] holds each stage's wall time in seconds."""
+    """Scene check, dual window, tables (cached), operator, solve.  Returns
+    (sol, metrics); metrics["stages"] holds each stage's wall time in
+    seconds."""
+    validate_scene(rc.scene, rc.fp, rc.zg)
     t0 = time.perf_counter()
     _, _, dw = _fit_dual(rc)
     t1 = time.perf_counter()
@@ -284,10 +285,9 @@ def _pipeline(rc: RunConfig):
         spat, spec = build_tables(rc.fp, rc.zg, rc.ewald, rc.n_u, rc.n_v)
         hit = False
     t2 = time.perf_counter()
-    op = build_operator(rc.scene, rc.fp, rc.zg, dw, spat, spec)
+    op = build_operator(rc.scene, dw, spat, spec)
     t3 = time.perf_counter()
-    sol = solve(rc.scene, rc.fp, rc.zg, rc.ewald, dual=dw, method=rc.method,
-                tol=rc.tol, operator=op, dense_cap=rc.dense_cap)
+    sol = solve(rc.scene, op, method=rc.method, tol=rc.tol)
     t4 = time.perf_counter()
     metrics = {
         "method": rc.method,
@@ -344,10 +344,8 @@ def cmd_dual_window(args, rc: RunConfig) -> int:
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     from .frame import dual_window_value
     fitted = dual_window_value(xs, dw, rc.fp)
-    with open(rc.out_dir / "dual_window.csv", "w") as fh:
-        fh.write("x,eta,fit_re,fit_im\n")
-        for x, e, f in zip(xs, eta, fitted):
-            fh.write(f"{x:.17g},{e:.17g},{f.real:.17g},{f.imag:.17g}\n")
+    _write_csv(rc.out_dir / "dual_window.csv", "x,eta,fit_re,fit_im", xs, eta,
+               fitted.real, fitted.imag)
     report = {"residual": dw.residual, "condition": dw.condition,
               "N_u": dw.n_u, "N_v": dw.n_v}
     (rc.out_dir / "dual_window.json").write_text(_dumps(report, indent=1))
@@ -374,10 +372,8 @@ def cmd_compare(args, rc: RunConfig) -> int:
     inside = interior_mask(mom)
     m = compare_fields(main, oracle_field, inside)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(rc.out_dir / "compare_error.csv", "w") as fh:
-        fh.write("x,z,abs_error\n")
-        for x, z, e in zip(mom.x, mom.z, m["abs_error"]):
-            fh.write(f"{x:.17g},{z:.17g},{e:.17g}\n")
+    _write_csv(rc.out_dir / "compare_error.csv", "x,z,abs_error", mom.x, mom.z,
+               m["abs_error"])
     metrics.update({"oracle_cell": mom.cell, "oracle_cells": len(mom.x),
                     "rel_l2_inside": m["rel_l2"], "max_abs_inside": m["max_abs"]})
     (rc.out_dir / "compare.json").write_text(_dumps(metrics, indent=1))

@@ -30,7 +30,8 @@ class DimensionMismatch(GaborscatError):
 
 
 class SizeCap(GaborscatError):
-    """Problem size exceeds the configured dense-solver cap."""
+    """Problem size exceeds a fixed cap: the direct solve's active unknowns,
+    or the MoM oracle's cell count or memory."""
 
 
 class NonConvergence(GaborscatError):

@@ -38,6 +38,8 @@ from .kernels import ZGrid
 from .scene import Scene, contrast_at
 from .tables import KernelTable
 
+_DENSE_CAP = 8000       # active unknowns the direct solve may factor
+
 
 def coeff_shape(fp: FrameParams, zg: ZGrid) -> tuple[int, int, int]:
     return (2 * fp.M + 1, 2 * fp.N + 1, zg.n_k + 1)
@@ -148,23 +150,25 @@ class DiscreteOperator:
         return nm * nn * nk
 
 
-def build_operator(scene: Scene | None, fp: FrameParams, zg: ZGrid,
-                   dual: DualWindow, spatial_table: KernelTable,
+def build_operator(scene: Scene | None, dual: DualWindow,
+                   spatial_table: KernelTable,
                    spectral_table: KernelTable) -> DiscreteOperator:
-    """Fold the tables into the operator kernel; scene=None means chi == 0."""
-    for t in (spatial_table, spectral_table):
-        if t.fp != fp or t.zg != zg:
-            raise DimensionMismatch("table metadata inconsistent with fp/zg")
+    """Fold the tables into the operator kernel; scene=None means chi == 0.
+    fp, zg and k0 are those the tables were built for."""
+    fp, zg, cfg = spatial_table.fp, spatial_table.zg, spatial_table.cfg
+    t = spectral_table
+    if (t.fp, t.zg, t.cfg) != (fp, zg, cfg):
+        raise DimensionMismatch(
+            "spatial and spectral tables built for different fp/zg/Ewald config")
     xs = analysis_grid(fp)
-    k0 = spatial_table.cfg.k0
     if scene is None:
         chi = np.zeros((zg.n_k + 1, len(xs)))
     else:
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
 
-    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table, k0)
+    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table, cfg.k0)
     return DiscreteOperator(
-        fp=fp, zg=zg, k0=k0, dual=dual, spatial_table=spatial_table,
+        fp=fp, zg=zg, k0=cfg.k0, dual=dual, spatial_table=spatial_table,
         spectral_table=spectral_table, grid=xs, chi_slices=chi,
         kernel=kernel, kernel_fft=_kernel_fft(kernel),
         synth_matrix=synthesis_matrix(xs, fp),
@@ -256,24 +260,25 @@ def assemble_green_matrix(op: DiscreteOperator,
     return g.reshape(nm * nn * na, nm * nn * na)
 
 
-def assemble_dense(op: DiscreteOperator, cap: int = 8000) -> np.ndarray:
+def assemble_dense(op: DiscreteOperator) -> np.ndarray:
     """System matrix I - chi*G over the unknowns of the active z slices, in
     (m*nn + n)*n_active + i flattening for slice active_slices(op)[i].
 
     This is exact: on a slice where chi == 0 the contrast projector below is
     exactly zero, so that slice's rows of the full I - chi*G are identity rows
     and its right-hand side analyze(chi*E_inc) is exactly zero; its unknowns
-    are J = J_inc = 0 and their columns drop out.  cap bounds the active
-    unknowns.  The contrast multiplication acts on each z slice l separately,
-    as the (nm*nn)^2 projector analysis * diag(chi(., z_l)) * synthesis, which
-    is formed once per slice instead of synthesizing every column on the grid.
+    are J = J_inc = 0 and their columns drop out.  _DENSE_CAP bounds the
+    active unknowns.  The contrast multiplication acts on each z slice l
+    separately, as the (nm*nn)^2 projector analysis * diag(chi(., z_l)) *
+    synthesis, which is formed once per slice instead of synthesizing every
+    column on the grid.
     """
     active = active_slices(op)
     nm, nn, _ = coeff_shape(op.fp, op.zg)
     n = nm * nn * len(active)
-    if n > cap:
+    if n > _DENSE_CAP:
         raise SizeCap(
-            f"{n} active unknowns exceed the dense cap {cap}; "
+            f"{n} active unknowns exceed the dense cap {_DENSE_CAP}; "
             "use the iterative solver")
     a = assemble_green_matrix(op, active)
     by_slice = a.reshape(nm * nn, len(active), n)

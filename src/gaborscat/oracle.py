@@ -15,8 +15,8 @@ from scipy import special
 
 from .errors import DomainError, GridMismatch, SingularMatrix, SizeCap
 from .green import green_exact
-from .scene import (Scene, contrast_at, incident_field, inside_shape,
-                    x_half_extent, z_half_extent)
+from .scene import (Scene, incident_field, inside_shape, x_half_extent,
+                    z_half_extent)
 
 _MAX_CELLS = 40000
 _FRACTION_SUBSAMPLE = 16

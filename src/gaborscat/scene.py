@@ -2,7 +2,7 @@
 projection of the incident contrast source onto the discretization."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

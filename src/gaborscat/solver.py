@@ -1,6 +1,5 @@
 """Solve the discrete contrast-source equation and synthesize output fields."""
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,14 +7,12 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import NonConvergence, SingularMatrix
-from .frame import DualWindow, FrameParams, synthesize
-from .green import EwaldConfig
+from .frame import FrameParams, synthesize
 from .kernels import ZGrid, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
-                        build_operator, coeff_shape, contrast_multiply,
-                        forward_residual, green_apply)
-from .scene import Scene, project_source, validate_scene
-from .tables import build_tables
+                        coeff_shape, contrast_multiply, forward_residual,
+                        green_apply)
+from .scene import Scene, project_source
 
 _MAX_ITER = 2000        # GMRES matvec budget per solve
 _RESTART = 200
@@ -31,7 +28,6 @@ class Solution:
     zg: ZGrid
     residual_norm: float
     iterations: int                     # GMRES matvecs
-    wall_time: float
     condition_estimate: float | None = None     # None unless LU ran
     factored_unknowns: int = 0          # size of the dense LU, 0 for GMRES
     gmres_residuals: list[float] = field(default_factory=list)
@@ -56,13 +52,13 @@ def _condition_estimate(lu_t, a_norm: float) -> float:
     return 1.0 / rcond
 
 
-def _direct(operator: DiscreteOperator, b: np.ndarray, dense_cap: int):
+def _direct(operator: DiscreteOperator, b: np.ndarray):
     """LU solve of I - chi*G over the z slices where chi is nonzero (see
     assemble_dense), J = J_inc elsewhere.  Returns (x, condition estimate,
     factored unknowns); the estimate is None when nothing was factored."""
     nm, nn, nk = coeff_shape(operator.fp, operator.zg)
     x = b.copy()
-    a = assemble_dense(operator, cap=dense_cap)
+    a = assemble_dense(operator)
     factored = a.shape[0]
     if not factored:
         return x, None, 0
@@ -112,31 +108,24 @@ def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
     return x, matvecs, history
 
 
-def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
-          dual: DualWindow, method: str = METHODS[0], tol: float | None = None,
-          operator: DiscreteOperator | None = None,
-          tables=None, dense_cap: int = 8000, check_scene: bool = True) -> Solution:
-    """Solve J = J_inc + chi*(k0^2 G J) for the contrast-source coefficients.
+def solve(scene: Scene, operator: DiscreteOperator, *,
+          method: str = METHODS[0], tol: float | None = None) -> Solution:
+    """Solve J = J_inc + chi*(k0^2 G J) for the contrast-source coefficients
+    on the discretization of operator, which build_operator made for scene.
 
-    Pass prebuilt tables / operator to reuse cached quadratures; otherwise they
-    are built here.  method is one of METHODS:
+    method is one of METHODS:
       "iterative"  (the default) GMRES on the matrix-free FFT forward map to
                    the relative residual tol (default 1e-8); NonConvergence
                    when _MAX_ITER matvecs do not reach it;
       "direct"     dense LU of I - chi*G over the z slices where chi is
-                   nonzero (see assemble_dense), J = J_inc elsewhere;
-                   dense_cap bounds those active unknowns.
+                   nonzero (see assemble_dense), J = J_inc elsewhere; SizeCap
+                   when those active unknowns exceed 8000
+                   (operators._DENSE_CAP).
     Solution.condition_estimate is None unless LU ran.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
-    if check_scene:
-        validate_scene(scene, fp, zg)
-    if operator is None:
-        if tables is None:
-            tables = build_tables(fp, zg, cfg, dual.n_u, dual.n_v)
-        operator = build_operator(scene, fp, zg, dual, *tables)
+    fp, zg = operator.fp, operator.zg
     nm, nn, nk = coeff_shape(fp, zg)
     j_inc = project_source(scene, zg, operator.grid,
                            operator.analysis_matrix).reshape(nm, nn, nk)
@@ -144,7 +133,7 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
     b = j_inc.reshape(nm * nn * nk)
     iterations, history, cond, factored = 0, [], None, 0
     if method == "direct":
-        x, cond, factored = _direct(operator, b, dense_cap)
+        x, cond, factored = _direct(operator, b)
     else:
         x, iterations, history = _gmres(operator, b,
                                         1e-8 if tol is None else tol)
@@ -155,7 +144,6 @@ def solve(scene: Scene, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, *,
         if np.linalg.norm(j_inc) > 0 else 0.0
     return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg,
                     residual_norm=res_norm, iterations=iterations,
-                    wall_time=time.perf_counter() - t0,
                     condition_estimate=cond, factored_unknowns=factored,
                     gmres_residuals=history)
 

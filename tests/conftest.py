@@ -61,9 +61,8 @@ def scene_small_circle() -> gs.Scene:
 
 
 @pytest.fixture(scope="session")
-def op_small(scene_small_circle, fp_small, zg_small, dual_small, tables_small):
-    return gs.build_operator(scene_small_circle, fp_small, zg_small,
-                             dual_small, *tables_small)
+def op_small(scene_small_circle, dual_small, tables_small):
+    return gs.build_operator(scene_small_circle, dual_small, *tables_small)
 
 
 @pytest.fixture(scope="session")
@@ -74,9 +73,8 @@ def scene_partial() -> gs.Scene:
 
 
 @pytest.fixture(scope="session")
-def op_partial(scene_partial, fp_small, zg_small, dual_small, tables_small):
-    return gs.build_operator(scene_partial, fp_small, zg_small, dual_small,
-                             *tables_small)
+def op_partial(scene_partial, dual_small, tables_small):
+    return gs.build_operator(scene_partial, dual_small, *tables_small)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

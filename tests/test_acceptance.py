@@ -136,7 +136,7 @@ def test_criterion_3_unit_source_end_to_end():
     xs, eta = gs.zak_dual_window(fp)
     dw = gs.fit_dual_coeffs(eta, xs, 3, 4, fp)
     tables = gs.build_tables(fp, zg, cfg, dw.n_u, dw.n_v)
-    op = gs.build_operator(None, fp, zg, dw, *tables)
+    op = gs.build_operator(None, dw, *tables)
     k_mid = zg.n_k // 2
     coeffs = np.zeros(gs.coeff_shape(fp, zg), dtype=complex)
     coeffs[fp.M, fp.N, k_mid] = 1.0
@@ -232,8 +232,8 @@ def test_criterion_6_full_solve_vs_mom():
     tables = gs.build_tables(fp, zg, cfg, dw.n_u, dw.n_v)
     scene = gs.Scene(shape=gs.Circle(radius=1.35), eps_r=2.0, k0=1.45,
                      theta=0.0)
-    op = gs.build_operator(scene, fp, zg, dw, *tables)
-    sol = gs.solve(scene, fp, zg, cfg, dual=dw, operator=op)
+    gs.validate_scene(scene, fp, zg)
+    sol = gs.solve(scene, gs.build_operator(scene, dw, *tables))
     mom = gs.mom_solve(scene, gs.MoMConfig())          # cell = lambda/20
     series = gs.cylinder_reference_field(mom.x, mom.z, scene, which="scattered")
     inside = gs.interior_mask(mom)
@@ -256,9 +256,7 @@ def test_criterion_6_full_solve_vs_mom():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        op = gs.build_operator(rect, fp, zg, dw, *tables)
-        sol_r = gs.solve(rect, fp, zg, cfg, dual=dw, operator=op,
-                         check_scene=False)
+        sol_r = gs.solve(rect, gs.build_operator(rect, dw, *tables))
     mom_r = gs.mom_solve(rect, gs.MoMConfig())
     inside_r = gs.interior_mask(mom_r)
     main_r = np.array([gs.synthesize_field(sol_r, np.array([x]),
@@ -304,7 +302,7 @@ def test_criterion_7_table_cache_reuse(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-def test_criterion_8_property_suite(fp_small, zg_small, cfg_small, dual_small,
+def test_criterion_8_property_suite(fp_small, zg_small, dual_small,
                                     tables_small):
     t0 = time.perf_counter()
     checks = {}
@@ -336,8 +334,7 @@ def test_criterion_8_property_suite(fp_small, zg_small, cfg_small, dual_small,
                          / np.linalg.norm(expect), 1e-8)
 
     # operator linearity and zero-contrast identity (exact)
-    op0 = gs.build_operator(None, fp_small, zg_small, dual_small,
-                            *tables_small)
+    op0 = gs.build_operator(None, dual_small, *tables_small)
     rng = np.random.default_rng(77)
     shape = gs.coeff_shape(fp_small, zg_small)
     j1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -351,10 +348,8 @@ def test_criterion_8_property_suite(fp_small, zg_small, cfg_small, dual_small,
     # Born limit <= 1e-4
     weak = gs.Scene(shape=gs.Circle(radius=0.45), eps_r=1.0 + 1e-6, k0=1.45,
                     theta=0.0)
-    op_w = gs.build_operator(weak, fp_small, zg_small, dual_small,
-                             *tables_small)
-    sol = gs.solve(weak, fp_small, zg_small, cfg_small, dual=dual_small,
-                   operator=op_w, check_scene=False)
+    op_w = gs.build_operator(weak, dual_small, *tables_small)
+    sol = gs.solve(weak, op_w)
     born = gs.contrast_multiply(gs.green_apply(sol.J_inc, op_w), op_w)
     checks["born"] = (np.linalg.norm(sol.J - sol.J_inc - born)
                       / np.linalg.norm(born), 1e-4)

@@ -112,7 +112,6 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
     {"dual.fit_tol": "loose"},
     {"ewald.quad_tol": {"value": 1e-10}},
     {"solver.tol": "tight"},
-    {"solver.cap": "big"},
     {"output.nx": -3},
     {"output.x_min": float("nan")},
     {"output.nz": True},
@@ -168,8 +167,8 @@ def test_config_rejects_non_object_top_level(tmp_path, capsys):
 NUMERIC_FIELDS = ["frame.M", "frame.N", "scene.theta_deg", "scene.eps_r",
                   "scene.E0", "dual.N_u", "dual.N_v", "dual.fit_tol",
                   "ewald.split", "ewald.quad_tol", "ewald.trunc_tol",
-                  "solver.tol", "solver.cap", "output.x_min", "output.x_max",
-                  "output.nx", "output.z_min", "output.z_max", "output.nz"]
+                  "solver.tol", "output.x_min", "output.x_max", "output.nx",
+                  "output.z_min", "output.z_max", "output.nz"]
 # no digits in the text and |numbers| <= 1e6, so that an accepted value never
 # asks for a large output grid
 JUNK = st.one_of(st.none(), st.booleans(),
@@ -286,6 +285,22 @@ def test_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
     assert 0 < len(report["gmres_residuals"]) <= report["iterations"]
 
 
+def test_solve_checks_scene_before_dual_fit_and_tables(tmp_path, capsys,
+                                                       monkeypatch):
+    # an object beyond the frame coverage ends the run before any dual fit
+    # or table build
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run went past the scene check")
+
+    monkeypatch.setattr(cli, "zak_dual_window", not_reached)
+    monkeypatch.setattr(cli, "load_or_build", not_reached)
+    path = write_config(tmp_path, **{"scene.center": [3.0, 0.0]})
+    assert main(["solve", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "DomainError"
+    assert "frame coverage" in report["message"]
+
+
 def test_field_csv_format(tmp_path):
     xs = np.array([0.0, 0.5])
     zs = np.array([-0.25, 0.25])
@@ -298,6 +313,10 @@ def test_field_csv_format(tmp_path):
     # z-outer ordering: first row is (x=0, z=-0.25)
     assert lines[1].split(",")[:2] == ["0", "-0.25"]
     assert lines[2].split(",")[0] == "0.5"
+    # 17 significant digits, the sign of zero kept
+    write_field_csv(path, np.array([-0.0]), np.array([0.1]),
+                    np.array([[complex(1e-300, -0.0)]]))
+    assert path.read_text() == "x,z,re,im\n-0,0.10000000000000001,1e-300,-0\n"
 
 
 def test_green_check_subcommand(capsys):

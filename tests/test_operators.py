@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gaborscat as gs
+from gaborscat import operators
 from gaborscat.errors import DimensionMismatch, SizeCap
 
 from .oracles import (active_unknowns, full_system_matrix, unit_source_field,
@@ -45,8 +48,7 @@ def test_folded_kernel_matches_xfactor_contraction(
         tables_small):
     pair = tables_small if tables == "built" else random_tables(
         fp_small, zg_small, cfg_small, dual_small)
-    op = gs.build_operator(scene_small_circle, fp_small, zg_small, dual_small,
-                           *pair)
+    op = gs.build_operator(scene_small_circle, dual_small, *pair)
     rng = np.random.default_rng(3)
     shape = gs.coeff_shape(fp_small, zg_small) + (2, 3)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -73,8 +75,7 @@ def test_operator_memory_grating_size(zg_small, cfg_small):
     rng = np.random.default_rng(8)
     dual = gs.DualWindow(a=rng.standard_normal((5, 7)) + 0j, n_u=2, n_v=3,
                          residual=0.0)
-    op = gs.build_operator(None, fp, zg, dual,
-                           *random_tables(fp, zg, cfg_small, dual))
+    op = gs.build_operator(None, dual, *random_tables(fp, zg, cfg_small, dual))
     held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
     held += [op.spatial_table.data, op.spectral_table.data]
     assert sum(a.nbytes for a in held) < 100e6
@@ -85,8 +86,22 @@ def test_build_operator_rejects_small_table_box(fp_small, zg_small, cfg_small,
     narrow = gs.DualWindow(a=np.ones((3, 3), dtype=complex), n_u=1, n_v=1,
                            residual=0.0)
     with pytest.raises(DimensionMismatch):
-        gs.build_operator(None, fp_small, zg_small, dual_small,
+        gs.build_operator(None, dual_small,
                           *random_tables(fp_small, zg_small, cfg_small, narrow))
+
+
+def test_build_operator_rejects_mismatched_tables(fp_small, zg_small,
+                                                  cfg_small, dual_small):
+    # the operator takes fp, zg and k0 from the tables, so the spatial and
+    # spectral tables must share them
+    spatial, _ = random_tables(fp_small, zg_small, cfg_small, dual_small)
+    others = [(replace(fp_small, M=fp_small.M + 1), zg_small, cfg_small),
+              (fp_small, replace(zg_small, n_k=zg_small.n_k + 2), cfg_small),
+              (fp_small, zg_small, replace(cfg_small, split=2 * cfg_small.split))]
+    for fp, zg, cfg in others:
+        _, spectral = random_tables(fp, zg, cfg, dual_small)
+        with pytest.raises(DimensionMismatch, match="spatial and spectral"):
+            gs.build_operator(None, dual_small, spatial, spectral)
 
 
 def test_green_apply_zero(op_small, fp_small, zg_small):
@@ -114,7 +129,7 @@ def test_unit_source_matches_brute_force(fp_unit, zg_small, dual_unit,
                                          tables_unit):
     """The decisive end-to-end check: one unit coefficient radiated through the
     tables against direct quadrature of the exact Green function."""
-    op = gs.build_operator(None, fp_unit, zg_small, dual_unit, *tables_unit)
+    op = gs.build_operator(None, dual_unit, *tables_unit)
     k_mid = zg_small.n_k // 2
     out = gs.green_apply(unit_coeffs(fp_unit, zg_small, k=k_mid), op)
     k0 = tables_unit[0].cfg.k0
@@ -133,7 +148,7 @@ def test_unit_source_translation_quasi_invariance(fp_unit, zg_small, dual_unit,
                                                   tables_unit):
     # shifting the source one window over and the probes by alpha X reproduces
     # the same field values (homogeneous background)
-    op = gs.build_operator(None, fp_unit, zg_small, dual_unit, *tables_unit)
+    op = gs.build_operator(None, dual_unit, *tables_unit)
     k_mid = zg_small.n_k // 2
     out0 = gs.green_apply(unit_coeffs(fp_unit, zg_small, m=0, k=k_mid), op)
     out1 = gs.green_apply(unit_coeffs(fp_unit, zg_small, m=1, k=k_mid), op)
@@ -147,7 +162,7 @@ def test_unit_source_translation_quasi_invariance(fp_unit, zg_small, dual_unit,
 
 def test_contrast_multiply_zero_scene(fp_small, zg_small, dual_small,
                                       tables_small):
-    op = gs.build_operator(None, fp_small, zg_small, dual_small, *tables_small)
+    op = gs.build_operator(None, dual_small, *tables_small)
     rng = np.random.default_rng(2)
     shape = gs.coeff_shape(fp_small, zg_small)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -160,7 +175,7 @@ def test_contrast_multiply_unity_round_trip(fp_unit, zg_small, dual_unit,
     # input; in-range coefficients, spectral box wide enough for the dual spread
     wide = gs.Scene(shape=gs.Rectangle(width=50.0, height=50.0), eps_r=2.0,
                     k0=1.45, theta=0.0, center=(0.0, 0.0))
-    op = gs.build_operator(wide, fp_unit, zg_small, dual_unit, *tables_unit)
+    op = gs.build_operator(wide, dual_unit, *tables_unit)
     grid = op.grid
     f0 = np.exp(-np.pi * grid ** 2 / (1.2 * fp_unit.X) ** 2) * np.exp(1j * grid)
     c = gs.analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid,
@@ -173,8 +188,7 @@ def test_contrast_multiply_support(scene_small_circle, fp_unit, zg_small,
                                    dual_unit, tables_unit):
     # output field rings below 1e-3 of peak outside the circle (bounded by the
     # spectral-box truncation of the analyze/synthesize pair)
-    op = gs.build_operator(scene_small_circle, fp_unit, zg_small, dual_unit,
-                           *tables_unit)
+    op = gs.build_operator(scene_small_circle, dual_unit, *tables_unit)
     grid0 = op.grid
     f0 = (np.exp(-np.pi * grid0 ** 2 / (2.0 * fp_unit.X) ** 2)
           * np.exp(1j * 1.45 * grid0))
@@ -190,7 +204,7 @@ def test_contrast_multiply_support(scene_small_circle, fp_unit, zg_small,
 
 def test_forward_zero_contrast_identity(fp_small, zg_small, dual_small,
                                         tables_small):
-    op = gs.build_operator(None, fp_small, zg_small, dual_small, *tables_small)
+    op = gs.build_operator(None, dual_small, *tables_small)
     rng = np.random.default_rng(4)
     shape = gs.coeff_shape(fp_small, zg_small)
     j = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -226,16 +240,16 @@ def test_assemble_dense_matches_forward(op_small, fp_small, zg_small):
             <= 1e-12 * np.abs(via_matrix).max()
 
 
-def test_assemble_dense_identity_for_zero_contrast(fp_small, zg_small,
-                                                   dual_small, tables_small):
-    op = gs.build_operator(None, fp_small, zg_small, dual_small, *tables_small)
+def test_assemble_dense_identity_for_zero_contrast(dual_small, tables_small):
+    op = gs.build_operator(None, dual_small, *tables_small)
     a = gs.assemble_dense(op)
     assert np.array_equal(a, np.eye(a.shape[0]))
 
 
-def test_assemble_dense_size_cap(op_small):
+def test_assemble_dense_size_cap(op_small, monkeypatch):
+    monkeypatch.setattr(operators, "_DENSE_CAP", 10)
     with pytest.raises(SizeCap):
-        gs.assemble_dense(op_small, cap=10)
+        gs.assemble_dense(op_small)
 
 
 def test_assemble_dense_is_active_block_of_full_system(op_partial):
@@ -255,18 +269,20 @@ def test_assemble_dense_is_active_block_of_full_system(op_partial):
     assert rel_err(gs.assemble_dense(op_partial), full[block]) <= 1e-12
 
 
-def test_assemble_dense_cap_counts_active_unknowns(op_partial):
+def test_assemble_dense_cap_counts_active_unknowns(op_partial, monkeypatch):
     n_active = len(active_unknowns(op_partial))
     assert n_active < op_partial.n_unknowns
+    monkeypatch.setattr(operators, "_DENSE_CAP", n_active - 1)
     with pytest.raises(SizeCap):
-        gs.assemble_dense(op_partial, cap=n_active - 1)
-    assert gs.assemble_dense(op_partial, cap=n_active).shape == (n_active,) * 2
+        gs.assemble_dense(op_partial)
+    monkeypatch.setattr(operators, "_DENSE_CAP", n_active)
+    assert gs.assemble_dense(op_partial).shape == (n_active,) * 2
 
 
 @pytest.mark.slow
 def test_field_reciprocity(fp_unit, zg_small, dual_unit, tables_unit):
     # field of source A at B's center equals field of B at A's center
-    op = gs.build_operator(None, fp_unit, zg_small, dual_unit, *tables_unit)
+    op = gs.build_operator(None, dual_unit, *tables_unit)
     a_idx = (0, 0, 5)
     b_idx = (2, 0, 7)
     out_a = gs.green_apply(unit_coeffs(fp_unit, zg_small, *a_idx), op)
@@ -292,7 +308,7 @@ def test_split_invariance_at_operator_level(fp_small, zg_small, dual_small):
                              k0=k0)
         tables = gs.build_tables(fp_small, zg_small, cfg, dual_small.n_u,
                                  dual_small.n_v)
-        op = gs.build_operator(None, fp_small, zg_small, dual_small, *tables)
+        op = gs.build_operator(None, dual_small, *tables)
         outs.append(gs.green_apply(j, op))
     diff = np.linalg.norm(outs[0] - outs[1]) / np.linalg.norm(outs[0])
     assert diff < 1e-6

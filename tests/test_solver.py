@@ -3,19 +3,17 @@ import pytest
 import scipy.linalg
 
 import gaborscat as gs
-from gaborscat import solver
+from gaborscat import operators, solver
 from gaborscat.errors import NonConvergence, SizeCap
 
 from .oracles import full_system_matrix
 
 
 @pytest.fixture(scope="module")
-def solve_ctx(fp_small, zg_small, cfg_small, dual_small, tables_small):
+def solve_ctx(dual_small, tables_small):
     def run(scene, **kw):
-        op = gs.build_operator(scene, fp_small, zg_small, dual_small,
-                               *tables_small)
-        return gs.solve(scene, fp_small, zg_small, cfg_small, dual=dual_small,
-                        operator=op, check_scene=False, **kw)
+        return gs.solve(scene, gs.build_operator(scene, dual_small, *tables_small),
+                        **kw)
     return run
 
 
@@ -39,10 +37,10 @@ def test_direct_solve_residual(solve_ctx):
     assert sol.condition_estimate < 1e4
 
 
-def test_born_limit(solve_ctx, fp_small, zg_small, dual_small, tables_small):
+def test_born_limit(solve_ctx, dual_small, tables_small):
     # eps_r = 1 + 1e-6: first-order correction matches one operator application
     scene = small_circle(eps_r=1.0 + 1e-6)
-    op = gs.build_operator(scene, fp_small, zg_small, dual_small, *tables_small)
+    op = gs.build_operator(scene, dual_small, *tables_small)
     for method in solver.METHODS:
         sol = solve_ctx(scene, method=method)
         born = gs.contrast_multiply(gs.green_apply(sol.J_inc, op), op)
@@ -62,11 +60,9 @@ def test_direct_vs_iterative(solve_ctx):
     assert iterative.factored_unknowns == 0
 
 
-def test_direct_solve_factors_active_slices(op_partial, scene_partial, fp_small,
-                                            zg_small, cfg_small, dual_small):
-    sol = gs.solve(scene_partial, fp_small, zg_small, cfg_small,
-                   dual=dual_small, operator=op_partial, check_scene=False,
-                   method="direct")
+def test_direct_solve_factors_active_slices(op_partial, scene_partial,
+                                            zg_small):
+    sol = gs.solve(scene_partial, op_partial, method="direct")
     ref = np.linalg.solve(full_system_matrix(op_partial), sol.J_inc.ravel())
     assert np.linalg.norm(sol.J.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
     idle = np.setdiff1d(np.arange(zg_small.n_k + 1),
@@ -80,8 +76,9 @@ def test_direct_solve_factors_active_slices(op_partial, scene_partial, fp_small,
 
 
 def test_linearity_in_amplitude(solve_ctx):
-    # doubling E0 scales the rhs by exactly 2, so the LU solution doubles
-    # bit-for-bit (powers of two are exact in floating point)
+    # doubling E0 scales the rhs by exactly 2; GMRES (the default solve)
+    # starts from the normalized rhs, so its solution doubles bit-for-bit
+    # (powers of two are exact in floating point)
     sol1 = solve_ctx(small_circle(e0=1.0))
     sol2 = solve_ctx(small_circle(e0=2.0))
     assert np.array_equal(sol2.J, 2.0 * sol1.J)
@@ -93,13 +90,10 @@ def test_determinism(solve_ctx):
     assert np.array_equal(a.J, b.J)
 
 
-def test_size_cap(fp_small, zg_small, cfg_small, dual_small, tables_small):
-    scene = small_circle()
-    op = gs.build_operator(scene, fp_small, zg_small, dual_small, *tables_small)
+def test_size_cap(solve_ctx, monkeypatch):
+    monkeypatch.setattr(operators, "_DENSE_CAP", 10)
     with pytest.raises(SizeCap):
-        gs.solve(scene, fp_small, zg_small, cfg_small, dual=dual_small,
-                 operator=op, check_scene=False, dense_cap=10,
-                 method="direct")
+        solve_ctx(small_circle(), method="direct")
 
 
 def _no_dense(*args, **kwargs):
@@ -185,8 +179,8 @@ def test_contrast_source_vanishes_outside_support(solve_ctx, fp_small,
 
 
 def test_solve_projects_source_with_the_operator_matrix(
-        op_small, scene_small_circle, fp_small, zg_small, cfg_small,
-        dual_small, monkeypatch):
+        op_small, scene_small_circle, fp_small, zg_small, dual_small,
+        monkeypatch):
     # J_inc comes from op.analysis_matrix, bit-identical to analyze() on the
     # operator grid, and the solve forms no frame matrix of its own
     s, grid = scene_small_circle, op_small.grid
@@ -199,6 +193,5 @@ def test_solve_projects_source_with_the_operator_matrix(
 
     monkeypatch.setattr("gaborscat.frame.frame_matrix", no_frame_matrix)
     for method in ("direct", "iterative"):
-        sol = gs.solve(s, fp_small, zg_small, cfg_small, dual=dual_small,
-                       method=method, operator=op_small, check_scene=False)
+        sol = gs.solve(s, op_small, method=method)
         assert np.array_equal(sol.J_inc, expect)
