@@ -198,18 +198,6 @@ def dual_window_value(x, dw: DualWindow, fp: FrameParams):
                      dw.a, _modulations(x, np.arange(-dw.n_v, dw.n_v + 1), fp))
 
 
-def spectral_dual_coeffs(dw: DualWindow, fp: FrameParams) -> np.ndarray:
-    """Coefficients of the Fourier-transformed dual in the spectral frame.
-
-    FT(g_uv) = e^{2 pi j alpha beta u v} ghat_vu, so the transformed sum reads
-    sum ahat[u', v'] ghat_{u'v'} with ahat[u', v'] = a[v', u'] e^{2 pi j ab u'v'};
-    the primed u' indexes the kx shift (bound n_v) and v' the phase (bound n_u).
-    """
-    uh = np.arange(-dw.n_v, dw.n_v + 1)[:, None]
-    vh = np.arange(-dw.n_u, dw.n_u + 1)[None, :]
-    return dw.a.T * np.exp(2j * np.pi * fp.alpha * fp.beta * uh * vh)
-
-
 def analysis_matrix(grid: np.ndarray, dw: DualWindow, fp: FrameParams) -> np.ndarray:
     """Discrete inner products <., eta_mn> on the grid as a matrix, rows in
     m*(2N+1) + n order: h conj(eta_mn(x)), shape ((2M+1)(2N+1), len(grid))."""
@@ -226,17 +214,6 @@ def synthesis_matrix(grid: np.ndarray, fp: FrameParams) -> np.ndarray:
     """Frame elements g_mn on the grid as a matrix, columns in m*(2N+1) + n
     order, shape (len(grid), (2M+1)(2N+1))."""
     return frame_matrix(grid, fp.m_range, fp.n_range, fp)
-
-
-def analyze(f_sampled: np.ndarray, grid: np.ndarray, dw: DualWindow,
-            fp: FrameParams) -> np.ndarray:
-    """Frame coefficients <f, eta_mn> by discrete inner products on the grid.
-
-    f_sampled may carry trailing batch axes after the grid axis.
-    """
-    f = np.asarray(f_sampled)
-    coeffs = analysis_matrix(grid, dw, fp) @ f.reshape(len(f), -1)
-    return coeffs.reshape((2 * fp.M + 1, 2 * fp.N + 1) + f.shape[1:])
 
 
 def synthesize(coeffs: np.ndarray, grid: np.ndarray, fp: FrameParams) -> np.ndarray:

@@ -4,9 +4,13 @@ coefficients.
 Both coupling tables enter through the index rules q = m-s-u, p = n+t+v
 (spatial) and q = s+v-m, p = n+t+u (spectral), so for each output/input
 spectral pair (t, n) the map depends on the spatial indices only through m-s
-and on the triangle indices only through k-l.  build_operator folds the two
-tables, their dual-window (u, v) sums and the scalar prefactors (k0^2,
-X^2/sqrt(pi), X*sqrt(2/pi)) into one kernel
+and on the triangle indices only through k-l.  The spectral side's dual
+coefficients ahat[u, v] = a[v, u] e^{2 pi j ab u v} are the spatial ones
+relabelled, so after swapping its (u, v) its weights are the spatial weights
+and its q is the spatial q negated: both tables fold through the spatial
+(u, v) rule once, as one table pref_s T_spatial[q] + pref_h T_spectral[-q].
+build_operator folds that table, the dual-window (u, v) sum and the scalar
+prefactors (k0^2, pref_s = X^2/sqrt(pi), pref_h = X*sqrt(2/pi)) into one kernel
 
     K[t, n, r = m-s, d = k-l],   shape (2N+1, 2N+1, 4M+1, 2 n_k+1),
 
@@ -33,7 +37,7 @@ import scipy.fft
 
 from .errors import DimensionMismatch, SizeCap
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
-                    spectral_dual_coeffs, synthesis_matrix)
+                    synthesis_matrix)
 from .kernels import ZGrid
 from .scene import Scene, contrast_at
 from .tables import KernelTable
@@ -57,57 +61,59 @@ def _diag_phase(fp: FrameParams) -> np.ndarray:
     return np.exp(2j * np.pi * fp.alpha * fp.beta * np.outer(fp.m_range, fp.n_range))
 
 
-def _fold_table(kernel: np.ndarray, table: KernelTable, fp: FrameParams,
-                terms, q_sign: int):
-    """kernel[t, n, r, :] += sum over terms (dq, dp, w) of
-    w[t, n] * T[q_sign*r + dq, n + t + dp, :] for r in [-2M, 2M]."""
-    nn, _, nr, _ = kernel.shape
-    data = table.data if q_sign > 0 else table.data[::-1]    # q -> -q
-    for dq, dp, w in terms:
-        q_lo = table.q_max + q_sign * dq - 2 * fp.M
-        for it, t in enumerate(fp.n_range):
-            p_lo = table.p_max + t + dp - fp.N
-            if min(q_lo, p_lo) < 0 or q_lo + nr > data.shape[0] \
-                    or p_lo + nn > data.shape[1]:
-                raise DimensionMismatch(
-                    f"{table.kind} table index box too small for the dual window")
-            block = data[q_lo:q_lo + nr, p_lo:p_lo + nn, :]     # (r, n, d)
-            kernel[it] += w[it][:, None, None] * block.transpose(1, 0, 2)
-
-
 def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
-                 spectral_table: KernelTable, k0: float) -> np.ndarray:
+                 spectral_table: KernelTable) -> np.ndarray:
     """Both tables folded into K[t, n, r = m-s, d = k-l] (diagonal phases excluded).
 
     Spatial side: q = m-s-u, p = n+t+v with weight
     conj(a_uv) e^{-2 pi j ab u (t+v)} e^{-pi/2 beta^2 (v+t-n)^2}.
     Spectral side: q = s+v'-m, p = n+t+u' with weight
-    conj(ahat_u'v') e^{-2 pi j ab t v'} e^{-pi/2 beta^2 (u'+t-n)^2}.
+    conj(ahat_u'v') e^{-2 pi j ab t v'} e^{-pi/2 beta^2 (u'+t-n)^2}, where
+    ahat[u', v'] = a[v', u'] e^{2 pi j ab u'v'} is just the spatial a
+    relabelled.  With (u, v) = (v', u') the spectral weight is the spatial
+    one, and the spectral q = u-(m-s) is the spatial q read on the table
+    reversed in q.  So one (u, v) rule folds the combined table
+    C[q, p] = pref_s T_spatial[q, p] + pref_h T_spectral[-q, p].
     """
     ab = fp.alpha * fp.beta
-    nn = 2 * fp.N + 1
+    nn, nr = 2 * fp.N + 1, 4 * fp.M + 1
+    q_box, p_box = 2 * fp.M + dual.n_u, 2 * fp.N + dual.n_v    # |q|, |p| read
+    for table in (spatial_table, spectral_table):
+        if table.q_max < q_box or table.p_max < p_box:
+            raise DimensionMismatch(
+                f"{table.kind} table index box too small for the dual window")
+
+    def box(table):
+        """The (q, p) box the fold reads, as a (p, q, d) view."""
+        return table.data[table.q_max - q_box:table.q_max + q_box + 1,
+                          table.p_max - p_box:table.p_max + p_box + 1
+                          ].transpose(1, 0, 2)
+
+    # C / pref_s, formed as one table-sized array; each block read below is
+    # then contiguous over (q, d) for every p
+    k0 = spatial_table.cfg.k0
+    pref_s = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
+    pref_h = k0 * k0 * fp.X * np.sqrt(2 / np.pi)
+    spectral = box(spectral_table)[:, ::-1]
+    combined = np.empty(spectral.shape, dtype=complex)
+    np.multiply(spectral, pref_h / pref_s, out=combined)
+    combined += box(spatial_table)
+
     t_g = fp.n_range[:, None]
     n_g = fp.n_range[None, :]
-    kernel = np.zeros((nn, nn, 4 * fp.M + 1, 2 * spatial_table.zg.n_k + 1),
-                      dtype=complex)
-
-    def decay(shift):
-        return np.exp(-np.pi / 2 * fp.beta ** 2 * (shift + t_g - n_g) ** 2)
-
-    pref = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
-    spatial = [(-u, v, pref * np.conj(dual.a[iu, iv])
-                * np.exp(-2j * np.pi * ab * u * (t_g + v)) * decay(v))
-               for iu, u in enumerate(range(-dual.n_u, dual.n_u + 1))
-               for iv, v in enumerate(range(-dual.n_v, dual.n_v + 1))]
-    _fold_table(kernel, spatial_table, fp, spatial, q_sign=1)
-
-    pref = k0 * k0 * fp.X * np.sqrt(2 / np.pi)
-    a_hat = spectral_dual_coeffs(dual, fp)               # (2 n_v+1, 2 n_u+1)
-    spectral = [(vh, uh, pref * np.conj(a_hat[ih, jv])
-                 * np.exp(-2j * np.pi * ab * t_g * vh) * decay(uh))
-                for ih, uh in enumerate(range(-dual.n_v, dual.n_v + 1))
-                for jv, vh in enumerate(range(-dual.n_u, dual.n_u + 1))]
-    _fold_table(kernel, spectral_table, fp, spectral, q_sign=-1)
+    kernel = np.zeros((nn, nn, nr, combined.shape[2]), dtype=complex)
+    term = np.empty(kernel.shape[1:], dtype=complex)           # (n, r, d)
+    for iu, u in enumerate(range(-dual.n_u, dual.n_u + 1)):
+        q_lo = q_box - u - 2 * fp.M
+        for iv, v in enumerate(range(-dual.n_v, dual.n_v + 1)):
+            w = (pref_s * np.conj(dual.a[iu, iv])
+                 * np.exp(-2j * np.pi * ab * u * (t_g + v))
+                 * np.exp(-np.pi / 2 * fp.beta ** 2 * (v + t_g - n_g) ** 2))
+            for it, t in enumerate(fp.n_range):
+                p_lo = p_box + t + v - fp.N
+                np.multiply(combined[p_lo:p_lo + nn, q_lo:q_lo + nr],
+                            w[it][:, None, None], out=term)
+                kernel[it] += term
     return kernel
 
 
@@ -133,10 +139,6 @@ class DiscreteOperator:
     matrices and the sampled contrast slices."""
     fp: FrameParams
     zg: ZGrid
-    k0: float
-    dual: DualWindow
-    spatial_table: KernelTable
-    spectral_table: KernelTable
     grid: np.ndarray
     chi_slices: np.ndarray                   # (n_k+1, ngrid), real
     kernel: np.ndarray = field(repr=False)          # (t, n, r, d)
@@ -166,10 +168,9 @@ def build_operator(scene: Scene | None, dual: DualWindow,
     else:
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
 
-    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table, cfg.k0)
+    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table)
     return DiscreteOperator(
-        fp=fp, zg=zg, k0=cfg.k0, dual=dual, spatial_table=spatial_table,
-        spectral_table=spectral_table, grid=xs, chi_slices=chi,
+        fp=fp, zg=zg, grid=xs, chi_slices=chi,
         kernel=kernel, kernel_fft=_kernel_fft(kernel),
         synth_matrix=synthesis_matrix(xs, fp),
         analysis_matrix=analysis_matrix(xs, dual, fp))
@@ -266,9 +267,9 @@ def assemble_dense(op: DiscreteOperator) -> np.ndarray:
 
     This is exact: on a slice where chi == 0 the contrast projector below is
     exactly zero, so that slice's rows of the full I - chi*G are identity rows
-    and its right-hand side analyze(chi*E_inc) is exactly zero; its unknowns
-    are J = J_inc = 0 and their columns drop out.  _DENSE_CAP bounds the
-    active unknowns.  The contrast multiplication acts on each z slice l
+    and its right-hand side, the analysis of chi*E_inc, is exactly zero; its
+    unknowns are J = J_inc = 0 and their columns drop out.  _DENSE_CAP bounds
+    the active unknowns.  The contrast multiplication acts on each z slice l
     separately, as the (nm*nn)^2 projector analysis * diag(chi(., z_l)) *
     synthesis, which is formed once per slice instead of synthesizing every
     column on the grid.

@@ -3,8 +3,8 @@
 Everything here is written against the defining formulas, not against the
 package internals, so each check is a genuine dual route.  The module also
 holds helpers that only the tests use (the dense least-squares dual, the
-Fourier-side frame elements, the guarded complex erf and the full-triangle z'
-integrals); the tests check those in their own right.
+Fourier-side frame elements and dual coefficients, the guarded complex erf and
+the full-triangle z' integrals); the tests check those in their own right.
 """
 
 import cmath
@@ -15,7 +15,7 @@ from scipy import special
 from scipy.integrate import quad_vec
 
 from gaborscat.errors import OverflowGuard, SingularFrame
-from gaborscat.frame import (TWO_QUARTER, frame_matrix, spectral_dual_coeffs,
+from gaborscat.frame import (TWO_QUARTER, analysis_matrix, frame_matrix,
                              window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
 from gaborscat.kernels import f_spatial, f_spectral, g_z_spatial, g_z_spectral
@@ -144,6 +144,18 @@ def lstsq_dual_window(fp, grid: np.ndarray):
     return xs, u[:, keep] @ (proj / (h * sv[keep] ** 2))
 
 
+def spectral_dual_coeffs(dw, fp):
+    """Coefficients of the Fourier-transformed dual in the spectral frame.
+
+    FT(g_uv) = e^{2 pi j alpha beta u v} ghat_vu, so the transformed sum reads
+    sum ahat[u', v'] ghat_{u'v'} with ahat[u', v'] = a[v', u'] e^{2 pi j ab u'v'};
+    the primed u' indexes the kx shift (bound n_v) and v' the phase (bound n_u).
+    """
+    uh = np.arange(-dw.n_v, dw.n_v + 1)[:, None]
+    vh = np.arange(-dw.n_u, dw.n_u + 1)[None, :]
+    return dw.a.T * np.exp(2j * np.pi * fp.alpha * fp.beta * uh * vh)
+
+
 def spectral_window_value(kx, fp):
     """Fourier transform of the window, 2^(1/4) X exp(-pi kx^2 / K^2)."""
     kx = np.asarray(kx, dtype=float)
@@ -192,6 +204,14 @@ def analyze_loop(f_sampled, grid, dw, fp):
         eta_m = np.conj(dual_window_loop(xs - fp.alpha * m * fp.X, dw, fp))
         coeffs[im] = h * np.tensordot(mod * eta_m[None, :], f, axes=(1, 0))
     return coeffs
+
+
+def analyze(f_sampled, grid, dw, fp):
+    """<f, eta_mn> through the package's analysis matrix, with trailing batch
+    axes after the grid axis."""
+    f = np.asarray(f_sampled)
+    coeffs = analysis_matrix(grid, dw, fp) @ f.reshape(len(f), -1)
+    return coeffs.reshape((2 * fp.M + 1, 2 * fp.N + 1) + f.shape[1:])
 
 
 def synthesize_loop(coeffs, grid, fp):
@@ -485,18 +505,19 @@ def _x_factor_spectral(fp, dw, live, q_max, p_max, k0):
     return xf
 
 
-def _x_factor_sides(op):
-    """(Xf, Z) for the spatial and the spectral side of op's forward map."""
+def _x_factor_sides(dual, tables):
+    """(Xf, Z) for the spatial and the spectral side of the forward map that
+    build_operator makes from this dual window and (spatial, spectral) pair."""
     sides = []
-    for table, x_factor in ((op.spatial_table, _x_factor_spatial),
-                            (op.spectral_table, _x_factor_spectral)):
+    for table, x_factor in zip(tables,
+                               (_x_factor_spatial, _x_factor_spectral)):
         live, z = _z_blocks(table)
-        sides.append((x_factor(op.fp, op.dual, live, table.q_max, table.p_max,
-                               op.k0), z))
+        sides.append((x_factor(table.fp, dual, live, table.q_max, table.p_max,
+                               table.cfg.k0), z))
     return sides
 
 
-def xfactor_green_apply(coeffs, op):
+def xfactor_green_apply(coeffs, dual, tables):
     """k0^2 (G * J) for J given as (m, n, k[, batch]), through the live (q,p)
     columns without forming G."""
     c = np.asarray(coeffs, dtype=complex)
@@ -506,7 +527,7 @@ def xfactor_green_apply(coeffs, op):
     cb = c.reshape(nm * nn, nk, nb)
     c_by_k = np.ascontiguousarray(cb.transpose(1, 0, 2)).reshape(nk, -1)
     out = np.zeros((nm * nn, nk * nb), dtype=complex)
-    for xf, z in _x_factor_sides(op):
+    for xf, z in _x_factor_sides(dual, tables):
         nc = z.shape[0]
         v = (z.reshape(nc * nk, nk) @ c_by_k).reshape(nc, nk, nm * nn, nb)
         v = np.ascontiguousarray(v.transpose(2, 0, 1, 3)).reshape(
@@ -515,12 +536,13 @@ def xfactor_green_apply(coeffs, op):
     return out.reshape(c.shape)
 
 
-def xfactor_green_matrix(op):
+def xfactor_green_matrix(dual, tables):
     """Dense matrix of the same map in (m*nn + n)*nk + k flattening."""
-    nm, nn, nk = 2 * op.fp.M + 1, 2 * op.fp.N + 1, op.zg.n_k + 1
+    fp, zg = tables[0].fp, tables[0].zg
+    nm, nn, nk = 2 * fp.M + 1, 2 * fp.N + 1, zg.n_k + 1
     n = nm * nn * nk
     out = np.zeros((n, n), dtype=complex)
-    for xf, z in _x_factor_sides(op):
+    for xf, z in _x_factor_sides(dual, tables):
         big = xf.reshape(-1, xf.shape[-1]) @ z.reshape(z.shape[0], -1)
         big = big.reshape(nm, nn, nm, nn, nk, nk).transpose(0, 1, 4, 2, 3, 5)
         out += big.reshape(n, n)
@@ -535,13 +557,14 @@ def active_unknowns(op):
     return (np.arange(nm * nn)[:, None] * nk + active[None, :]).ravel()
 
 
-def full_system_matrix(op):
-    """I - chi*G over every unknown: the x-factor Green matrix with the
-    contrast projector analysis * diag(chi(., z_l)) * synthesis applied to
-    the rows of each z slice l."""
+def full_system_matrix(op, dual, tables):
+    """I - chi*G over every unknown: the x-factor Green matrix of op's dual
+    window and tables, with op's contrast projector
+    analysis * diag(chi(., z_l)) * synthesis applied to the rows of each z
+    slice l."""
     nm, nn, nk = 2 * op.fp.M + 1, 2 * op.fp.N + 1, op.zg.n_k + 1
     n = nm * nn * nk
-    g = xfactor_green_matrix(op).reshape(nm * nn, nk, n)
+    g = xfactor_green_matrix(dual, tables).reshape(nm * nn, nk, n)
     for l in range(nk):
         proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
         g[:, l] = proj @ g[:, l]

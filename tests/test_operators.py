@@ -7,8 +7,9 @@ import gaborscat as gs
 from gaborscat import operators
 from gaborscat.errors import DimensionMismatch, SizeCap
 
-from .oracles import (active_unknowns, full_system_matrix, unit_source_field,
-                      xfactor_green_apply, xfactor_green_matrix)
+from .oracles import (active_unknowns, analyze, full_system_matrix,
+                      unit_source_field, xfactor_green_apply,
+                      xfactor_green_matrix)
 
 
 def unit_coeffs(fp, zg, m=0, n=0, k=None):
@@ -42,22 +43,29 @@ def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-@pytest.mark.parametrize("tables", ["built", "random"])
+@pytest.mark.parametrize("tables", ["built", "random", "spatial-only",
+                                    "spectral-only"])
 def test_folded_kernel_matches_xfactor_contraction(
         tables, scene_small_circle, fp_small, zg_small, cfg_small, dual_small,
         tables_small):
+    # the one-sided inputs zero the other table, so each side's prefactor and
+    # the spectral side's q-reversal are checked on their own
     pair = tables_small if tables == "built" else random_tables(
         fp_small, zg_small, cfg_small, dual_small)
+    if tables.endswith("-only"):
+        pair = [t if tables == f"{t.kind}-only"
+                else replace(t, data=np.zeros_like(t.data)) for t in pair]
     op = gs.build_operator(scene_small_circle, dual_small, *pair)
     rng = np.random.default_rng(3)
     shape = gs.coeff_shape(fp_small, zg_small) + (2, 3)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert rel_err(gs.green_apply(c[..., 0, 0], op),
-                   xfactor_green_apply(c[..., 0, 0], op)) <= 1e-12
+    ref = xfactor_green_apply(c[..., 0, 0], dual_small, pair)
+    assert rel_err(gs.green_apply(c[..., 0, 0], op), ref) <= 1e-12
     batched = gs.green_apply(c, op)
     assert batched.shape == shape
-    assert rel_err(batched, xfactor_green_apply(c, op)) <= 1e-12
-    assert rel_err(gs.assemble_green_matrix(op), xfactor_green_matrix(op)) <= 1e-12
+    assert rel_err(batched, xfactor_green_apply(c, dual_small, pair)) <= 1e-12
+    assert rel_err(gs.assemble_green_matrix(op),
+                   xfactor_green_matrix(dual_small, pair)) <= 1e-12
 
 
 def test_operator_x_matrices_come_from_frame(op_small, fp_small, dual_small):
@@ -75,9 +83,10 @@ def test_operator_memory_grating_size(zg_small, cfg_small):
     rng = np.random.default_rng(8)
     dual = gs.DualWindow(a=rng.standard_normal((5, 7)) + 0j, n_u=2, n_v=3,
                          residual=0.0)
-    op = gs.build_operator(None, dual, *random_tables(fp, zg, cfg_small, dual))
+    tables = random_tables(fp, zg, cfg_small, dual)
+    op = gs.build_operator(None, dual, *tables)
     held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
-    held += [op.spatial_table.data, op.spectral_table.data]
+    held += [t.data for t in tables]
     assert sum(a.nbytes for a in held) < 100e6
 
 
@@ -178,8 +187,8 @@ def test_contrast_multiply_unity_round_trip(fp_unit, zg_small, dual_unit,
     op = gs.build_operator(wide, dual_unit, *tables_unit)
     grid = op.grid
     f0 = np.exp(-np.pi * grid ** 2 / (1.2 * fp_unit.X) ** 2) * np.exp(1j * grid)
-    c = gs.analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid,
-                   dual_unit, fp_unit)
+    c = analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid,
+                dual_unit, fp_unit)
     out = gs.contrast_multiply(c, op)
     assert np.linalg.norm(out - c) / np.linalg.norm(c) < 1e-3
 
@@ -192,8 +201,8 @@ def test_contrast_multiply_support(scene_small_circle, fp_unit, zg_small,
     grid0 = op.grid
     f0 = (np.exp(-np.pi * grid0 ** 2 / (2.0 * fp_unit.X) ** 2)
           * np.exp(1j * 1.45 * grid0))
-    c = gs.analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid0,
-                   dual_unit, fp_unit)
+    c = analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid0,
+                dual_unit, fp_unit)
     out = gs.contrast_multiply(c, op)
     grid = op.grid
     fields = gs.synthesize(out, grid, fp_unit)
@@ -252,7 +261,8 @@ def test_assemble_dense_size_cap(op_small, monkeypatch):
         gs.assemble_dense(op_small)
 
 
-def test_assemble_dense_is_active_block_of_full_system(op_partial):
+def test_assemble_dense_is_active_block_of_full_system(op_partial, dual_small,
+                                                       tables_small):
     # chi == 0 on the outer slices: their rows of the full I - chi*G are exact
     # identity rows, and assemble_dense keeps the block of the other slices
     nk = op_partial.zg.n_k + 1
@@ -261,11 +271,12 @@ def test_assemble_dense_is_active_block_of_full_system(op_partial):
     assert not np.any(op_partial.chi_slices[np.setdiff1d(np.arange(nk), active)])
     rows = active_unknowns(op_partial)
     idle = np.setdiff1d(np.arange(op_partial.n_unknowns), rows)
-    full = full_system_matrix(op_partial)
+    full = full_system_matrix(op_partial, dual_small, tables_small)
     assert np.array_equal(full[idle], np.eye(op_partial.n_unknowns)[idle])
     block = np.ix_(rows, rows)
+    green = xfactor_green_matrix(dual_small, tables_small)
     assert rel_err(gs.assemble_green_matrix(op_partial, active),
-                   xfactor_green_matrix(op_partial)[block]) <= 1e-12
+                   green[block]) <= 1e-12
     assert rel_err(gs.assemble_dense(op_partial), full[block]) <= 1e-12
 
 
