@@ -299,6 +299,7 @@ def _pipeline(rc: RunConfig):
         "condition_estimate": sol.condition_estimate,
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
+        "dual_fit_condition": dw.condition,
         "unknowns": sol.J.size,
         "gmres_residuals": sol.gmres_residuals,
         "stages": {"dual_fit_s": t1 - t0, "tables_s": t2 - t1,

@@ -2,8 +2,12 @@
 
 The x/x' (or kx) double integrals of window-against-dual products collapse to
 the Gaussian factors f / f_tilde below; the z' integrals over triangle halves
-collapse to the erf combinations g / g_tilde.  All reductions are validated
-against direct quadrature of their defining integrals in the test suite.
+collapse to the erf combinations g / g_tilde.  Both z-factors difference erf
+and a Gaussian at the interval ends b_j = j*Delta*s (s = xi or 1/zeta); the
+boundaries are shared between neighbouring d, so one helper evaluates each
+distinct |j| once and the whole d range costs n_k + 2 evaluations per node.
+All reductions are validated against direct quadrature of their defining
+integrals in the test suite.
 """
 
 from dataclasses import dataclass
@@ -50,35 +54,6 @@ def triangle_value(z, k: int, zg: ZGrid):
     return np.clip(1 - np.abs(z - zg.z_min - k * zg.delta) / zg.delta, 0.0, None)
 
 
-def erf_diff(a, b):
-    """erf(b) - erf(a), stable when both arguments sit deep in a saturated tail.
-
-    For Re >= 2 the values are computed as erfc(a) - erfc(b) (and mirrored for
-    Re <= -2), avoiding the total cancellation of 1 - tiny against 1 - tiny.
-    Arguments are assumed to lie within 45 degrees of the real axis, as they do
-    on the Ewald contours (Re z^2 >= 0, so erfc stays bounded).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    both_pos = (a.real >= 2.0) & (b.real >= 2.0)
-    both_neg = (a.real <= -2.0) & (b.real <= -2.0)
-    mid = ~(both_pos | both_neg)
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    if np.any(mid):
-        am = np.broadcast_to(a, out.shape)[mid]
-        bm = np.broadcast_to(b, out.shape)[mid]
-        out[mid] = special.erf(bm) - special.erf(am)
-    if np.any(both_pos):
-        am = np.broadcast_to(a, out.shape)[both_pos]
-        bm = np.broadcast_to(b, out.shape)[both_pos]
-        out[both_pos] = special.erfc(am) - special.erfc(bm)
-    if np.any(both_neg):
-        am = np.broadcast_to(a, out.shape)[both_neg]
-        bm = np.broadcast_to(b, out.shape)[both_neg]
-        out[both_neg] = special.erfc(-bm) - special.erfc(-am)
-    return out if out.shape else complex(out)
-
-
 def f_spatial(q, p, xi, fp: FrameParams):
     """Gaussian x-coupling factor of the real-axis (spatial) integrand.
 
@@ -105,16 +80,53 @@ def f_spectral(q, p, zeta, fp: FrameParams):
                                          - np.pi / 2 * fp.beta ** 2 * p ** 2)
 
 
+def _boundary_differences(d, step):
+    """erf(b_{d+1}) - erf(b_d) and e^{-b_{d+1}^2} - e^{-b_d^2}, b_j = j*step.
+
+    d (integers) and step broadcast.  erf(b) is held as sig - a, with
+    sig = 0 and a = -erf(b) for |Re b| < 2, and sig = +-1 and
+    a = sig * erfc(sig * b) for +-Re b >= 2; the pair is odd in b like erf,
+    and the Gaussian is even, so each distinct |j| among the boundaries d,
+    d+1 is evaluated once (the full range d = -n..n costs n+2 evaluations per
+    step value, a scalar d two) and neighbours are differenced.  In an
+    interval saturated at both ends on the same side sig cancels exactly and
+    the bracket is the erfc difference, avoiding the total cancellation of
+    1 - tiny against 1 - tiny.  Steps are assumed to lie within 45 degrees
+    of the real axis, as they do on the Ewald contours (Re b^2 >= 0, so
+    erfc stays bounded).
+    """
+    d = np.asarray(d)
+    step = np.asarray(step, dtype=complex)
+    js, inv = np.unique(np.abs(np.stack([d, d + 1])), return_inverse=True)
+    c = js.reshape((-1,) + (1,) * step.ndim) * step
+    pos, neg = c.real >= 2.0, c.real <= -2.0
+    mid = ~(pos | neg)
+    a = np.empty(c.shape, dtype=complex)
+    a[mid] = -special.erf(c[mid])
+    a[pos] = special.erfc(c[pos])
+    a[neg] = -special.erfc(-c[neg])
+    sig = pos.astype(np.int8) - neg.astype(np.int8)
+    gauss = np.exp(-c * c)
+
+    # flat positions in the (|j|, step) tables of the boundaries d and d+1
+    cols = np.arange(step.size).reshape(step.shape)
+    lo, hi = inv.reshape((2,) + d.shape) * step.size
+    lo, hi = lo + cols, hi + cols
+    sign_lo = np.where(d < 0, -1, 1)
+    sign_hi = np.where(d + 1 < 0, -1, 1)
+    bracket = ((sign_hi * sig.take(hi) - sign_lo * sig.take(lo))
+               + (sign_lo * a.take(lo) - sign_hi * a.take(hi)))
+    return bracket, gauss.take(hi) - gauss.take(lo)
+
+
 def g_z_spatial(d, xi, zg: ZGrid):
     """Half-triangle z' integral int_{d*D}^{(d+1)*D} ((d+1) - s/D) e^{-s^2 xi^2} ds."""
     d = np.asarray(d)
     xi = np.asarray(xi)
     dd = zg.delta
-    dp = d + 1
-    bracket = erf_diff(xi * d * dd, xi * dp * dd)
-    return (dp * np.sqrt(np.pi) / (2 * xi) * bracket
-            + 1 / (2 * dd * xi * xi) * (np.exp(-dp * dp * dd * dd * xi * xi)
-                                        - np.exp(-d * d * dd * dd * xi * xi)))
+    bracket, gauss = _boundary_differences(d, xi * dd)
+    return ((d + 1) * np.sqrt(np.pi) / (2 * xi) * bracket
+            + 1 / (2 * dd * xi * xi) * gauss)
 
 
 def g_z_spectral(d, zeta, zg: ZGrid):
@@ -122,8 +134,6 @@ def g_z_spectral(d, zeta, zg: ZGrid):
     d = np.asarray(d)
     zeta = np.asarray(zeta)
     dd = zg.delta
-    dp = d + 1
-    bracket = erf_diff(d * dd / zeta, dp * dd / zeta)
-    return (np.sqrt(np.pi) * dp / 2 * zeta * bracket
-            + zeta * zeta / (2 * dd) * (np.exp(-dp * dp * dd * dd / (zeta * zeta))
-                                        - np.exp(-d * d * dd * dd / (zeta * zeta))))
+    bracket, gauss = _boundary_differences(d, dd / zeta)
+    return (np.sqrt(np.pi) * (d + 1) / 2 * zeta * bracket
+            + zeta * zeta / (2 * dd) * gauss)

@@ -1,6 +1,7 @@
 """Quadrature helpers: Gauss-Legendre panels, phase-block summation of the
 oscillatory 1/w tails on the inverse-variable Green-function contour, and
-adaptive Gauss-Kronrod quadrature, which only `green` uses.
+adaptive Gauss-Kronrod quadrature, which only `green` uses (scipy.integrate
+is imported on its first call, so the solve pipeline never loads it).
 
 The tail integrands all share the structure exp(-j*k0^2*w^2/8 - j*c/w^2) * S(w)
 with S slowly varying and |c| bounded.  Zone A resolves the mixed-phase region
@@ -11,7 +12,6 @@ sums, so zone B is evaluated as one weighted node sum (see limit_weights).
 """
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import QuadratureFailure
 
@@ -22,6 +22,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 def adaptive_quad(f, a: float, b: float, *, rtol: float = 1e-10,
                   atol: float = 1e-15, limit: int = 2000):
     """Adaptive Gauss-Kronrod quadrature of a (vector-valued) complex integrand."""
+    from scipy.integrate import quad_vec
     val, err = quad_vec(f, a, b, epsrel=rtol, epsabs=atol, limit=limit,
                         norm="max", quadrature="gk21")
     scale = np.max(np.abs(val)) if np.ndim(val) else abs(val)

@@ -9,9 +9,13 @@ the inverse-variable contour; the conditionally convergent 1/w tail is summed
 in half-period phase blocks and extrapolated by repeated averaging, which is
 linear in the block sums and so enters as one more weight per node.
 
-Both tables are fixed-node contractions: every node set is one
-(q*p x nodes) @ (nodes x d) matrix product.  The spatial node set and the
+Both tables are fixed-node contractions: every node set is a sum of
+(q*p x nodes) @ (nodes x d) matrix products over blocks of _NODE_BLOCK nodes,
+so memory does not grow with the node count.  The spatial node set and the
 spectral head are each checked against the rule with every panel halved.
+Both are built for p >= 0 only and the p < 0 half is filled by the exact
+mirror T[q, -p, d] = T[-q, p, d] (f and f~ depend on (q, p) only through
+(alpha*q +- j*beta*p)^2 and p^2).
 
 Entries whose integrand envelope at the lower limit is below trunc_tol are set
 to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
@@ -34,12 +38,13 @@ from .green import EwaldConfig, zeta_path, zeta_path_derivative
 from .kernels import ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral
 from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _MAGIC = b"EGKT"
 _KINDS = ("spatial", "spectral")
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
 _SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
 _TAIL_PANELS = 8     # Gauss-Legendre panels of the compactified spatial tail
+_NODE_BLOCK = 1024   # nodes per block of a table contraction
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
@@ -145,11 +150,31 @@ def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
     return hi
 
 
-def _contract(fvals: np.ndarray, gvals: np.ndarray, node_weights: np.ndarray):
-    """sum_n fvals[..., n] gvals[d, n] node_weights[n] as one
-    (rows x nodes) @ (nodes x d) matrix product; shape fvals.shape[:-1] + (d,)."""
-    out = fvals.reshape(-1, fvals.shape[-1]) @ (gvals * node_weights).T
-    return out.reshape(fvals.shape[:-1] + (len(gvals),))
+def _contract(f, g, nodes: np.ndarray, node_weights: np.ndarray):
+    """sum_n f(nodes)[..., n] g(nodes)[d, n] node_weights[n], shape
+    f's leading shape + (d,).
+
+    f and g are evaluated on blocks of at most _NODE_BLOCK nodes and each
+    block is one (rows x nodes) @ (nodes x d) matrix product, so no factor
+    array grows with the node count.
+    """
+    out = 0
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        fvals = f(nodes[block])
+        out = out + fvals.reshape(-1, fvals.shape[-1]) @ (g(nodes[block])
+                                                          * node_weights[block]).T
+    return out.reshape(fvals.shape[:-1] + (-1,))
+
+
+def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
+    """Full (q, p, d) table from its p >= 0 half, by T[q, -p] = T[-q, p].
+
+    half holds p = 0..p_max along axis 1 over the symmetric q range; f and f~
+    depend on (q, p) only through (alpha*q +- j*beta*p)^2 and p^2, so the
+    rule is exact.
+    """
+    return np.concatenate([half[::-1, :0:-1], half], axis=1)
 
 
 def _doubling_checked(contract, rule, tol: float, what: str):
@@ -173,9 +198,9 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     tail xi = xc/t, one fixed-node contraction checked by panel doubling."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
-    ps = np.arange(-p_max, p_max + 1)
+    ps = np.arange(p_max + 1)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    data = np.zeros((len(qs), len(ps), len(ds)), dtype=complex)
+    half = np.zeros((len(qs), len(ps), len(ds)), dtype=complex)
     e = cfg.split
     k0 = cfg.k0
 
@@ -189,20 +214,19 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     xc = truncation_point(fp, zg, cfg)
 
     def contract(x, weights):
-        shared = np.exp(k0 * k0 / (4 * x * x)) / x
-        return _contract(f_spatial(qg, pg, x, fp),
-                         g_z_spatial(live_d[:, None], x[None, :], zg),
-                         shared * weights)
+        return _contract(lambda xb: f_spatial(qg, pg, xb, fp),
+                         lambda xb: g_z_spatial(live_d[:, None], xb[None, :], zg),
+                         x, np.exp(k0 * k0 / (4 * x * x)) / x * weights)
 
     def rule(k):
         x, wx, _ = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
         t, wt = panel_nodes(np.linspace(0.0, 1.0, k * _TAIL_PANELS + 1))
         return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
 
-    data[np.ix_(live_q + q_max, ps + p_max, live_d + zg.n_k)] = \
+    half[np.ix_(live_q + q_max, ps, live_d + zg.n_k)] = \
         _doubling_checked(contract, rule, cfg.quad_tol, "spatial table")
-    return KernelTable(data=data, kind="spatial", fp=fp, zg=zg, cfg=cfg,
-                       n_u=n_u, n_v=n_v)
+    return KernelTable(data=_mirror_half_plane(half), kind="spatial", fp=fp,
+                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v)
 
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
@@ -211,8 +235,8 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     """Inverse-variable contour table with phase-block tail extrapolation."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
-    ps = np.arange(-p_max, p_max + 1)
-    data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
+    ps = np.arange(p_max + 1)
+    half = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
     e = cfg.split
     k0 = cfg.k0
     w0, w1 = 1 / e, 2 / e
@@ -233,18 +257,18 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         zeta = zeta_path(w_nodes, e)
         shared = (np.exp(k0 * k0 * zeta * zeta / 4)
                   * zeta_path_derivative(w_nodes, e))
-        return _contract(f_spectral(qg, pg, zeta, fp),
-                         g_z_spectral(ds[:, None], zeta[None, :], zg),
-                         shared * weights)
+        return _contract(lambda zb: f_spectral(qg, pg, zb, fp),
+                         lambda zb: g_z_spectral(ds[:, None], zb[None, :], zg),
+                         zeta, shared * weights)
 
     head = _doubling_checked(
         contract, lambda k: panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1)),
         cfg.quad_tol, "spectral head integral")
     tail = oscillatory_tail(contract, w1, k0, phase_coeff, n_blocks=16,
                             depth=averaging_depth, w_cap=200 / e)
-    data[:, live_p + p_max, :] = head + tail
-    return KernelTable(data=data, kind="spectral", fp=fp, zg=zg, cfg=cfg,
-                       n_u=n_u, n_v=n_v)
+    half[:, live_p, :] = head + tail
+    return KernelTable(data=_mirror_half_plane(half), kind="spectral", fp=fp,
+                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v)
 
 
 def build_tables(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,

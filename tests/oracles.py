@@ -3,8 +3,9 @@
 Everything here is written against the defining formulas, not against the
 package internals, so each check is a genuine dual route.  The module also
 holds helpers that only the tests use (the dense least-squares dual, the
-Fourier-side frame elements and dual coefficients, the guarded complex erf and
-the full-triangle z' integrals); the tests check those in their own right.
+Fourier-side frame elements and dual coefficients, the guarded complex erf,
+the per-d erf_diff form of the half-triangle z' integrals and the
+full-triangle ones); the tests check those in their own right.
 """
 
 import cmath
@@ -323,6 +324,60 @@ def erf_complex(z):
     return special.erf(z)
 
 
+def erf_diff(a, b):
+    """erf(b) - erf(a), stable when both arguments sit deep in a saturated tail.
+
+    For Re >= 2 the values are computed as erfc(a) - erfc(b) (and mirrored for
+    Re <= -2), avoiding the total cancellation of 1 - tiny against 1 - tiny.
+    Arguments are assumed to lie within 45 degrees of the real axis, as they do
+    on the Ewald contours (Re z^2 >= 0, so erfc stays bounded).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    both_pos = (a.real >= 2.0) & (b.real >= 2.0)
+    both_neg = (a.real <= -2.0) & (b.real <= -2.0)
+    mid = ~(both_pos | both_neg)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    if np.any(mid):
+        am = np.broadcast_to(a, out.shape)[mid]
+        bm = np.broadcast_to(b, out.shape)[mid]
+        out[mid] = special.erf(bm) - special.erf(am)
+    if np.any(both_pos):
+        am = np.broadcast_to(a, out.shape)[both_pos]
+        bm = np.broadcast_to(b, out.shape)[both_pos]
+        out[both_pos] = special.erfc(am) - special.erfc(bm)
+    if np.any(both_neg):
+        am = np.broadcast_to(a, out.shape)[both_neg]
+        bm = np.broadcast_to(b, out.shape)[both_neg]
+        out[both_neg] = special.erfc(-bm) - special.erfc(-am)
+    return out if out.shape else complex(out)
+
+
+# the half-triangle z' integrals with both erf boundaries of every d taken
+# afresh by erf_diff: the per-d route the package's boundary reuse replaces
+
+def g_z_spatial_per_d(d, xi, zg):
+    d = np.asarray(d)
+    xi = np.asarray(xi)
+    dd = zg.delta
+    dp = d + 1
+    bracket = erf_diff(xi * d * dd, xi * dp * dd)
+    return (dp * np.sqrt(np.pi) / (2 * xi) * bracket
+            + 1 / (2 * dd * xi * xi) * (np.exp(-dp * dp * dd * dd * xi * xi)
+                                        - np.exp(-d * d * dd * dd * xi * xi)))
+
+
+def g_z_spectral_per_d(d, zeta, zg):
+    d = np.asarray(d)
+    zeta = np.asarray(zeta)
+    dd = zg.delta
+    dp = d + 1
+    bracket = erf_diff(d * dd / zeta, dp * dd / zeta)
+    return (np.sqrt(np.pi) * dp / 2 * zeta * bracket
+            + zeta * zeta / (2 * dd) * (np.exp(-dp * dp * dd * dd / (zeta * zeta))
+                                        - np.exp(-d * d * dd * dd / (zeta * zeta))))
+
+
 def _check_triangle_index(k: int, l: int, zg):
     if not (0 <= k <= zg.n_k and 0 <= l <= zg.n_k):
         raise IndexError(f"triangle indices must lie in [0, {zg.n_k}]")
@@ -575,7 +630,8 @@ def full_system_matrix(op, dual, tables):
 # spectral table with its phase-block tail summed block by block: per d, the
 # node terms are reduced to block sums and extrapolated by averaged_limit,
 # the route the weighted single-product build folds into per-node weights.
-# The contour, panels and live-p rule are the package's own.
+# Every (q, p) is integrated (no mirror), with g~ in its per-d form.  The
+# contour, panels and live-p rule are the package's own.
 
 def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
                              averaging_depth=40):
@@ -602,7 +658,7 @@ def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
         shared = (np.exp(k0 * k0 * zeta * zeta / 4)
                   * zeta_path_derivative(w_nodes, e))
         fvals = f_spectral(qg, pg, zeta[None, None, :], fp)
-        gvals = np.array([g_z_spectral(d, zeta, zg) for d in ds])
+        gvals = np.array([g_z_spectral_per_d(d, zeta, zg) for d in ds])
         return fvals, gvals, shared
 
     def weighted_sum(w_nodes, weights):
@@ -627,8 +683,9 @@ def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
 # ---------------------------------------------------------------------------
 # spatial table by per-d adaptive quadrature: for each live d, quad_vec on
 # [E, xc_d], xc_d that d's own envelope cutoff, plus the compactified
-# remainder xi = xc_d/t, the route the fixed-node contraction replaces.  The
-# live-q and live-d rules are the package's own.
+# remainder xi = xc_d/t, the route the fixed-node contraction replaces.  Every
+# (q, p) is integrated (no mirror), with g in its per-d form.  The live-q and
+# live-d rules are the package's own.
 
 def _spatial_cutoff(d, fp, zg, cfg):
     """Where the q = 0 envelope of d falls below trunc_tol, capped at 100*split."""
@@ -662,7 +719,8 @@ def spatial_table_adaptive(fp, zg, cfg, n_u, n_v):
 
         def body(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            shared = np.exp(k0 * k0 / (4 * x * x)) / x * g_z_spatial(d, x, zg)
+            shared = (np.exp(k0 * k0 / (4 * x * x)) / x
+                      * g_z_spatial_per_d(d, x, zg))
             return f_spatial(qg, pg, x[None, None, :], fp) * shared
 
         val = adaptive_quad(lambda x: body(x)[..., 0], e, xc, rtol=cfg.quad_tol)

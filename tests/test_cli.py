@@ -264,6 +264,10 @@ def test_metrics_json_is_strict(tmp_path, capsys, method):
     else:
         assert metrics["condition_estimate"] is None
         assert 0 < len(metrics["gmres_residuals"]) <= metrics["iterations"]
+    # the dual fit's normal-equation condition, as dual_window.json reports it
+    assert main(["dual-window", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "dual_window.json").read_text())
+    assert metrics["dual_fit_condition"] == report["condition"] >= 1
 
 
 def test_json_artifacts_write_non_finite_as_null():

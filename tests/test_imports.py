@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaborscat"
@@ -29,3 +32,16 @@ def test_package_modules_use_every_import():
     unused = {p.name: names for p in modules
               if (names := _unused_imports(p.read_text()))}
     assert unused == {}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate serves only adaptive_quad (green-check and the tests),
+    # so a fresh `gaborscat solve` process must not pay for importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, gaborscat.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import gaborscat as gs
 from gaborscat.errors import DomainError, OverflowGuard
 
 from .conftest import RT23
-from .oracles import (erf_complex, erf_maclaurin, h_z_spatial, h_z_spectral,
+from .oracles import (erf_complex, erf_diff, erf_maclaurin, g_z_spatial_per_d,
+                      g_z_spectral_per_d, h_z_spatial, h_z_spectral,
                       half_triangle_integral, kx_integral, xx_double_integral)
 
 K0 = 1.45
@@ -71,17 +73,17 @@ def test_erf_overflow_guard():
 def test_erf_diff_stable_in_saturated_tail(zg):
     # naive erf(b) - erf(a) collapses to 0 for large real arguments
     a, b = 8.0, 8.4
-    got = gs.erf_diff(a, b)
+    got = erf_diff(a, b)
     from scipy.special import erfc
     expect = erfc(a) - erfc(b)
     assert got == pytest.approx(expect, rel=1e-13)
-    assert gs.erf_diff(-b, -a) == pytest.approx(expect, rel=1e-13)
+    assert erf_diff(-b, -a) == pytest.approx(expect, rel=1e-13)
     # and on the 45-degree ray (path arguments): against mpmath
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     za, zb = (1 + 1j) * 6.0, (1 + 1j) * 6.6
     expect = complex(mp.erf(zb) - mp.erf(za))
-    assert abs(gs.erf_diff(za, zb) - expect) < 1e-13 * abs(expect)
+    assert abs(erf_diff(za, zb) - expect) < 1e-13 * abs(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,87 @@ def test_g_spectral_small_zeta_limit(zg):
     got = gs.g_z_spectral(0, zeta, zg)
     assert abs(got - np.sqrt(np.pi) / 2 * zeta) < 1e-2 * abs(got)
     assert abs(got) <= 1e-3 * zg.delta
+
+
+def _rounding_scale(d, step, c_erf, c_gauss):
+    """Summand sizes of c_erf*(erf b1 - erf b0) + c_gauss*(e^{-b1^2} - e^{-b0^2}),
+    b0 = d*step and b1 = (d+1)*step, each boundary weighted by 1 + 2|b|^2
+    (the relative condition of erf, erfc and exp at b).  In an interval
+    saturated at both ends on one side the erf values are replaced by the
+    erfc values that are differenced there, so the scale shrinks with them."""
+    b0 = np.asarray(d * step, dtype=complex)
+    b1 = np.asarray((d + 1) * step, dtype=complex)
+    sat = (((b0.real >= 2) & (b1.real >= 2)) | ((b0.real <= -2) & (b1.real <= -2)))
+    out = 0.0
+    for b in (b0, b1):
+        e = np.where(sat, special.erfc(np.where(b.real > 0, b, -b)), special.erf(b))
+        out = out + (np.abs(c_erf) * np.abs(e) + np.abs(c_gauss)
+                     * np.abs(np.exp(-b * b))) * (1 + 2 * np.abs(b) ** 2)
+    return out
+
+
+def _interval_kinds(d, step):
+    """Which intervals (b0, b1) are saturated at both ends (+ or - side),
+    at one end only, or at neither."""
+    r0, r1 = (d * step).real, ((d + 1) * step).real
+    pos0, pos1, neg0, neg1 = r0 >= 2, r1 >= 2, r0 <= -2, r1 <= -2
+    return {"both_pos": pos0 & pos1, "both_neg": neg0 & neg1,
+            "mixed": (pos0 ^ pos1) | (neg0 ^ neg1),
+            "free": ~(pos0 | pos1 | neg0 | neg1)}
+
+
+def test_g_z_full_range_matches_per_d_form(zg, split):
+    # all of d = -n_k..n_k at once (each boundary evaluated once) against
+    # erf_diff taken afresh per d, on steps that put both signs of d,
+    # unsaturated, half-saturated and doubly saturated intervals in the range
+    eps = np.finfo(float).eps
+    ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]
+    w = np.concatenate([np.linspace(1 / split, 2 / split, 9),
+                        np.geomspace(2 / split, 200 / split, 12)])
+    zeta = np.concatenate([gs.zeta_path(w, split),
+                           [0.04, 0.05 * (1 - 1j), 0.1, 0.2 * (1 - 1j)]])[None, :]
+    xi = np.geomspace(split, 28.0, 25)[None, :]
+    cases = [(gs.g_z_spectral, g_z_spectral_per_d, zeta, zg.delta / zeta,
+              np.sqrt(np.pi) * (ds + 1) / 2 * zeta, zeta * zeta / (2 * zg.delta)),
+             (gs.g_z_spatial, g_z_spatial_per_d, xi, xi * zg.delta,
+              (ds + 1) * np.sqrt(np.pi) / (2 * xi), 1 / (2 * zg.delta * xi * xi))]
+    for new, per_d, x, step, c_erf, c_gauss in cases:
+        kinds = _interval_kinds(ds, step)
+        assert all(k.any() for k in kinds.values()), new.__name__
+        got = new(ds, x, zg)
+        ref = per_d(ds, x, zg)
+        assert got.shape == ref.shape and np.all(ref != 0)
+        scale = _rounding_scale(ds, step, c_erf, c_gauss)
+        assert np.all(np.abs(got - ref) <= 4 * eps * scale), new.__name__
+        # a scalar d (two boundaries) meets the same bound
+        for i in (0, zg.n_k - 1, zg.n_k, 2 * zg.n_k):
+            row = np.array([new(int(ds[i, 0]), v, zg) for v in x[0]])
+            assert np.all(np.abs(row - ref[i]) <= 4 * eps * scale[i]), (new.__name__, i)
+
+
+def test_g_spectral_large_w_matches_high_precision(split):
+    # at w = 30 on the contour tail (zeta = 15(1 - j)) the two terms of g~
+    # cancel against zeta^2/(2 Delta); over the whole d range of the circle
+    # grid g~ must agree with its exact value (dps 40) to a few roundings of
+    # its largest summands
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eps = np.finfo(float).eps
+    zg = gs.ZGrid(z_min=-1.4, delta=0.05, n_k=56)
+    w = 30.0
+    zeta = complex(gs.zeta_path(w, split))
+    assert zeta == (1 - 1j) / 2 * w
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    got = gs.g_z_spectral(ds, zeta, zg)
+    z, dd = mp.mpc(zeta.real, zeta.imag), mp.mpf(1) / 20
+    ref = np.array([complex(mp.sqrt(mp.pi) * (d + 1) / 2 * z
+                            * (mp.erf((d + 1) * dd / z) - mp.erf(d * dd / z))
+                            + z * z / (2 * dd) * (mp.exp(-((d + 1) * dd / z) ** 2)
+                                                  - mp.exp(-(d * dd / z) ** 2)))
+                    for d in map(int, ds)])
+    scale = _rounding_scale(ds, zg.delta / zeta, np.sqrt(np.pi) * (ds + 1) / 2 * zeta,
+                            zeta * zeta / (2 * zg.delta))
+    assert np.all(np.abs(got - ref) <= 4 * eps * scale)
 
 
 def test_h_boundary_cases(zg, split):

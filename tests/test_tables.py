@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
     def no_quad_vec(*args, **kwargs):
         raise AssertionError("table build called adaptive quadrature")
 
-    monkeypatch.setattr("gaborscat.quadrature.quad_vec", no_quad_vec)
+    monkeypatch.setattr("scipy.integrate.quad_vec", no_quad_vec)
     assert np.array_equal(gs.build_spatial_table(fp, zg, cfg, 2, 3).data, spat.data)
     assert np.array_equal(gs.build_spectral_table(fp, zg, cfg, 2, 3).data, spec.data)
 
@@ -252,3 +253,25 @@ def test_save_table_leaves_no_temporary(setup, tmp_path):
     gs.save_table(spat, path)
     gs.save_table(spat, path)                   # replaces an existing file
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_older_format_version_rejected_and_rebuilt(setup, tmp_path):
+    # a file of an older format version sits under the same name (the cache
+    # key leaves the version out): the header check rejects it and
+    # load_or_build replaces it with a current build
+    fp, zg, cfg, spat, spec = setup
+    for table in (spat, spec):
+        path = gs.save_table(table, gs.cache_path(tmp_path, table.kind, fp, zg,
+                                                  cfg, 2, 3))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", tables._FORMAT_VERSION - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DomainError, match="does not match"):
+            gs.load_table(path, fp, zg, cfg, 2, 3, table.kind)
+    again_spat, again_spec, hit = gs.load_or_build(tmp_path, fp, zg, cfg, 2, 3)
+    assert not hit
+    assert np.array_equal(again_spat.data, spat.data)
+    assert np.array_equal(again_spec.data, spec.data)
+    for table in (spat, spec):
+        path = gs.cache_path(tmp_path, table.kind, fp, zg, cfg, 2, 3)
+        assert struct.unpack("<I", path.read_bytes()[4:8])[0] == tables._FORMAT_VERSION
