@@ -13,9 +13,8 @@ from .errors import (ConfigError, DimensionMismatch, DomainError, GaborscatError
                      NonConvergence, OverflowGuard, QuadratureFailure,
                      SingularFrame, SingularMatrix, SizeCap)
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
-                    dual_window_value, fit_dual_coeffs, frame_element,
-                    frame_matrix, synthesis_matrix, synthesize, window_value,
-                    zak_dual_window)
+                    dual_window_value, fit_dual_coeffs, frame_matrix,
+                    synthesis_matrix, synthesize, window_value, zak_dual_window)
 from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
                     optimal_split, split_identity_error, xi_path, zeta_path,
                     zeta_path_derivative)

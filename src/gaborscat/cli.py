@@ -240,9 +240,13 @@ def _fit_dual(rc: RunConfig):
 
 
 def _write_csv(path, header, *columns):
-    """One row per entry of the equal-length columns, 17 significant digits."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    """One row per entry of the equal-length columns, 17 significant digits;
+    all rows are formatted by one % on the repeated row template."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (row * len(rows)) % tuple(rows.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n{body}")
 
 
 def write_field_csv(path, xs, zs, field):

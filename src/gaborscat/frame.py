@@ -100,11 +100,6 @@ def frame_matrix(x, ms, ns, fp: FrameParams, dual: DualWindow | None = None):
     return prod.reshape(prod.shape[:-2] + (-1,))
 
 
-def frame_element(x, m: int, n: int, fp: FrameParams):
-    """Shifted, modulated window g(x - alpha m X) e^{j beta K n x}."""
-    return frame_matrix(x, [m], [n], fp)[..., 0]
-
-
 def analysis_grid(fp: FrameParams, oversample: int = 16) -> np.ndarray:
     """Default uniform x-grid for discrete inner products (spacing X/oversample).
 

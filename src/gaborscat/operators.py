@@ -77,40 +77,32 @@ def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
     """
     ab = fp.alpha * fp.beta
     nn, nr = 2 * fp.N + 1, 4 * fp.M + 1
-    q_box, p_box = 2 * fp.M + dual.n_u, 2 * fp.N + dual.n_v    # |q|, |p| read
-    for table in (spatial_table, spectral_table):
-        if table.q_max < q_box or table.p_max < p_box:
-            raise DimensionMismatch(
-                f"{table.kind} table index box too small for the dual window")
+    # both tables hold exactly the box read below: build_operator checks
+    # that they were built for this dual window's (n_u, n_v)
+    q_max, p_max = spatial_table.q_max, spatial_table.p_max
 
-    def box(table):
-        """The (q, p) box the fold reads, as a (p, q, d) view."""
-        return table.data[table.q_max - q_box:table.q_max + q_box + 1,
-                          table.p_max - p_box:table.p_max + p_box + 1
-                          ].transpose(1, 0, 2)
-
-    # C / pref_s, formed as one table-sized array; each block read below is
-    # then contiguous over (q, d) for every p
+    # C / pref_s as one (p, q, d) array, so each block read below is
+    # contiguous over (q, d) for every p
     k0 = spatial_table.cfg.k0
     pref_s = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
     pref_h = k0 * k0 * fp.X * np.sqrt(2 / np.pi)
-    spectral = box(spectral_table)[:, ::-1]
+    spectral = spectral_table.data.transpose(1, 0, 2)[:, ::-1]
     combined = np.empty(spectral.shape, dtype=complex)
     np.multiply(spectral, pref_h / pref_s, out=combined)
-    combined += box(spatial_table)
+    combined += spatial_table.data.transpose(1, 0, 2)
 
     t_g = fp.n_range[:, None]
     n_g = fp.n_range[None, :]
     kernel = np.zeros((nn, nn, nr, combined.shape[2]), dtype=complex)
     term = np.empty(kernel.shape[1:], dtype=complex)           # (n, r, d)
     for iu, u in enumerate(range(-dual.n_u, dual.n_u + 1)):
-        q_lo = q_box - u - 2 * fp.M
+        q_lo = q_max - u - 2 * fp.M
         for iv, v in enumerate(range(-dual.n_v, dual.n_v + 1)):
             w = (pref_s * np.conj(dual.a[iu, iv])
                  * np.exp(-2j * np.pi * ab * u * (t_g + v))
                  * np.exp(-np.pi / 2 * fp.beta ** 2 * (v + t_g - n_g) ** 2))
             for it, t in enumerate(fp.n_range):
-                p_lo = p_box + t + v - fp.N
+                p_lo = p_max + t + v - fp.N
                 np.multiply(combined[p_lo:p_lo + nn, q_lo:q_lo + nr],
                             w[it][:, None, None], out=term)
                 kernel[it] += term
@@ -146,11 +138,6 @@ class DiscreteOperator:
     synth_matrix: np.ndarray = field(repr=False)    # (ngrid, (2M+1)(2N+1))
     analysis_matrix: np.ndarray = field(repr=False)  # ((2M+1)(2N+1), ngrid)
 
-    @property
-    def n_unknowns(self) -> int:
-        nm, nn, nk = coeff_shape(self.fp, self.zg)
-        return nm * nn * nk
-
 
 def build_operator(scene: Scene | None, dual: DualWindow,
                    spatial_table: KernelTable,
@@ -158,10 +145,12 @@ def build_operator(scene: Scene | None, dual: DualWindow,
     """Fold the tables into the operator kernel; scene=None means chi == 0.
     fp, zg and k0 are those the tables were built for."""
     fp, zg, cfg = spatial_table.fp, spatial_table.zg, spatial_table.cfg
-    t = spectral_table
-    if (t.fp, t.zg, t.cfg) != (fp, zg, cfg):
+    built_for = (fp, zg, cfg, dual.n_u, dual.n_v)
+    if any((t.fp, t.zg, t.cfg, t.n_u, t.n_v) != built_for
+           for t in (spatial_table, spectral_table)):
         raise DimensionMismatch(
-            "spatial and spectral tables built for different fp/zg/Ewald config")
+            "spatial and spectral tables must share fp, zg, the Ewald config "
+            "and the dual window's (n_u, n_v)")
     xs = analysis_grid(fp)
     if scene is None:
         chi = np.zeros((zg.n_k + 1, len(xs)))

@@ -29,9 +29,8 @@ def _physical_memory() -> int:
 
 @dataclass(frozen=True)
 class MoMConfig:
-    """Cell size and optional bounding box override for the reference solver."""
+    """Cell size of the reference solver."""
     cell: float | None = None        # None: lambda/20
-    region: tuple[float, float, float, float] | None = None   # x0, x1, z0, z1
 
     def resolved_cell(self, scene: Scene) -> float:
         cell = self.cell if self.cell is not None else scene.wavelength / 20
@@ -74,12 +73,9 @@ class MoMResult:
 def _patches(scene: Scene, cfg: MoMConfig):
     """Cell grid, occupied fractions, and patch centroids."""
     cell = cfg.resolved_cell(scene)
-    if cfg.region is not None:
-        x0, x1, z0, z1 = cfg.region
-    else:
-        cx, cz = scene.center
-        hx, hz = x_half_extent(scene.shape), z_half_extent(scene.shape)
-        x0, x1, z0, z1 = cx - hx, cx + hx, cz - hz, cz + hz
+    cx, cz = scene.center
+    hx, hz = x_half_extent(scene.shape), z_half_extent(scene.shape)
+    x0, x1, z0, z1 = cx - hx, cx + hx, cz - hz, cz + hz
     nx = max(1, int(np.ceil((x1 - x0) / cell)))
     nz = max(1, int(np.ceil((z1 - z0) / cell)))
     xs = x0 + (x1 - x0) / 2 + (np.arange(nx) - (nx - 1) / 2) * cell
@@ -164,7 +160,7 @@ def compare_fields(a: np.ndarray, b: np.ndarray,
             "max_abs": float(err[mask].max()) if np.any(mask) else 0.0}
 
 
-def cylinder_reference_field(x, z, scene: Scene, n_terms: int | None = None,
+def cylinder_reference_field(x, z, scene: Scene,
                              which: str = "total") -> np.ndarray:
     """Analytic series for the dielectric circular cylinder (interior points).
 
@@ -183,8 +179,7 @@ def cylinder_reference_field(x, z, scene: Scene, n_terms: int | None = None,
         raise DomainError("series evaluation implemented for interior points only")
     phi = np.arctan2(z, x)
     u, v = k0 * r0, k1 * r0
-    if n_terms is None:
-        n_terms = int(np.ceil(v + 12 + 4 * v ** (1 / 3)))
+    n_terms = int(np.ceil(v + 12 + 4 * v ** (1 / 3)))
     total = np.zeros(rho.shape, dtype=complex)
     for n in range(-n_terms, n_terms + 1):
         ju, jv = special.jv(n, u), special.jv(n, v)

@@ -38,7 +38,7 @@ from .green import EwaldConfig, zeta_path, zeta_path_derivative
 from .kernels import ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral
 from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _MAGIC = b"EGKT"
 _KINDS = ("spatial", "spectral")
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
@@ -48,10 +48,9 @@ _NODE_BLOCK = 1024   # nodes per block of a table contraction
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
-    """Worst-case (q, p) ranges induced by the operator index sums."""
-    q_max = 2 * fp.M + max(2 * n_u, n_v)
-    p_max = 2 * fp.N + max(2 * n_v, n_u)
-    return q_max, p_max
+    """(q_max, p_max) of the box the operator reads: q = m-s-u and p = n+t+v
+    over |m|, |s| <= M, |n|, |t| <= N, |u| <= n_u, |v| <= n_v."""
+    return 2 * fp.M + n_u, 2 * fp.N + n_v
 
 
 @dataclass(frozen=True)

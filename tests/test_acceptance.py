@@ -325,7 +325,7 @@ def test_criterion_8_property_suite(fp_small, zg_small, dual_small,
     h = fp.X / 64
     xg = np.arange(-2 ** 12, 2 ** 12) * h
     m, n = 1, -2
-    vals = gs.frame_element(xg, m, n, fp)
+    vals = gs.frame_matrix(xg, [m], [n], fp)[..., 0]
     kxs = np.linspace(-3 * fp.K, 3 * fp.K, 201)
     ft = h * np.exp(-1j * np.outer(kxs, xg)) @ vals
     expect = (np.exp(2j * np.pi * fp.alpha * fp.beta * m * n)

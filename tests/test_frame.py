@@ -42,16 +42,17 @@ def test_window_even_symmetry(x0):
 
 def test_frame_element_center_and_identity(fp):
     x = fp.alpha * 2 * fp.X
-    assert gs.frame_element(x, 2, 0, fp) == pytest.approx(2 ** 0.25)
+    assert gs.frame_matrix(x, [2], [0], fp)[..., 0] == pytest.approx(2 ** 0.25)
     xs = np.linspace(-1, 1, 11)
-    assert np.allclose(gs.frame_element(xs, 0, 0, fp), gs.window_value(xs, fp))
+    assert np.allclose(gs.frame_matrix(xs, [0], [0], fp)[..., 0],
+                       gs.window_value(xs, fp))
 
 
 def test_frame_element_modulus_independent_of_n(fp):
     xs = np.linspace(-1.5, 1.5, 13)
-    m0 = np.abs(gs.frame_element(xs, 1, 0, fp))
+    m0 = np.abs(gs.frame_matrix(xs, [1], [0], fp)[..., 0])
     for n in (-2, 1, 2):
-        assert np.allclose(np.abs(gs.frame_element(xs, 1, n, fp)), m0)
+        assert np.allclose(np.abs(gs.frame_matrix(xs, [1], [n], fp)[..., 0]), m0)
 
 
 def test_frame_params_invariants():
@@ -76,7 +77,7 @@ def test_fourier_duality_against_dft(fp):
     m, n = 2, -1
     h = fp.X / 64
     xs = np.arange(-2 ** 12, 2 ** 12) * h
-    vals = gs.frame_element(xs, m, n, fp)
+    vals = gs.frame_matrix(xs, [m], [n], fp)[..., 0]
     kxs = np.linspace(-3 * fp.K, 3 * fp.K, 301)
     ft = h * np.exp(-1j * np.outer(kxs, xs)) @ vals
     expect = (np.exp(2j * np.pi * fp.alpha * fp.beta * m * n)
@@ -140,7 +141,7 @@ def test_critical_sampling_rejected_or_singular():
 
 def test_fit_recovers_single_frame_element(fp):
     xs = gs.analysis_grid(fp)
-    target = gs.frame_element(xs, 0, 0, fp).astype(complex)
+    target = gs.frame_matrix(xs, [0], [0], fp)[..., 0].astype(complex)
     dw = gs.fit_dual_coeffs(target, xs, 1, 1, fp)
     assert abs(dw.a[1, 1] - 1.0) < 1e-10
     others = np.abs(dw.a).ravel()

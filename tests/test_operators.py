@@ -90,13 +90,44 @@ def test_operator_memory_grating_size(zg_small, cfg_small):
     assert sum(a.nbytes for a in held) < 100e6
 
 
+def test_fold_reads_every_edge_column(fp_small, zg_small, cfg_small,
+                                      dual_small):
+    # index_bounds is the box the fold reads, edge to edge: perturbing any
+    # (q, p) column with |q| = q_max or |p| = p_max, in either table, moves K.
+    # The smallest fold weight, e^{-pi/2 beta^2 n_v^2} at the p-edge corners,
+    # is about 5e-8; the 1e-12 floor is far above rounding
+    rng = np.random.default_rng(5)
+    shape = dual_small.a.shape
+    dual = gs.DualWindow(a=rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape),
+                         n_u=dual_small.n_u, n_v=dual_small.n_v, residual=0.0)
+    pair = random_tables(fp_small, zg_small, cfg_small, dual)
+    base = operators._fold_kernel(fp_small, dual, *pair)
+    q_max, p_max = pair[0].q_max, pair[0].p_max
+    edges = [(q, p) for q in range(-q_max, q_max + 1)
+             for p in range(-p_max, p_max + 1)
+             if abs(q) == q_max or abs(p) == p_max]
+    for side, table in enumerate(pair):
+        for q, p in edges:
+            data = table.data.copy()
+            data[q + q_max, p + p_max] += 1.0
+            moved = list(pair)
+            moved[side] = replace(table, data=data)
+            change = operators._fold_kernel(fp_small, dual, *moved) - base
+            assert np.abs(change).max() > 1e-12 * np.abs(base).max(), \
+                (table.kind, q, p)
+
+
 def test_build_operator_rejects_small_table_box(fp_small, zg_small, cfg_small,
                                                  dual_small):
-    narrow = gs.DualWindow(a=np.ones((3, 3), dtype=complex), n_u=1, n_v=1,
-                           residual=0.0)
-    with pytest.raises(DimensionMismatch):
-        gs.build_operator(None, dual_small,
-                          *random_tables(fp_small, zg_small, cfg_small, narrow))
+    # tables built for a narrower or a wider dual window than the one given
+    for d_u, d_v in [(-1, -1), (-1, 0), (0, 1), (1, 1)]:
+        n_u, n_v = dual_small.n_u + d_u, dual_small.n_v + d_v
+        other = gs.DualWindow(a=np.ones((2 * n_u + 1, 2 * n_v + 1), dtype=complex),
+                              n_u=n_u, n_v=n_v, residual=0.0)
+        with pytest.raises(DimensionMismatch):
+            gs.build_operator(None, dual_small,
+                              *random_tables(fp_small, zg_small, cfg_small, other))
 
 
 def test_build_operator_rejects_mismatched_tables(fp_small, zg_small,
@@ -270,9 +301,10 @@ def test_assemble_dense_is_active_block_of_full_system(op_partial, dual_small,
     assert 0 < len(active) < nk
     assert not np.any(op_partial.chi_slices[np.setdiff1d(np.arange(nk), active)])
     rows = active_unknowns(op_partial)
-    idle = np.setdiff1d(np.arange(op_partial.n_unknowns), rows)
+    n = int(np.prod(gs.coeff_shape(op_partial.fp, op_partial.zg)))
+    idle = np.setdiff1d(np.arange(n), rows)
     full = full_system_matrix(op_partial, dual_small, tables_small)
-    assert np.array_equal(full[idle], np.eye(op_partial.n_unknowns)[idle])
+    assert np.array_equal(full[idle], np.eye(n)[idle])
     block = np.ix_(rows, rows)
     green = xfactor_green_matrix(dual_small, tables_small)
     assert rel_err(gs.assemble_green_matrix(op_partial, active),
@@ -282,7 +314,7 @@ def test_assemble_dense_is_active_block_of_full_system(op_partial, dual_small,
 
 def test_assemble_dense_cap_counts_active_unknowns(op_partial, monkeypatch):
     n_active = len(active_unknowns(op_partial))
-    assert n_active < op_partial.n_unknowns
+    assert n_active < np.prod(gs.coeff_shape(op_partial.fp, op_partial.zg))
     monkeypatch.setattr(operators, "_DENSE_CAP", n_active - 1)
     with pytest.raises(SizeCap):
         gs.assemble_dense(op_partial)
