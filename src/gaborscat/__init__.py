@@ -18,8 +18,7 @@ from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
 from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
                     optimal_split, split_identity_error, xi_path, zeta_path,
                     zeta_path_derivative)
-from .kernels import (ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral,
-                      triangle_value)
+from .kernels import ZGrid, f_spatial, g_z_spatial, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
                         assemble_green_matrix, build_operator, coeff_shape,
                         contrast_multiply, forward_residual, green_apply)

@@ -456,11 +456,13 @@ def main(argv=None) -> int:
             if value is not None:
                 _positive(value, "--" + dest.replace("_", "-"), integer=dest == "n")
         return args.func(args, rc)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an OSError here is a configured directory or file that cannot be
+        # created or written (cache.dir, output.out_dir)
         _error_report(exc, rc.out_dir if rc
                       else _declared_out_dir(getattr(args, "config", None)))
         return 2
-    except (NonConvergence, QuadratureFailure, GaborscatError) as exc:
+    except GaborscatError as exc:
         _error_report(exc, rc.out_dir if rc else None)
         return 3
 

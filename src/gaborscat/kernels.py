@@ -1,13 +1,15 @@
 """Closed-form integrand factors of the reduced coupling integrals.
 
-The x/x' (or kx) double integrals of window-against-dual products collapse to
-the Gaussian factors f / f_tilde below; the z' integrals over triangle halves
-collapse to the erf combinations g / g_tilde.  Both z-factors difference erf
-and a Gaussian at the interval ends b_j = j*Delta*s (s = xi or 1/zeta); the
-boundaries are shared between neighbouring d, so one helper evaluates each
-distinct |j| once and the whole d range costs n_k + 2 evaluations per node.
-All reductions are validated against direct quadrature of their defining
-integrals in the test suite.
+The x/x' double integrals of window-against-dual products collapse to the
+Gaussian factor f below; the z' integrals over triangle halves collapse to
+the erf combination g.  Both are analytic in the Ewald variable xi, so the
+same two functions serve the real axis and the complex contour head
+xi = 1/zeta.  g differences erf and a Gaussian at the interval ends
+b_j = j*Delta*xi; the boundaries are shared between neighbouring d, so one
+helper evaluates each distinct |j| once and the whole d range costs n_k + 2
+evaluations per node.  Both reductions, and their agreement on the contour
+with the kx-domain reductions f~ and g~, are validated against direct
+quadrature of their defining integrals in the test suite.
 """
 
 from dataclasses import dataclass
@@ -55,9 +57,10 @@ def triangle_value(z, k: int, zg: ZGrid):
 
 
 def f_spatial(q, p, xi, fp: FrameParams):
-    """Gaussian x-coupling factor of the real-axis (spatial) integrand.
+    """Gaussian x-coupling factor of the Ewald integrand.
 
-    q, p and xi broadcast; xi may be complex with Re xi^2 > 0.
+    q, p and xi broadcast; xi may be complex with Re xi^2 >= 0, as it is on
+    the whole contour.
     """
     q = np.asarray(q)
     p = np.asarray(p)
@@ -67,17 +70,6 @@ def f_spatial(q, p, xi, fp: FrameParams):
     return (1 / np.sqrt(4 * x2 * xi * xi + 2 * np.pi)
             * np.exp(-np.pi / (2 + np.pi / (x2 * xi * xi)) * quad
                      - np.pi / 2 * fp.beta ** 2 * p ** 2))
-
-
-def f_spectral(q, p, zeta, fp: FrameParams):
-    """Gaussian kx-coupling factor of the inverse-variable (spectral) integrand."""
-    q = np.asarray(q)
-    p = np.asarray(p)
-    zeta = np.asarray(zeta)
-    den = fp.K * fp.K * zeta * zeta + 8 * np.pi
-    quad = (fp.beta * p + 1j * fp.alpha * q) ** 2
-    return np.sqrt(np.pi / den) * np.exp(4 * np.pi ** 2 / den * quad
-                                         - np.pi / 2 * fp.beta ** 2 * p ** 2)
 
 
 def _boundary_differences(d, step):
@@ -92,8 +84,8 @@ def _boundary_differences(d, step):
     interval saturated at both ends on the same side sig cancels exactly and
     the bracket is the erfc difference, avoiding the total cancellation of
     1 - tiny against 1 - tiny.  Steps are assumed to lie within 45 degrees
-    of the real axis, as they do on the Ewald contours (Re b^2 >= 0, so
-    erfc stays bounded).
+    of the real axis, as xi does along the whole Ewald contour (Re b^2 >= 0,
+    so erfc stays bounded).
     """
     d = np.asarray(d)
     step = np.asarray(step, dtype=complex)
@@ -127,13 +119,3 @@ def g_z_spatial(d, xi, zg: ZGrid):
     bracket, gauss = _boundary_differences(d, xi * dd)
     return ((d + 1) * np.sqrt(np.pi) / (2 * xi) * bracket
             + 1 / (2 * dd * xi * xi) * gauss)
-
-
-def g_z_spectral(d, zeta, zg: ZGrid):
-    """Half-triangle z' integral with the inverse-variable Gaussian e^{-s^2/zeta^2}."""
-    d = np.asarray(d)
-    zeta = np.asarray(zeta)
-    dd = zg.delta
-    bracket, gauss = _boundary_differences(d, dd / zeta)
-    return (np.sqrt(np.pi) * (d + 1) / 2 * zeta * bracket
-            + zeta * zeta / (2 * dd) * gauss)

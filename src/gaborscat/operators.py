@@ -1,16 +1,13 @@
 """Discrete forward map from contrast-source coefficients to scattered-field
 coefficients.
 
-Both coupling tables enter through the index rules q = m-s-u, p = n+t+v
-(spatial) and q = s+v-m, p = n+t+u (spectral), so for each output/input
-spectral pair (t, n) the map depends on the spatial indices only through m-s
-and on the triangle indices only through k-l.  The spectral side's dual
-coefficients ahat[u, v] = a[v, u] e^{2 pi j ab u v} are the spatial ones
-relabelled, so after swapping its (u, v) its weights are the spatial weights
-and its q is the spatial q negated: both tables fold through the spatial
-(u, v) rule once, as one table pref_s T_spatial[q] + pref_h T_spectral[-q].
-build_operator folds that table, the dual-window (u, v) sum and the scalar
-prefactors (k0^2, pref_s = X^2/sqrt(pi), pref_h = X*sqrt(2/pi)) into one kernel
+The two coupling tables hold the one Ewald integrand over complementary parts
+of the contour, so their sum is the whole coupling integral and it enters
+through the index rules q = m-s-u, p = n+t+v.  For each output/input spectral
+pair (t, n) the map therefore depends on the spatial indices only through m-s
+and on the triangle indices only through k-l.  build_operator folds the
+summed table, the dual-window (u, v) sum and the scalar prefactor
+k0^2 X^2/sqrt(pi) into one kernel
 
     K[t, n, r = m-s, d = k-l],   shape (2N+1, 2N+1, 4M+1, 2 n_k+1),
 
@@ -25,9 +22,8 @@ precomputed kernel DFT; assemble_dense gathers G from K for the direct solve,
 over the active z slices only (those where chi is nonzero somewhere on the
 grid): on any other slice the contrast projector is exactly zero, so its rows
 of I - chi*G are identity rows and its unknowns equal J_inc there.
-The prefactors and the spectral-to-spatial conversion phase are pinned by the
-end-to-end unit-source test against brute-force quadrature of the exact Green
-function.
+The prefactor and the phases are pinned by the end-to-end unit-source test
+against brute-force quadrature of the exact Green function.
 """
 
 from dataclasses import dataclass, field
@@ -65,31 +61,21 @@ def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
                  spectral_table: KernelTable) -> np.ndarray:
     """Both tables folded into K[t, n, r = m-s, d = k-l] (diagonal phases excluded).
 
-    Spatial side: q = m-s-u, p = n+t+v with weight
-    conj(a_uv) e^{-2 pi j ab u (t+v)} e^{-pi/2 beta^2 (v+t-n)^2}.
-    Spectral side: q = s+v'-m, p = n+t+u' with weight
-    conj(ahat_u'v') e^{-2 pi j ab t v'} e^{-pi/2 beta^2 (u'+t-n)^2}, where
-    ahat[u', v'] = a[v', u'] e^{2 pi j ab u'v'} is just the spatial a
-    relabelled.  With (u, v) = (v', u') the spectral weight is the spatial
-    one, and the spectral q = u-(m-s) is the spatial q read on the table
-    reversed in q.  So one (u, v) rule folds the combined table
-    C[q, p] = pref_s T_spatial[q, p] + pref_h T_spectral[-q, p].
+    The summed table T[q, p] = T_spatial + T_spectral is read at q = m-s-u,
+    p = n+t+v with weight
+    pref conj(a_uv) e^{-2 pi j ab u (t+v)} e^{-pi/2 beta^2 (v+t-n)^2}.
     """
     ab = fp.alpha * fp.beta
     nn, nr = 2 * fp.N + 1, 4 * fp.M + 1
     # both tables hold exactly the box read below: build_operator checks
     # that they were built for this dual window's (n_u, n_v)
     q_max, p_max = spatial_table.q_max, spatial_table.p_max
-
-    # C / pref_s as one (p, q, d) array, so each block read below is
-    # contiguous over (q, d) for every p
     k0 = spatial_table.cfg.k0
-    pref_s = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
-    pref_h = k0 * k0 * fp.X * np.sqrt(2 / np.pi)
-    spectral = spectral_table.data.transpose(1, 0, 2)[:, ::-1]
-    combined = np.empty(spectral.shape, dtype=complex)
-    np.multiply(spectral, pref_h / pref_s, out=combined)
-    combined += spatial_table.data.transpose(1, 0, 2)
+    pref = k0 * k0 * fp.X ** 2 / np.sqrt(np.pi)
+    # as one (p, q, d) array, so each block read below is contiguous over
+    # (q, d) for every p
+    combined = np.ascontiguousarray(
+        (spatial_table.data + spectral_table.data).transpose(1, 0, 2))
 
     t_g = fp.n_range[:, None]
     n_g = fp.n_range[None, :]
@@ -98,7 +84,7 @@ def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
     for iu, u in enumerate(range(-dual.n_u, dual.n_u + 1)):
         q_lo = q_max - u - 2 * fp.M
         for iv, v in enumerate(range(-dual.n_v, dual.n_v + 1)):
-            w = (pref_s * np.conj(dual.a[iu, iv])
+            w = (pref * np.conj(dual.a[iu, iv])
                  * np.exp(-2j * np.pi * ab * u * (t_g + v))
                  * np.exp(-np.pi / 2 * fp.beta ** 2 * (v + t_g - n_g) ** 2))
             for it, t in enumerate(fp.n_range):

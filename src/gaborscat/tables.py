@@ -1,21 +1,24 @@
 """Assembly of the two coupling-integral tables over (q, p, d).
 
-Spatial entries integrate e^{k0^2/4xi^2}/xi * f(q,p,xi) * g(d,xi) over the real
-axis from the splitting point E: geometric panels run to the d = 0 truncation
-point xc, which bounds every d, and the algebraic remainder is folded in
-through the compactification xi = xc/t, so no entry carries truncation error.
-Spectral entries integrate e^{k0^2 zeta^2/4} * f~(q,p,zeta) * g~(d,zeta) along
-the inverse-variable contour; the conditionally convergent 1/w tail is summed
-in half-period phase blocks and extrapolated by repeated averaging, which is
-linear in the block sums and so enters as one more weight per node.
+Both tables integrate the one real-axis integrand
+e^{k0^2/4xi^2}/xi * f(q,p,xi) * g(d,xi) dxi; together they cover the whole
+Ewald contour, so the operator folds their plain sum.  The spatial table
+takes the real axis from the splitting point E: geometric panels run to the
+d = 0 truncation point xc, which bounds every d, and the algebraic remainder
+is folded in through the compactification xi = xc/t, so no entry carries
+truncation error.  The spectral table takes the rest of the contour, from 0
+to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w;
+its conditionally convergent 1/w tail is summed in half-period phase blocks
+and extrapolated by repeated averaging, which is linear in the block sums and
+so enters as one more weight per node.
 
-Both tables are fixed-node contractions: every node set is a sum of
-(q*p x nodes) @ (nodes x d) matrix products over blocks of _NODE_BLOCK nodes,
-so memory does not grow with the node count.  The spatial node set and the
-spectral head are each checked against the rule with every panel halved.
-Both are built for p >= 0 only and the p < 0 half is filled by the exact
-mirror T[q, -p, d] = T[-q, p, d] (f and f~ depend on (q, p) only through
-(alpha*q +- j*beta*p)^2 and p^2).
+Both tables are fixed-node contractions by one helper: every node set is a
+sum of (q*p x nodes) @ (nodes x d) matrix products over blocks of
+_NODE_BLOCK nodes, so memory does not grow with the node count.  The spatial
+node set and the spectral head are each checked against the rule with every
+panel halved.  Both are built for p >= 0 only and the p < 0 half is filled by
+the exact mirror T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
+(alpha*q + j*beta*p)^2 and p^2).
 
 Entries whose integrand envelope at the lower limit is below trunc_tol are set
 to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
@@ -35,10 +38,10 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 from .frame import FrameParams
 from .green import EwaldConfig, zeta_path, zeta_path_derivative
-from .kernels import ZGrid, f_spatial, f_spectral, g_z_spatial, g_z_spectral
+from .kernels import ZGrid, f_spatial, g_z_spatial
 from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _MAGIC = b"EGKT"
 _KINDS = ("spatial", "spectral")
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
@@ -90,7 +93,8 @@ def _q_decay_rate(fp: FrameParams, split: float) -> float:
 
 
 def _p_decay_rate_spectral(fp: FrameParams, split: float) -> float:
-    """Slowest p^2 decay rate of |f~| along the contour, attained at zeta = 1/E.
+    """Slowest p^2 decay rate of |f(q, p, 1/zeta)| along the contour, attained
+    at zeta = 1/E.
 
     The positive quadratic term of the exponent cancels most of the p-Gaussian
     near zeta -> 0, so the surviving rate is far below pi/2 * beta^2.
@@ -149,28 +153,31 @@ def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
     return hi
 
 
-def _contract(f, g, nodes: np.ndarray, node_weights: np.ndarray):
-    """sum_n f(nodes)[..., n] g(nodes)[d, n] node_weights[n], shape
-    f's leading shape + (d,).
+def _contract(qg, pg, ds, xi: np.ndarray, weights: np.ndarray,
+              fp: FrameParams, zg: ZGrid, k0: float) -> np.ndarray:
+    """sum_n e^{k0^2/4xi_n^2}/xi_n f(q, p, xi_n) g(d, xi_n) weights[n] over
+    the (q, p) grid of qg, pg and the d of ds, shape (q, p, d).
 
-    f and g are evaluated on blocks of at most _NODE_BLOCK nodes and each
-    block is one (rows x nodes) @ (nodes x d) matrix product, so no factor
-    array grows with the node count.
+    The nodes xi may be complex.  They are taken in blocks of at most
+    _NODE_BLOCK, each one (q*p x nodes) @ (nodes x d) matrix product, so no
+    factor array grows with the node count.
     """
     out = 0
-    for start in range(0, len(nodes), _NODE_BLOCK):
+    for start in range(0, len(xi), _NODE_BLOCK):
         block = slice(start, start + _NODE_BLOCK)
-        fvals = f(nodes[block])
-        out = out + fvals.reshape(-1, fvals.shape[-1]) @ (g(nodes[block])
-                                                          * node_weights[block]).T
-    return out.reshape(fvals.shape[:-1] + (-1,))
+        x = xi[block]
+        node_weights = np.exp(k0 * k0 / (4 * x * x)) / x * weights[block]
+        fvals = f_spatial(qg, pg, x, fp)
+        out = out + fvals.reshape(-1, len(x)) @ (
+            g_z_spatial(ds[:, None], x[None, :], zg) * node_weights).T
+    return out.reshape(fvals.shape[:-1] + (len(ds),))
 
 
 def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
     """Full (q, p, d) table from its p >= 0 half, by T[q, -p] = T[-q, p].
 
-    half holds p = 0..p_max along axis 1 over the symmetric q range; f and f~
-    depend on (q, p) only through (alpha*q +- j*beta*p)^2 and p^2, so the
+    half holds p = 0..p_max along axis 1 over the symmetric q range; f
+    depends on (q, p) only through (alpha*q + j*beta*p)^2 and p^2, so the
     rule is exact.
     """
     return np.concatenate([half[::-1, :0:-1], half], axis=1)
@@ -201,7 +208,6 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     ds = np.arange(-zg.n_k, zg.n_k + 1)
     half = np.zeros((len(qs), len(ps), len(ds)), dtype=complex)
     e = cfg.split
-    k0 = cfg.k0
 
     # q-range that survives the q-Gaussian at its slowest (lower-limit) rate
     rate = _q_decay_rate(fp, cfg.split)
@@ -213,9 +219,7 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     xc = truncation_point(fp, zg, cfg)
 
     def contract(x, weights):
-        return _contract(lambda xb: f_spatial(qg, pg, xb, fp),
-                         lambda xb: g_z_spatial(live_d[:, None], xb[None, :], zg),
-                         x, np.exp(k0 * k0 / (4 * x * x)) / x * weights)
+        return _contract(qg, pg, live_d, x, weights, fp, zg, cfg.k0)
 
     def rule(k):
         x, wx, _ = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
@@ -231,7 +235,10 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                          n_u: int, n_v: int,
                          averaging_depth: int = 40) -> KernelTable:
-    """Inverse-variable contour table with phase-block tail extrapolation."""
+    """The rest of the Ewald contour, xi = 1/zeta(w) for w in [1/E, inf): the
+    head panels on [1/E, 2/E] checked by panel doubling, the tail by
+    phase-block extrapolation.  Each node carries the weight
+    zeta'/zeta^2 dw = -dxi, which orients the integral from xi = 0 to E."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
     ps = np.arange(p_max + 1)
@@ -240,6 +247,8 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     k0 = cfg.k0
     w0, w1 = 1 / e, 2 / e
 
+    # the spectral envelopes bound X/sqrt(2) times an entry, the kx-domain
+    # scale in which this live-p rule was set
     live_p = ps[np.array([max(_spectral_envelope(w1, p, fp, zg),
                               _spectral_head_envelope(p, fp, zg, cfg))
                           for p in ps]) >= cfg.trunc_tol]
@@ -247,18 +256,17 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     pg = live_p[None, :, None].astype(float)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
 
-    # phase-rate bound of the 1/w^2 terms: f~ exponent plus the g~ erf phases
+    # phase-rate bound of the 1/w^2 terms: the exponent of f(q, p, 1/zeta)
+    # plus the erf phases of g(d, 1/zeta)
     phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
                                      + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
                    + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
 
     def contract(w_nodes, weights):
         zeta = zeta_path(w_nodes, e)
-        shared = (np.exp(k0 * k0 * zeta * zeta / 4)
-                  * zeta_path_derivative(w_nodes, e))
-        return _contract(lambda zb: f_spectral(qg, pg, zb, fp),
-                         lambda zb: g_z_spectral(ds[:, None], zb[None, :], zg),
-                         zeta, shared * weights)
+        return _contract(qg, pg, ds, 1 / zeta,
+                         zeta_path_derivative(w_nodes, e) / zeta ** 2 * weights,
+                         fp, zg, k0)
 
     head = _doubling_checked(
         contract, lambda k: panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1)),
@@ -345,7 +353,9 @@ def load_table(path, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
 
 def load_or_build(directory, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                   n_u: int, n_v: int):
-    """Warm-cache table pair; returns (spatial, spectral, cache_hit)."""
+    """Warm-cache table pair; returns (spatial, spectral, cache_hit).  The
+    directory is created first, so one that cannot be fails before a build."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
     paths = {k: cache_path(directory, k, fp, zg, cfg, n_u, n_v) for k in _KINDS}
     if all(p.exists() for p in paths.values()):
         try:

@@ -5,11 +5,13 @@ package internals, so each check is a genuine dual route.  The module also
 holds helpers that only the tests use (the dense least-squares dual, the
 Fourier-side frame elements and dual coefficients, the guarded complex erf,
 the per-d erf_diff form of the half-triangle z' integrals and the
-full-triangle ones); the tests check those in their own right.
+full-triangle ones, and the kx-domain reductions f~ and g~ of the contour
+head); the tests check those in their own right.
 """
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import special
@@ -19,7 +21,7 @@ from gaborscat.errors import OverflowGuard, SingularFrame
 from gaborscat.frame import (TWO_QUARTER, analysis_matrix, frame_matrix,
                              window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
-from gaborscat.kernels import f_spatial, f_spectral, g_z_spatial, g_z_spectral
+from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial
 from gaborscat.quadrature import (adaptive_quad, averaged_limit,
                                   oscillatory_tail_bounds, panel_nodes,
                                   subdivided_panels)
@@ -227,6 +229,55 @@ def synthesize_loop(coeffs, grid, fp):
         out += gm.reshape((len(xs),) + (1,) * (c.ndim - 2)) \
             * np.tensordot(mod, c[im], axes=(1, 0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# kx-domain reductions of the contour head: the x-factor f~ of the kx integral
+# and the z-factor g~ with the inverse-variable Gaussian e^{-s^2/zeta^2}.  The
+# spectral table contracts the real-axis factors at xi = 1/zeta instead
+# (f_on_contour, g_on_contour), and f~ and g~ are their reference: f~ an
+# independent closed form, g~ one that shares the package's erf-boundary
+# helper (g_z_spectral_per_d below shares nothing).
+
+def f_spectral(q, p, zeta, fp):
+    """Gaussian kx-coupling factor of the inverse-variable (spectral) integrand."""
+    q = np.asarray(q)
+    p = np.asarray(p)
+    zeta = np.asarray(zeta)
+    den = fp.K * fp.K * zeta * zeta + 8 * np.pi
+    quad = (fp.beta * p + 1j * fp.alpha * q) ** 2
+    return np.sqrt(np.pi / den) * np.exp(4 * np.pi ** 2 / den * quad
+                                         - np.pi / 2 * fp.beta ** 2 * p ** 2)
+
+
+def g_z_spectral(d, zeta, zg):
+    """Half-triangle z' integral with the inverse-variable Gaussian e^{-s^2/zeta^2}."""
+    d = np.asarray(d)
+    zeta = np.asarray(zeta)
+    dd = zg.delta
+    bracket, gauss = _boundary_differences(d, dd / zeta)
+    return (np.sqrt(np.pi) * (d + 1) / 2 * zeta * bracket
+            + zeta * zeta / (2 * dd) * gauss)
+
+
+def f_on_contour(q, p, zeta, fp):
+    """X/(sqrt(2) zeta) f(-q, p, 1/zeta): the package's x-factor on the contour
+    head, in the kx-domain scale and orientation of f~."""
+    return fp.X / (np.sqrt(2) * zeta) * f_spatial(-np.asarray(q), p, 1 / zeta, fp)
+
+
+def g_on_contour(d, zeta, zg):
+    """g(d, 1/zeta): the package's z-factor on the contour head."""
+    return g_z_spatial(d, 1 / np.asarray(zeta), zg)
+
+
+def kx_domain_tables(tables):
+    """(spatial, spectral) with the spectral table converted to the kx-domain
+    convention T_kx[q] = X/sqrt(2) T[-q] of f~, in which the x-factor oracle
+    below writes the spectral side."""
+    spatial, spectral = tables
+    scale = spectral.fp.X / np.sqrt(2)
+    return [spatial, replace(spectral, data=scale * spectral.data[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +681,9 @@ def full_system_matrix(op, dual, tables):
 # spectral table with its phase-block tail summed block by block: per d, the
 # node terms are reduced to block sums and extrapolated by averaged_limit,
 # the route the weighted single-product build folds into per-node weights.
-# Every (q, p) is integrated (no mirror), with g~ in its per-d form.  The
-# contour, panels and live-p rule are the package's own.
+# Every (q, p) is integrated (no mirror), in the kx-domain form with f~ and
+# with g~ in its per-d form.  The contour, panels and live-p rule are the
+# package's own.
 
 def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
                              averaging_depth=40):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaborscat import cli, solver
+from gaborscat import cli, solver, tables
 from gaborscat.cli import (RunConfig, main, parse_config, write_field_csv,
                            write_pgm)
 from gaborscat.errors import ConfigError
@@ -303,6 +303,36 @@ def test_solve_checks_scene_before_dual_fit_and_tables(tmp_path, capsys,
     report = json.loads((tmp_path / "out" / "error.json").read_text())
     assert report["error"] == "DomainError"
     assert "frame coverage" in report["message"]
+
+
+def _blocked_dir(tmp_path) -> Path:
+    """A directory path under a regular file: it cannot be created."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    return blocker / "sub"
+
+
+def test_uncreatable_cache_dir_exits_2_before_building(tmp_path, capsys,
+                                                       monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("tables were built for a cache that cannot exist")
+
+    monkeypatch.setattr(tables, "build_tables", not_reached)
+    path = write_config(tmp_path, **{"cache.dir": str(_blocked_dir(tmp_path))})
+    assert main(["solve", str(path)]) == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(line)["error"] == "NotADirectoryError"
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report == json.loads(line)
+
+
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path,
+                        **{"output.out_dir": str(_blocked_dir(tmp_path))})
+    assert main(["solve", str(path)]) == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(line)["error"] == "NotADirectoryError"
+    assert not (tmp_path / "blocker").is_dir()
 
 
 def test_field_csv_format(tmp_path):

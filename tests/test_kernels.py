@@ -8,7 +8,11 @@ import gaborscat as gs
 from gaborscat.errors import DomainError, OverflowGuard
 
 from .conftest import RT23
-from .oracles import (erf_complex, erf_diff, erf_maclaurin, g_z_spatial_per_d,
+from gaborscat.quadrature import (oscillatory_tail_bounds, panel_nodes,
+                                  subdivided_panels)
+
+from .oracles import (erf_complex, erf_diff, erf_maclaurin, f_on_contour,
+                      f_spectral, g_on_contour, g_z_spatial_per_d, g_z_spectral,
                       g_z_spectral_per_d, h_z_spatial, h_z_spectral,
                       half_triangle_integral, kx_integral, xx_double_integral)
 
@@ -122,8 +126,9 @@ def test_f_spatial_reduction_matches_double_integral(fp, split):
 
 def test_f_spectral_even_and_value(fp, split):
     zeta = (1 - 1j) / split
-    assert gs.f_spectral(2, 1, zeta, fp) == gs.f_spectral(-2, -1, zeta, fp)
-    assert gs.f_spectral(0, 0, 0.0, fp) == pytest.approx(1 / (2 * np.sqrt(2)))
+    assert f_on_contour(2, 1, zeta, fp) == f_on_contour(-2, -1, zeta, fp)
+    # the zeta -> 0 limit, 1/(2 sqrt(2)), reached to rounding at zeta = 1e-8
+    assert f_on_contour(0, 0, 1e-8, fp) == pytest.approx(1 / (2 * np.sqrt(2)))
 
 
 def test_f_spectral_reduction_matches_kx_integral(fp, split):
@@ -134,9 +139,32 @@ def test_f_spectral_reduction_matches_kx_integral(fp, split):
             closed = (2 ** 1.5 * fp.X ** 2 * fp.K
                       * np.exp(-2j * np.pi * fp.alpha * fp.beta * t * v)
                       * np.exp(-np.pi / 2 * fp.beta ** 2 * (n - t - u) ** 2)
-                      * gs.f_spectral(q, p, zeta, fp))
+                      * f_on_contour(q, p, zeta, fp))
             oracle = kx_integral(n, m, t, s, u, v, zeta, fp)
             assert abs(closed - oracle) / abs(oracle) < 1e-8
+
+
+def test_contour_factors_match_kx_domain_forms(fp, zg, split):
+    # the spectral table contracts f and g at xi = 1/zeta: on every head and
+    # tail node of the contour, X/(sqrt(2) zeta) f(-q, p, 1/zeta) is f~ and
+    # g(d, 1/zeta) is g~ (measured to 3.1e-14 and 5.2e-14 of their maxima)
+    q_max, p_max = gs.index_bounds(fp, 2, 3)
+    phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
+                                     + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
+                   + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
+    head, _ = panel_nodes(np.linspace(1 / split, 2 / split, 25))
+    zone_a, zone_b = oscillatory_tail_bounds(2 / split, K0, phase_coeff,
+                                             n_blocks=16, w_cap=200 / split)
+    w = np.concatenate([head, subdivided_panels(zone_a)[0],
+                        subdivided_panels(zone_b)[0]])
+    assert len(zone_a) > 1 and w.max() > 100 / split
+    zeta = gs.zeta_path(w, split)
+    qg = np.arange(-q_max, q_max + 1)[:, None, None]
+    pg = np.arange(-p_max, p_max + 1)[None, :, None]
+    ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]
+    for got, ref in [(f_on_contour(qg, pg, zeta, fp), f_spectral(qg, pg, zeta, fp)),
+                     (g_on_contour(ds, zeta, zg), g_z_spectral(ds, zeta, zg))]:
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +201,7 @@ def test_g_spectral_matches_quadrature(zg, split):
     for d in (-2, -1, 0, 1, 2):
         for zeta in (1 / split, (1 - 1j) / split, (1 - 1j) * 3 / split):
             oracle = half_triangle_integral(d, 1 / (zeta * zeta), zg.delta)
-            got = gs.g_z_spectral(d, zeta, zg)
+            got = g_on_contour(d, zeta, zg)
             assert abs(got - oracle) <= 1e-10 * max(abs(oracle), 1e-8)
 
 
@@ -181,14 +209,14 @@ def test_g_spectral_large_zeta_asymptote(zg, split):
     w = 100.0 / split
     zeta = complex(gs.zeta_path(w, split))
     for d in (-1, 0, 3):
-        assert abs(gs.g_z_spectral(d, zeta, zg) - zg.delta / 2) \
+        assert abs(g_on_contour(d, zeta, zg) - zg.delta / 2) \
             < 0.02 * zg.delta / 2
 
 
 def test_g_spectral_small_zeta_limit(zg):
     # Gaussian collapses to a point mass at the apex: leading term (sqrt(pi)/2) zeta
     zeta = 1e-3 * zg.delta
-    got = gs.g_z_spectral(0, zeta, zg)
+    got = g_on_contour(0, zeta, zg)
     assert abs(got - np.sqrt(np.pi) / 2 * zeta) < 1e-2 * abs(got)
     assert abs(got) <= 1e-3 * zg.delta
 
@@ -231,7 +259,7 @@ def test_g_z_full_range_matches_per_d_form(zg, split):
     zeta = np.concatenate([gs.zeta_path(w, split),
                            [0.04, 0.05 * (1 - 1j), 0.1, 0.2 * (1 - 1j)]])[None, :]
     xi = np.geomspace(split, 28.0, 25)[None, :]
-    cases = [(gs.g_z_spectral, g_z_spectral_per_d, zeta, zg.delta / zeta,
+    cases = [(g_on_contour, g_z_spectral_per_d, zeta, zg.delta / zeta,
               np.sqrt(np.pi) * (ds + 1) / 2 * zeta, zeta * zeta / (2 * zg.delta)),
              (gs.g_z_spatial, g_z_spatial_per_d, xi, xi * zg.delta,
               (ds + 1) * np.sqrt(np.pi) / (2 * xi), 1 / (2 * zg.delta * xi * xi))]
@@ -250,9 +278,9 @@ def test_g_z_full_range_matches_per_d_form(zg, split):
 
 
 def test_g_spectral_large_w_matches_high_precision(split):
-    # at w = 30 on the contour tail (zeta = 15(1 - j)) the two terms of g~
-    # cancel against zeta^2/(2 Delta); over the whole d range of the circle
-    # grid g~ must agree with its exact value (dps 40) to a few roundings of
+    # at w = 30 on the contour tail (zeta = 15(1 - j)) the two terms of
+    # g(d, 1/zeta) cancel against zeta^2/(2 Delta); over the whole d range of
+    # the circle grid it must agree with its exact value (dps 40) to a few roundings of
     # its largest summands
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
@@ -262,7 +290,7 @@ def test_g_spectral_large_w_matches_high_precision(split):
     zeta = complex(gs.zeta_path(w, split))
     assert zeta == (1 - 1j) / 2 * w
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    got = gs.g_z_spectral(ds, zeta, zg)
+    got = g_on_contour(ds, zeta, zg)
     z, dd = mp.mpc(zeta.real, zeta.imag), mp.mpf(1) / 20
     ref = np.array([complex(mp.sqrt(mp.pi) * (d + 1) / 2 * z
                             * (mp.erf((d + 1) * dd / z) - mp.erf(d * dd / z))
@@ -285,7 +313,7 @@ def test_h_boundary_cases(zg, split):
     assert h_z_spatial(4, 6, xi, zg) == pytest.approx(h_z_spatial(6, 4, xi, zg))
     zeta = (1 - 1j) / split
     assert h_z_spectral(zg.n_k, zg.n_k, zeta, zg) == pytest.approx(
-        gs.g_z_spectral(0, zeta, zg))
+        g_on_contour(0, zeta, zg))
     assert h_z_spectral(3, 7, zeta, zg) == pytest.approx(
         h_z_spectral(7, 3, zeta, zg))
 

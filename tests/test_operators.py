@@ -8,7 +8,7 @@ from gaborscat import operators
 from gaborscat.errors import DimensionMismatch, SizeCap
 
 from .oracles import (active_unknowns, analyze, full_system_matrix,
-                      unit_source_field, xfactor_green_apply,
+                      kx_domain_tables, unit_source_field, xfactor_green_apply,
                       xfactor_green_matrix)
 
 
@@ -48,24 +48,35 @@ def rel_err(got, ref):
 def test_folded_kernel_matches_xfactor_contraction(
         tables, scene_small_circle, fp_small, zg_small, cfg_small, dual_small,
         tables_small):
-    # the one-sided inputs zero the other table, so each side's prefactor and
-    # the spectral side's q-reversal are checked on their own
+    # the one-sided inputs zero the other table, so each side, the spectral
+    # one through its kx-domain x-factors, is checked on its own
     pair = tables_small if tables == "built" else random_tables(
         fp_small, zg_small, cfg_small, dual_small)
     if tables.endswith("-only"):
         pair = [t if tables == f"{t.kind}-only"
                 else replace(t, data=np.zeros_like(t.data)) for t in pair]
     op = gs.build_operator(scene_small_circle, dual_small, *pair)
+    kx_pair = kx_domain_tables(pair)
     rng = np.random.default_rng(3)
     shape = gs.coeff_shape(fp_small, zg_small) + (2, 3)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ref = xfactor_green_apply(c[..., 0, 0], dual_small, pair)
+    ref = xfactor_green_apply(c[..., 0, 0], dual_small, kx_pair)
     assert rel_err(gs.green_apply(c[..., 0, 0], op), ref) <= 1e-12
     batched = gs.green_apply(c, op)
     assert batched.shape == shape
-    assert rel_err(batched, xfactor_green_apply(c, dual_small, pair)) <= 1e-12
+    assert rel_err(batched, xfactor_green_apply(c, dual_small, kx_pair)) <= 1e-12
     assert rel_err(gs.assemble_green_matrix(op),
-                   xfactor_green_matrix(dual_small, pair)) <= 1e-12
+                   xfactor_green_matrix(dual_small, kx_pair)) <= 1e-12
+
+
+def test_fold_is_symmetric_in_the_tables(scene_small_circle, dual_small,
+                                         tables_small):
+    # the fold reads the plain sum of the two tables, so handing them over in
+    # either order gives the same kernel, bit for bit
+    spatial, spectral = tables_small
+    op = gs.build_operator(scene_small_circle, dual_small, spatial, spectral)
+    swapped = gs.build_operator(scene_small_circle, dual_small, spectral, spatial)
+    assert np.array_equal(swapped.kernel_fft, op.kernel_fft)
 
 
 def test_operator_x_matrices_come_from_frame(op_small, fp_small, dual_small):
@@ -303,10 +314,11 @@ def test_assemble_dense_is_active_block_of_full_system(op_partial, dual_small,
     rows = active_unknowns(op_partial)
     n = int(np.prod(gs.coeff_shape(op_partial.fp, op_partial.zg)))
     idle = np.setdiff1d(np.arange(n), rows)
-    full = full_system_matrix(op_partial, dual_small, tables_small)
+    kx_pair = kx_domain_tables(tables_small)
+    full = full_system_matrix(op_partial, dual_small, kx_pair)
     assert np.array_equal(full[idle], np.eye(n)[idle])
     block = np.ix_(rows, rows)
-    green = xfactor_green_matrix(dual_small, tables_small)
+    green = xfactor_green_matrix(dual_small, kx_pair)
     assert rel_err(gs.assemble_green_matrix(op_partial, active),
                    green[block]) <= 1e-12
     assert rel_err(gs.assemble_dense(op_partial), full[block]) <= 1e-12

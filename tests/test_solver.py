@@ -6,7 +6,7 @@ import gaborscat as gs
 from gaborscat import operators, solver
 from gaborscat.errors import NonConvergence, SizeCap
 
-from .oracles import analyze, full_system_matrix
+from .oracles import analyze, full_system_matrix, kx_domain_tables
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,8 @@ def test_direct_solve_factors_active_slices(op_partial, scene_partial,
                                             zg_small, dual_small,
                                             tables_small):
     sol = gs.solve(scene_partial, op_partial, method="direct")
-    full = full_system_matrix(op_partial, dual_small, tables_small)
+    full = full_system_matrix(op_partial, dual_small,
+                              kx_domain_tables(tables_small))
     ref = np.linalg.solve(full, sol.J_inc.ravel())
     assert np.linalg.norm(sol.J.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
     idle = np.setdiff1d(np.arange(zg_small.n_k + 1),

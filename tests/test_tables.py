@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +50,8 @@ def _entry_oracle_spectral(q, p, d, fp, zg, cfg):
     big_k, dd = fp.K, zg.delta
 
     def f(w):
-        # zeta_path, zeta_path_derivative, f_spectral and g_z_spectral at one
-        # node, written out in plain complex arithmetic; the erf difference
+        # zeta_path, zeta_path_derivative and the kx-domain factors f~ and g~
+        # at one node, written out in plain complex arithmetic; the erf difference
         # is taken directly, as erf_diff does away from saturated tails
         w = float(w)
         if w < 2 / e:
@@ -87,9 +89,11 @@ def test_spatial_entries_match_high_precision(setup):
 
 
 def test_spectral_entries_match_high_precision(setup):
+    # the oracle integrates the kx-domain form; the table stores it in the
+    # spatial scale and orientation, T[q] = sqrt(2)/X T_kx[-q]
     fp, zg, cfg, _, spec = setup
     for (q, p, d) in [(0, 0, 0), (2, -1, 3)]:
-        oracle = _entry_oracle_spectral(q, p, d, fp, zg, cfg)
+        oracle = np.sqrt(2) / fp.X * _entry_oracle_spectral(-q, p, d, fp, zg, cfg)
         got = spec.entry(q, p, d)
         assert abs(got - oracle) <= 1e-8 * max(abs(oracle), 1e-12)
 
@@ -130,9 +134,10 @@ def test_spectral_cap_doubling_negligible(setup):
 
 def test_spectral_table_matches_blockwise_tail(setup):
     # the weighted single-product build against per-d block sums extrapolated
-    # by averaged_limit: same zero pattern, entries equal up to rounding
+    # by averaged_limit, in the kx-domain form and converted to the stored
+    # T[q] = sqrt(2)/X T_kx[-q]: same zero pattern, entries equal up to rounding
     fp, zg, cfg, _, spec = setup
-    ref = spectral_table_blockwise(fp, zg, cfg, 2, 3)
+    ref = np.sqrt(2) / fp.X * spectral_table_blockwise(fp, zg, cfg, 2, 3)[::-1]
     assert np.array_equal(spec.data == 0, ref == 0)
     scale = np.abs(ref).max()
     assert np.abs(spec.data - ref).max() <= 1e-13 * scale
@@ -275,3 +280,21 @@ def test_older_format_version_rejected_and_rebuilt(setup, tmp_path):
     for table in (spat, spec):
         path = gs.cache_path(tmp_path, table.kind, fp, zg, cfg, 2, 3)
         assert struct.unpack("<I", path.read_bytes()[4:8])[0] == tables._FORMAT_VERSION
+
+
+def test_cache_doc_matches_code(setup, tmp_path):
+    # docs/table-cache.md marks the version that _FORMAT_VERSION writes as
+    # current, and its file-size formula gives the size of a saved table
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "table-cache.md").read_text()
+    assert re.findall(r"^- \*\*(\d+)\*\* \(current\)", doc, flags=re.M) \
+        == [str(tables._FORMAT_VERSION)]
+    assert f"format version ({tables._FORMAT_VERSION})" in doc
+    formula = re.search(r"a file holds `([^`]+)` bytes", doc).group(1)
+    expr = re.sub(r"(\d|\))\s*([A-Za-z(])", r"\1*\2", formula)  # 16 (, 4M, )(
+    fp, zg, cfg, spat, spec = setup
+    size = eval(expr, {"__builtins__": {}},
+                {"M": fp.M, "N": fp.N, "N_u": 2, "N_v": 3, "n_k": zg.n_k})
+    for table in (spat, spec):
+        path = gs.save_table(table, gs.cache_path(tmp_path, table.kind, fp, zg,
+                                                  cfg, 2, 3))
+        assert path.stat().st_size == size
