@@ -10,13 +10,13 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DimensionMismatch, DomainError, GaborscatError,
                      GridMismatch, GridTooCoarse, IllConditionedFit,
-                     NonConvergence, OverflowGuard, QuadratureFailure,
-                     SingularFrame, SingularMatrix, SizeCap)
+                     NonConvergence, QuadratureFailure, SingularFrame,
+                     SingularMatrix, SizeCap)
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
                     dual_window_value, fit_dual_coeffs, frame_matrix,
                     synthesis_matrix, synthesize, window_value, zak_dual_window)
 from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
-                    optimal_split, split_identity_error, xi_path, zeta_path,
+                    optimal_split, split_identity_error, zeta_path,
                     zeta_path_derivative)
 from .kernels import ZGrid, f_spatial, g_z_spatial, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
@@ -29,4 +29,5 @@ from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
 from .solver import Solution, solve, synthesize_field, synthesize_points
 from .tables import (KernelTable, build_spatial_table, build_spectral_table,
                      build_tables, cache_key, cache_path, index_bounds,
-                     load_or_build, load_table, save_table, truncation_point)
+                     kernel_cache_path, load_kernel_fft, load_or_build,
+                     load_table, save_kernel_fft, save_table, truncation_point)

@@ -4,7 +4,8 @@ Subcommands:
     solve <cfg>                      full pipeline, writes field CSV/PGM + metrics
     green-check --k0 .. --rmin ..    Ewald split-identity sweep
     dual-window <cfg>                dual fit residual and sampled windows
-    tables <cfg>                     build and cache the kernel tables only
+    tables <cfg>                     build and cache the kernel tables and
+                                     the operator's kernel DFT only
     compare <cfg> [--oracle-cell h]  main solver vs MoM reference, error grid
 
 Config format is flat JSON with one block per subsystem; see README for the
@@ -274,6 +275,13 @@ def write_pgm(path, field_real, xs, zs):
     Path(str(path) + ".json").write_text(_dumps(sidecar, indent=1))
 
 
+def _column_counts(table) -> dict:
+    """Live (any nonzero entry over d) and skipped (q, p) columns of a table,
+    read from its data, so a cached table counts as it was built."""
+    live = int(np.count_nonzero(np.any(table.data != 0, axis=2)))
+    return {"live": live, "skipped": table.data.shape[0] * table.data.shape[1] - live}
+
+
 def _pipeline(rc: RunConfig):
     """Scene check, dual window, tables (cached), operator, solve.  Returns
     (sol, metrics); metrics["stages"] holds each stage's wall time in
@@ -289,7 +297,7 @@ def _pipeline(rc: RunConfig):
         spat, spec = build_tables(rc.fp, rc.zg, rc.ewald, rc.n_u, rc.n_v)
         hit = False
     t2 = time.perf_counter()
-    op = build_operator(rc.scene, dw, spat, spec)
+    op = build_operator(rc.scene, dw, spat, spec, rc.cache_dir)
     t3 = time.perf_counter()
     sol = solve(rc.scene, op, method=rc.method, tol=rc.tol)
     t4 = time.perf_counter()
@@ -300,6 +308,8 @@ def _pipeline(rc: RunConfig):
         "wall_time_setup": t3 - t0,
         "wall_time_solve": t4 - t3,
         "table_cache_hit": hit,
+        "kernel_cache_hit": op.kernel_cache_hit,
+        "table_columns": {t.kind: _column_counts(t) for t in (spat, spec)},
         "condition_estimate": sol.condition_estimate,
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
@@ -362,9 +372,14 @@ def cmd_tables(args, rc: RunConfig) -> int:
     if rc.cache_dir is None:
         raise ConfigError("cache", "tables subcommand requires cache.enabled")
     t0 = time.perf_counter()
-    _, _, hit = load_or_build(rc.cache_dir, rc.fp, rc.zg, rc.ewald, rc.n_u, rc.n_v)
+    _, _, dw = _fit_dual(rc)
+    spat, spec, hit = load_or_build(rc.cache_dir, rc.fp, rc.zg, rc.ewald,
+                                    rc.n_u, rc.n_v)
+    op = build_operator(None, dw, spat, spec, rc.cache_dir)
     print(f"tables {'loaded from' if hit else 'built into'} cache "
-          f"{rc.cache_dir} in {time.perf_counter() - t0:.2f}s")
+          f"{rc.cache_dir}, kernel DFT "
+          f"{'loaded' if op.kernel_cache_hit else 'built'}, in "
+          f"{time.perf_counter() - t0:.2f}s")
     return 0
 
 
@@ -437,7 +452,8 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.set_defaults(func=cmd_dual_window)
 
-    p = sub.add_parser("tables", help="build and cache kernel tables")
+    p = sub.add_parser("tables", help="build and cache the kernel tables "
+                       "and the operator's kernel DFT")
     p.add_argument("config")
     p.set_defaults(func=cmd_tables)
 

@@ -21,10 +21,6 @@ class DomainError(GaborscatError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class OverflowGuard(GaborscatError):
-    """Evaluation would overflow double precision; caller must pre-scale."""
-
-
 class DimensionMismatch(GaborscatError):
     """Coefficient array dimensions inconsistent with the discretization."""
 

@@ -53,19 +53,6 @@ def green_exact(r, k0: float):
     return special.hankel2(0, k0 * r) / 4j
 
 
-def xi_path(w, split: float):
-    """Ewald contour xi(w): (1+j)w, then w + (E-w)j, then the real tail."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty(w.shape, dtype=complex)
-    m1 = w < split / 2
-    m2 = (w >= split / 2) & (w < split)
-    m3 = w >= split
-    out[m1] = (1 + 1j) * w[m1]
-    out[m2] = w[m2] + (split - w[m2]) * 1j
-    out[m3] = w[m3]
-    return out if out.shape else complex(out)
-
-
 def zeta_path(w, split: float):
     """Inverse-variable contour zeta(w) = 1/xi(1/w) for w >= 1/E."""
     w = np.asarray(w, dtype=float)

@@ -17,26 +17,32 @@ and the map reads
                          ([k < n_k] K[t,n,m-s,k-l] + [k > 0] K[t,n,m-s,l-k]),
 
 the masks dropping the triangle half that the z-interval boundary cuts away.
-green_apply runs the (m, k) correlations with zero-padded FFTs against the
-precomputed kernel DFT; assemble_dense gathers G from K for the direct solve,
-over the active z slices only (those where chi is nonzero somewhere on the
-grid): on any other slice the contrast projector is exactly zero, so its rows
-of I - chi*G are identity rows and its unknowns equal J_inc there.
+The operator holds K only as its 2-D DFT over (r, d), which depends on the
+tables and the dual coefficients alone, so it is cached on disk next to the
+tables (tables.save_kernel_fft) and a warm build skips the fold.
+green_apply runs the (m, k) correlations with zero-padded FFTs against that
+DFT; assemble_dense gathers G from K, recovered by one inverse DFT, for the
+direct solve, over the active z slices only (those where chi is nonzero
+somewhere on the grid): on any other slice the contrast projector is exactly
+zero, so its rows of I - chi*G are identity rows and its unknowns equal J_inc
+there.
 The prefactor and the phases are pinned by the end-to-end unit-source test
 against brute-force quadrature of the exact Green function.
 """
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionMismatch, SizeCap
+from .errors import DimensionMismatch, DomainError, SizeCap
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
                     synthesis_matrix)
 from .kernels import ZGrid
 from .scene import Scene, contrast_at
-from .tables import KernelTable
+from .tables import (KernelTable, kernel_cache_path, load_kernel_fft,
+                     save_kernel_fft)
 
 _DENSE_CAP = 8000       # active unknowns the direct solve may factor
 
@@ -95,41 +101,82 @@ def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
     return kernel
 
 
-def _kernel_fft(kernel: np.ndarray) -> np.ndarray:
-    """2-D DFT over (r, d) of the kernel placed for circular correlation.
+def _fft_shape(fp: FrameParams, zg: ZGrid) -> tuple[int, int, int, int]:
+    """(L_m, L_k, t, n) of the kernel DFT: L_m >= 4M+1 and L_k >= 2n_k+1
+    keep every offset distinct, so the circular correlation of a zero-padded
+    (m, k) input equals the linear one."""
+    nn = 2 * fp.N + 1
+    return (scipy.fft.next_fast_len(4 * fp.M + 1),
+            scipy.fft.next_fast_len(2 * zg.n_k + 1), nn, nn)
 
-    Entry (r, d) sits at ((-r) mod L_m, (-d) mod L_k); L_m >= 4M+1 and
-    L_k >= 2n_k+1 keep every offset distinct, so the circular correlation of a
-    zero-padded (m, k) input equals the linear one.  Layout (L_m, L_k, t, n).
-    """
-    nt, nn, nr, nd = kernel.shape
-    lm, lk = scipy.fft.next_fast_len(nr), scipy.fft.next_fast_len(nd)
-    r = np.arange(nr) - nr // 2
-    d = np.arange(nd) - nd // 2
-    circ = np.zeros((lm, lk, nt, nn), dtype=complex)
-    circ[(-r % lm)[:, None], (-d % lk)[None, :]] = kernel.transpose(2, 3, 0, 1)
+
+def _circular_index(fp: FrameParams, zg: ZGrid):
+    """Where kernel entry (r, d) sits in the circular layout:
+    ((-r) mod L_m, (-d) mod L_k), as an index over (r, d)."""
+    lm, lk = _fft_shape(fp, zg)[:2]
+    r = np.arange(-2 * fp.M, 2 * fp.M + 1)
+    d = np.arange(-zg.n_k, zg.n_k + 1)
+    return (-r % lm)[:, None], (-d % lk)[None, :]
+
+
+def _kernel_fft(kernel: np.ndarray, fp: FrameParams, zg: ZGrid) -> np.ndarray:
+    """2-D DFT over (r, d) of the kernel placed for circular correlation,
+    layout (L_m, L_k, t, n)."""
+    circ = np.zeros(_fft_shape(fp, zg), dtype=complex)
+    circ[_circular_index(fp, zg)] = kernel.transpose(2, 3, 0, 1)
     return scipy.fft.fft2(circ, axes=(0, 1))
+
+
+def _kernel_from_fft(op: "DiscreteOperator") -> np.ndarray:
+    """K[t, n, r, d] recovered from op.kernel_fft: one inverse DFT and the
+    gather of _kernel_fft's placement."""
+    circ = scipy.fft.ifft2(op.kernel_fft, axes=(0, 1))
+    return circ[_circular_index(op.fp, op.zg)].transpose(2, 3, 0, 1)
 
 
 @dataclass
 class DiscreteOperator:
-    """Folded forward-map kernel and its DFT, the x-grid synthesis/analysis
-    matrices and the sampled contrast slices."""
+    """Folded forward-map kernel as its DFT, the x-grid synthesis/analysis
+    matrices and the sampled contrast slices; kernel_cache_hit tells whether
+    the kernel DFT was read from the cache."""
     fp: FrameParams
     zg: ZGrid
     grid: np.ndarray
     chi_slices: np.ndarray                   # (n_k+1, ngrid), real
-    kernel: np.ndarray = field(repr=False)          # (t, n, r, d)
     kernel_fft: np.ndarray = field(repr=False)      # (L_m, L_k, t, n)
     synth_matrix: np.ndarray = field(repr=False)    # (ngrid, (2M+1)(2N+1))
     analysis_matrix: np.ndarray = field(repr=False)  # ((2M+1)(2N+1), ngrid)
+    kernel_cache_hit: bool = False
+
+
+def _load_or_fold(cache_dir, dual: DualWindow, spatial_table: KernelTable,
+                  spectral_table: KernelTable) -> tuple[np.ndarray, bool]:
+    """(kernel DFT, read from the cache).  A cached file is used only when it
+    was folded from these tables' build and from exactly dual.a; anything
+    else is folded again and, with a cache, written over it."""
+    fp, zg = spatial_table.fp, spatial_table.zg
+    path = None if cache_dir is None else kernel_cache_path(cache_dir,
+                                                           spatial_table)
+    if path is not None and path.exists():
+        try:
+            return load_kernel_fft(path, spatial_table, dual.a,
+                                   _fft_shape(fp, zg)), True
+        except DomainError:
+            pass
+    kernel_fft = _kernel_fft(
+        _fold_kernel(fp, dual, spatial_table, spectral_table), fp, zg)
+    if path is not None:
+        save_kernel_fft(path, spatial_table, dual.a, kernel_fft)
+    return kernel_fft, False
 
 
 def build_operator(scene: Scene | None, dual: DualWindow,
-                   spatial_table: KernelTable,
-                   spectral_table: KernelTable) -> DiscreteOperator:
+                   spatial_table: KernelTable, spectral_table: KernelTable,
+                   cache_dir: Path | None = None) -> DiscreteOperator:
     """Fold the tables into the operator kernel; scene=None means chi == 0.
-    fp, zg and k0 are those the tables were built for."""
+    fp, zg and k0 are those the tables were built for.  With a cache_dir the
+    kernel DFT is read from it when cached there, and written to it when
+    not."""
     fp, zg, cfg = spatial_table.fp, spatial_table.zg, spatial_table.cfg
     built_for = (fp, zg, cfg, dual.n_u, dual.n_v)
     if any((t.fp, t.zg, t.cfg, t.n_u, t.n_v) != built_for
@@ -143,12 +190,12 @@ def build_operator(scene: Scene | None, dual: DualWindow,
     else:
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
 
-    kernel = _fold_kernel(fp, dual, spatial_table, spectral_table)
+    kernel_fft, hit = _load_or_fold(cache_dir, dual, spatial_table,
+                                    spectral_table)
     return DiscreteOperator(
-        fp=fp, zg=zg, grid=xs, chi_slices=chi,
-        kernel=kernel, kernel_fft=_kernel_fft(kernel),
+        fp=fp, zg=zg, grid=xs, chi_slices=chi, kernel_fft=kernel_fft,
         synth_matrix=synthesis_matrix(xs, fp),
-        analysis_matrix=analysis_matrix(xs, dual, fp))
+        analysis_matrix=analysis_matrix(xs, dual, fp), kernel_cache_hit=hit)
 
 
 def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
@@ -213,7 +260,7 @@ def assemble_green_matrix(op: DiscreteOperator,
     """Dense matrix of green_apply restricted to the given z slices (all by
     default), in (m*nn + n)*n_slices + i flattening for slice slices[i].
 
-    Gathered from the kernel one m-s block at a time:
+    Gathered from the kernel, recovered from its DFT, one m-s block at a time:
     G[(s,t,l),(m,n,k)] = e^{-2 pi j ab s t} e^{+2 pi j ab m n}
                          ([k < n_k] K[t,n,m-s,k-l] + [k > 0] K[t,n,m-s,l-k]).
     """
@@ -224,9 +271,10 @@ def assemble_green_matrix(op: DiscreteOperator,
     d_fall = idx[None, :] - idx[:, None] + n_k           # [l, k] -> k - l
     d_rise = idx[:, None] - idx[None, :] + n_k           # [l, k] -> l - k
     phase = _diag_phase(op.fp)
+    kernel = _kernel_from_fft(op)
     g = np.empty((nm, nn, na, nm, nn, na), dtype=complex)
     for r in range(-two_m, two_m + 1):
-        k_r = op.kernel[:, :, r + two_m]                 # (t, n, d)
+        k_r = kernel[:, :, r + two_m]                    # (t, n, d)
         z = k_r[:, :, d_fall] * (idx < n_k) + k_r[:, :, d_rise] * (idx > 0)
         s_idx = np.arange(max(0, -r), min(nm, nm - r))
         m_idx = s_idx + r

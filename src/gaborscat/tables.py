@@ -23,7 +23,8 @@ the exact mirror T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
 Entries whose integrand envelope at the lower limit is below trunc_tol are set
 to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
 k0, split, bounds), so they are cached to disk in the EGKT format documented in
-docs/table-cache.md.
+docs/table-cache.md; the operator's kernel DFT, folded from them and the dual
+coefficients, is cached beside them in the EGKF format of the same document.
 """
 
 import hashlib
@@ -43,6 +44,8 @@ from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
 
 _FORMAT_VERSION = 4
 _MAGIC = b"EGKT"
+_KERNEL_VERSION = 1
+_KERNEL_MAGIC = b"EGKF"
 _KINDS = ("spatial", "spectral")
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
 _SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
@@ -285,24 +288,29 @@ def build_tables(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,
 
 
 # ---------------------------------------------------------------------------
-# binary cache ("EGKT"): see docs/table-cache.md for the exact layout
+# binary caches ("EGKT" tables, "EGKF" kernel DFT): see docs/table-cache.md
+# for the exact layouts
+
+def _meta_bytes(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,
+                n_v: int) -> bytes:
+    """Every build parameter of a table pair, as both file headers hold it."""
+    q_max, p_max = index_bounds(fp, n_u, n_v)
+    return struct.pack(
+        "<7I9d", fp.M, fp.N, zg.n_k, n_u, n_v, q_max, p_max,
+        fp.X, fp.alpha, fp.beta, zg.z_min, zg.delta,
+        cfg.k0, cfg.split, cfg.quad_tol, cfg.trunc_tol)
+
 
 def _header_bytes(kind: str, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                   n_u: int, n_v: int) -> bytes:
-    q_max, p_max = index_bounds(fp, n_u, n_v)
-    return struct.pack(
-        "<4sII7I9d",
-        _MAGIC, _FORMAT_VERSION, _KINDS.index(kind),
-        fp.M, fp.N, zg.n_k, n_u, n_v, q_max, p_max,
-        fp.X, fp.alpha, fp.beta, zg.z_min, zg.delta,
-        cfg.k0, cfg.split, cfg.quad_tol, cfg.trunc_tol)
+    return (struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, _KINDS.index(kind))
+            + _meta_bytes(fp, zg, cfg, n_u, n_v))
 
 
 def cache_key(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,
               n_v: int) -> str:
     """Content hash over every build parameter (kind excluded)."""
-    blob = _header_bytes("spatial", fp, zg, cfg, n_u, n_v)[12:]
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(_meta_bytes(fp, zg, cfg, n_u, n_v)).hexdigest()[:16]
 
 
 def cache_path(directory, kind: str, fp: FrameParams, zg: ZGrid,
@@ -310,24 +318,29 @@ def cache_path(directory, kind: str, fp: FrameParams, zg: ZGrid,
     return Path(directory) / f"egkt-{cache_key(fp, zg, cfg, n_u, n_v)}.{kind}.bin"
 
 
-def save_table(table: KernelTable, path) -> Path:
-    """Write through a temporary file in the target directory and rename it
-    into place, so readers see either no file or a complete one."""
+def _write_atomic(path, *chunks: bytes) -> Path:
+    """Write the chunks through a temporary file in the target directory and
+    rename it into place, so readers see either no file or a complete one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = _header_bytes(table.kind, table.fp, table.zg, table.cfg,
-                           table.n_u, table.n_v)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(table.data, dtype=complex).tobytes())
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def save_table(table: KernelTable, path) -> Path:
+    header = _header_bytes(table.kind, table.fp, table.zg, table.cfg,
+                           table.n_u, table.n_v)
+    return _write_atomic(path, header, np.ascontiguousarray(
+        table.data, dtype=complex).tobytes())
 
 
 def load_table(path, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
@@ -368,3 +381,54 @@ def load_or_build(directory, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     save_table(spatial, paths["spatial"])
     save_table(spectral, paths["spectral"])
     return spatial, spectral, False
+
+
+def kernel_cache_path(directory, table: KernelTable) -> Path:
+    """Cache file of the operator's kernel DFT folded from the table pair that
+    `table` belongs to; the name never matches egkt-*.bin."""
+    key = cache_key(table.fp, table.zg, table.cfg, table.n_u, table.n_v)
+    return Path(directory) / f"egkf-{key}.bin"
+
+
+def _kernel_header(table: KernelTable, lm: int, lk: int) -> bytes:
+    return (struct.pack("<4sI", _KERNEL_MAGIC, _KERNEL_VERSION)
+            + _meta_bytes(table.fp, table.zg, table.cfg, table.n_u, table.n_v)
+            + struct.pack("<2I", lm, lk))
+
+
+def save_kernel_fft(path, table: KernelTable, a: np.ndarray,
+                    kernel_fft: np.ndarray) -> Path:
+    """Write the kernel DFT (L_m, L_k, t, n) folded from the table pair of
+    `table` and the dual coefficients a, with a stored verbatim as its guard."""
+    header = _kernel_header(table, *kernel_fft.shape[:2])
+    return _write_atomic(path, header,
+                         np.ascontiguousarray(a, dtype=complex).tobytes(),
+                         np.ascontiguousarray(kernel_fft, dtype=complex).tobytes())
+
+
+def load_kernel_fft(path, table: KernelTable, a: np.ndarray,
+                    shape: tuple) -> np.ndarray:
+    """Read a cached kernel DFT of the given (L_m, L_k, t, n) shape.  The
+    header must match the table pair's build exactly, the stored dual
+    coefficients must equal a bit for bit, and the payload must be exactly
+    the size of shape; otherwise DomainError."""
+    path = Path(path)
+    expected = _kernel_header(table, *shape[:2])
+    guard = np.ascontiguousarray(a, dtype=complex).tobytes()
+    with open(path, "rb") as fh:
+        if fh.read(len(expected)) != expected:
+            raise DomainError(f"cache file {path} does not match the requested build")
+        if fh.read(len(guard)) != guard:
+            raise DomainError(f"cache file {path} was folded from other dual "
+                              "coefficients")
+        raw = fh.read()
+    expect = int(np.prod(shape)) * np.dtype(complex).itemsize
+    if len(raw) != expect:
+        raise DomainError(f"cache file {path} holds {len(raw)} data bytes, "
+                          f"expected {expect}")
+    # copied out of the read buffer, as load_table does, and not read into
+    # the array in place: freeing the multi-MB buffer raises glibc's dynamic
+    # mmap threshold, so the matvec temporaries that follow are reused from
+    # the heap instead of being mapped and faulted in on every call (in-place
+    # reads made grating's GMRES solve 0.11 -> 0.13 s)
+    return np.frombuffer(raw, dtype=complex).reshape(shape).copy()

@@ -3,7 +3,8 @@
 Everything here is written against the defining formulas, not against the
 package internals, so each check is a genuine dual route.  The module also
 holds helpers that only the tests use (the dense least-squares dual, the
-Fourier-side frame elements and dual coefficients, the guarded complex erf,
+Fourier-side frame elements and dual coefficients, the Ewald contour xi(w),
+the guarded complex erf and its OverflowGuard,
 the per-d erf_diff form of the half-triangle z' integrals and the
 full-triangle ones, and the kx-domain reductions f~ and g~ of the contour
 head); the tests check those in their own right.
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad_vec
 
-from gaborscat.errors import OverflowGuard, SingularFrame
+from gaborscat.errors import GaborscatError, SingularFrame
 from gaborscat.frame import (TWO_QUARTER, analysis_matrix, frame_matrix,
                              window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
@@ -232,6 +233,23 @@ def synthesize_loop(coeffs, grid, fp):
 
 
 # ---------------------------------------------------------------------------
+# the Ewald contour in the forward variable; the package integrates along its
+# inverse, zeta(w) = 1/xi(1/w)
+
+def xi_path(w, split: float):
+    """Ewald contour xi(w): (1+j)w, then w + (E-w)j, then the real tail."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty(w.shape, dtype=complex)
+    m1 = w < split / 2
+    m2 = (w >= split / 2) & (w < split)
+    m3 = w >= split
+    out[m1] = (1 + 1j) * w[m1]
+    out[m2] = w[m2] + (split - w[m2]) * 1j
+    out[m3] = w[m3]
+    return out if out.shape else complex(out)
+
+
+# ---------------------------------------------------------------------------
 # kx-domain reductions of the contour head: the x-factor f~ of the kx integral
 # and the z-factor g~ with the inverse-variable Gaussian e^{-s^2/zeta^2}.  The
 # spectral table contracts the real-axis factors at xi = 1/zeta instead
@@ -364,6 +382,10 @@ def erf_maclaurin(z: complex, terms: int = 15) -> complex:
 
 # |Im z|^2 beyond this overflows exp() in double precision
 _ERF_IM_LIMIT = 26.5
+
+
+class OverflowGuard(GaborscatError):
+    """Evaluation would overflow double precision; caller must pre-scale."""
 
 
 def erf_complex(z):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaborscat import cli, solver, tables
+from gaborscat import cli, operators, solver, tables
 from gaborscat.cli import (RunConfig, main, parse_config, write_field_csv,
                            write_pgm)
 from gaborscat.errors import ConfigError
@@ -93,6 +93,16 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
     metrics2 = json.loads((out / "metrics.json").read_text())
     assert field2 == field1
     assert metrics2["table_cache_hit"] is True
+    assert [metrics1["kernel_cache_hit"], metrics2["kernel_cache_hit"]] \
+        == [False, True]
+    # (q, p) columns are counted from the table data, the same when cached
+    assert metrics2["table_columns"] == metrics1["table_columns"]
+    rc = parse_config(path)
+    q_max, p_max = tables.index_bounds(rc.fp, rc.n_u, rc.n_v)
+    for kind in ("spatial", "spectral"):
+        counts = metrics1["table_columns"][kind]
+        assert counts["live"] > 0
+        assert counts["live"] + counts["skipped"] == (2 * q_max + 1) * (2 * p_max + 1)
     # pgm artifacts
     pgm = (out / "field.pgm").read_bytes()
     assert pgm.startswith(b"P5\n31 13\n255\n")
@@ -207,6 +217,32 @@ def test_parse_config_fuzz_blocks_and_structure(tmp_path, field, value):
         assert isinstance(parse_config(path), RunConfig)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_warm_solve_skips_the_fold(tmp_path, capsys, monkeypatch, method):
+    path = write_config(tmp_path, **{"solver.method": method})
+    assert main(["solve", str(path)]) == 0
+    cold = (tmp_path / "out" / "field.csv").read_bytes()
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the kernel was folded on a warm cache")
+
+    monkeypatch.setattr(operators, "_fold_kernel", not_reached)
+    assert main(["solve", str(path)]) == 0
+    assert (tmp_path / "out" / "field.csv").read_bytes() == cold
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["kernel_cache_hit"] is True
+
+
+def test_disabled_cache_writes_no_kernel_file(tmp_path, capsys):
+    path = write_config(tmp_path, **{"cache.enabled": False})
+    assert main(["solve", str(path)]) == 0
+    assert not (tmp_path / "cache").exists()
+    assert list(tmp_path.rglob("egk*.bin")) == []
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["table_cache_hit"] is False
+    assert metrics["kernel_cache_hit"] is False
 
 
 def test_metrics_stages_cover_the_run(tmp_path, capsys):
@@ -374,8 +410,11 @@ def test_tables_subcommand(tmp_path, capsys):
     assert main(["tables", str(path)]) == 0
     cache = tmp_path / "cache"
     assert len(list(cache.glob("egkt-*.bin"))) == 2
+    assert len(list(cache.glob("egkf-*.bin"))) == 1
+    assert len(list(cache.iterdir())) == 3
     assert main(["tables", str(path)]) == 0
-    assert "loaded from" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()[-1]
+    assert "loaded from" in out and "kernel DFT loaded" in out
 
 
 def test_compare_subcommand(tmp_path, capsys):

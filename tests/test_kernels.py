@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 from scipy import special
 
 import gaborscat as gs
-from gaborscat.errors import DomainError, OverflowGuard
+from gaborscat.errors import DomainError
 
 from .conftest import RT23
 from gaborscat.quadrature import (oscillatory_tail_bounds, panel_nodes,
                                   subdivided_panels)
 
-from .oracles import (erf_complex, erf_diff, erf_maclaurin, f_on_contour,
-                      f_spectral, g_on_contour, g_z_spatial_per_d, g_z_spectral,
-                      g_z_spectral_per_d, h_z_spatial, h_z_spectral,
-                      half_triangle_integral, kx_integral, xx_double_integral)
+from .oracles import (OverflowGuard, erf_complex, erf_diff, erf_maclaurin,
+                      f_on_contour, f_spectral, g_on_contour, g_z_spatial_per_d,
+                      g_z_spectral, g_z_spectral_per_d, h_z_spatial,
+                      h_z_spectral, half_triangle_integral, kx_integral,
+                      xx_double_integral)
 
 K0 = 1.45
 

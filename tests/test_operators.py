@@ -1,11 +1,15 @@
+import re
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import gaborscat as gs
-from gaborscat import operators
-from gaborscat.errors import DimensionMismatch, SizeCap
+from gaborscat import operators, tables
+from gaborscat.errors import DimensionMismatch, DomainError, SizeCap
 
 from .oracles import (active_unknowns, analyze, full_system_matrix,
                       kx_domain_tables, unit_source_field, xfactor_green_apply,
@@ -77,6 +81,67 @@ def test_fold_is_symmetric_in_the_tables(scene_small_circle, dual_small,
     op = gs.build_operator(scene_small_circle, dual_small, spatial, spectral)
     swapped = gs.build_operator(scene_small_circle, dual_small, spectral, spatial)
     assert np.array_equal(swapped.kernel_fft, op.kernel_fft)
+
+
+def test_kernel_cache_round_trip_bit_exact(tmp_path, dual_small, tables_small):
+    fresh = gs.build_operator(None, dual_small, *tables_small)
+    cold = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    warm = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    assert [fresh.kernel_cache_hit, cold.kernel_cache_hit,
+            warm.kernel_cache_hit] == [False, False, True]
+    path = gs.kernel_cache_path(tmp_path, tables_small[0])
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    for op in (cold, warm):
+        assert op.kernel_fft.tobytes() == fresh.kernel_fft.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["dual", "truncated", "version"])
+def test_kernel_cache_rejects_and_rewrites(tmp_path, damage, dual_small,
+                                           tables_small):
+    # a file folded from dual coefficients one ulp off in one entry, one cut
+    # short, or one of an older format version is a miss: the kernel is
+    # folded again and the file rewritten
+    op = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    path = gs.kernel_cache_path(tmp_path, tables_small[0])
+    good = path.read_bytes()
+    if damage == "dual":
+        a = dual_small.a.copy()
+        a.flat[3] = np.nextafter(a.flat[3].real, np.inf) + 1j * a.flat[3].imag
+        gs.save_kernel_fft(path, tables_small[0], a, op.kernel_fft)
+        match = "other dual coefficients"
+    elif damage == "truncated":
+        path.write_bytes(good[:-16])
+        match = "data bytes"
+    else:
+        raw = bytearray(good)
+        raw[4:8] = struct.pack("<I", tables._KERNEL_VERSION - 1)
+        path.write_bytes(bytes(raw))
+        match = "does not match"
+    with pytest.raises(DomainError, match=match):
+        gs.load_kernel_fft(path, tables_small[0], dual_small.a,
+                           op.kernel_fft.shape)
+    again = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    assert not again.kernel_cache_hit
+    assert path.read_bytes() == good
+    assert again.kernel_fft.tobytes() == op.kernel_fft.tobytes()
+
+
+def test_kernel_cache_doc_matches_code(tmp_path, fp_small, zg_small,
+                                       dual_small, tables_small):
+    # docs/table-cache.md states the kernel format version that
+    # _KERNEL_VERSION writes, and its size formula gives a saved file's size
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "table-cache.md").read_text()
+    assert f"kernel format version ({tables._KERNEL_VERSION})" in doc
+    formula = re.search(r"a kernel file holds\s+`([^`]+)` bytes", doc).group(1)
+    expr = re.sub(r"(\d|\))\s*(?=[A-Za-z(])", r"\1*", formula)     # 16 (, 2N, )(
+    expr = re.sub(r"([A-Za-z]\w*)\s+(?=[A-Za-z(])", r"\1*", expr)  # L_m L_k (
+    size = eval(expr, {"__builtins__": {}},
+                {"M": fp_small.M, "N": fp_small.N, "n_k": zg_small.n_k,
+                 "N_u": dual_small.n_u, "N_v": dual_small.n_v,
+                 "L_m": scipy.fft.next_fast_len(4 * fp_small.M + 1),
+                 "L_k": scipy.fft.next_fast_len(2 * zg_small.n_k + 1)})
+    gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    assert gs.kernel_cache_path(tmp_path, tables_small[0]).stat().st_size == size
 
 
 def test_operator_x_matrices_come_from_frame(op_small, fp_small, dual_small):
