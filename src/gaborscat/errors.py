@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the solver."""
+"""Exception and warning types shared across the solver, and the memory
+check that raises SizeCap before a large allocation."""
+
+import os
 
 
 class GaborscatError(Exception):
@@ -27,7 +30,19 @@ class DimensionMismatch(GaborscatError):
 
 class SizeCap(GaborscatError):
     """Problem size exceeds a fixed cap: the direct solve's active unknowns,
-    or the MoM oracle's cell count or memory."""
+    the MoM oracle's cell count, or the machine's memory."""
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """SizeCap when nbytes, the estimated memory of `what`, exceeds the
+    machine's physical memory."""
+    if nbytes > _physical_memory():
+        raise SizeCap(f"{what} needs {nbytes / 2**30:.1f} GiB, more than the "
+                      "machine's memory")
 
 
 class NonConvergence(GaborscatError):

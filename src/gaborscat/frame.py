@@ -97,7 +97,7 @@ def frame_matrix(x, ms, ns, fp: FrameParams, dual: DualWindow | None = None):
     the window g is replaced by the fitted dual window eta."""
     prod = _shifted_windows(x, ms, fp, dual)[..., :, None] \
         * _modulations(x, ns, fp)[..., None, :]
-    return prod.reshape(prod.shape[:-2] + (-1,))
+    return prod.reshape(prod.shape[:-2] + (len(ms) * len(ns),))
 
 
 def analysis_grid(fp: FrameParams, oversample: int = 16) -> np.ndarray:
@@ -193,13 +193,17 @@ def dual_window_value(x, dw: DualWindow, fp: FrameParams):
                      dw.a, _modulations(x, np.arange(-dw.n_v, dw.n_v + 1), fp))
 
 
-def analysis_matrix(grid: np.ndarray, dw: DualWindow, fp: FrameParams) -> np.ndarray:
-    """Discrete inner products <., eta_mn> on the grid as a matrix, rows in
-    m*(2N+1) + n order: h conj(eta_mn(x)), shape ((2M+1)(2N+1), len(grid))."""
+def analysis_matrix(grid: np.ndarray, dw: DualWindow, fp: FrameParams,
+                    points: np.ndarray | None = None) -> np.ndarray:
+    """Discrete inner products <., eta_mn> on the uniform grid as a matrix,
+    rows in m*(2N+1) + n order: h conj(eta_mn(x)), shape
+    ((2M+1)(2N+1), len(grid)); with `points`, only the columns at grid[points],
+    still weighted by the spacing h of grid."""
     h = float(grid[1] - grid[0])
     if h > fp.X / 8 * (1 + 1e-12):
         raise GridTooCoarse(f"grid spacing {h:.4g} exceeds X/8 = {fp.X / 8:.4g}")
-    ana = frame_matrix(grid, fp.m_range, fp.n_range, fp, dw).T
+    xs = grid if points is None else grid[points]
+    ana = frame_matrix(xs, fp.m_range, fp.n_range, fp, dw).T
     np.conjugate(ana, out=ana)
     ana *= h
     return ana

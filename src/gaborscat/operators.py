@@ -21,11 +21,14 @@ The operator holds K only as its 2-D DFT over (r, d), which depends on the
 tables and the dual coefficients alone, so it is cached on disk next to the
 tables (tables.save_kernel_fft) and a warm build skips the fold.
 green_apply runs the (m, k) correlations with zero-padded FFTs against that
-DFT; assemble_dense gathers G from K, recovered by one inverse DFT, for the
-direct solve, over the active z slices only (those where chi is nonzero
-somewhere on the grid): on any other slice the contrast projector is exactly
-zero, so its rows of I - chi*G are identity rows and its unknowns equal J_inc
-there.
+DFT, in place in a workspace the operator holds; assemble_dense gathers G
+from K, recovered by one inverse DFT, for the direct solve, over the active z
+slices only (those where chi is nonzero somewhere on the grid): on any other
+slice the contrast projector is exactly zero, so its rows of I - chi*G are
+identity rows and its unknowns equal J_inc there.
+The x-matrices and chi samples are kept only on the support of chi, the grid
+points where it is nonzero on some z slice: every product through them is
+weighted by chi, so the other points contribute exact zeros.
 The prefactor and the phases are pinned by the end-to-end unit-source test
 against brute-force quadrature of the exact Green function.
 """
@@ -136,9 +139,11 @@ def _kernel_from_fft(op: "DiscreteOperator") -> np.ndarray:
 
 @dataclass
 class DiscreteOperator:
-    """Folded forward-map kernel as its DFT, the x-grid synthesis/analysis
-    matrices and the sampled contrast slices; kernel_cache_hit tells whether
-    the kernel DFT was read from the cache."""
+    """Folded forward-map kernel as its DFT, the synthesis/analysis matrices
+    and the sampled contrast slices on the support of chi (grid: the points of
+    analysis_grid(fp) where chi is nonzero on some z slice), and green_apply's
+    FFT workspace; kernel_cache_hit tells whether the kernel DFT was read from
+    the cache."""
     fp: FrameParams
     zg: ZGrid
     grid: np.ndarray
@@ -147,6 +152,15 @@ class DiscreteOperator:
     synth_matrix: np.ndarray = field(repr=False)    # (ngrid, (2M+1)(2N+1))
     analysis_matrix: np.ndarray = field(repr=False)  # ((2M+1)(2N+1), ngrid)
     kernel_cache_hit: bool = False
+    # zero-padded input spectrum and the product with kernel_fft, both
+    # (L_m, L_k, n or t, 2): the k < n_k and the reversed k > 0 input halves
+    spectrum: np.ndarray = field(init=False, repr=False)
+    product: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = self.kernel_fft.shape[:3] + (2,)
+        self.spectrum = np.zeros(shape, dtype=complex)
+        self.product = np.empty(shape, dtype=complex)
 
 
 def _load_or_fold(cache_dir, dual: DualWindow, spatial_table: KernelTable,
@@ -189,13 +203,15 @@ def build_operator(scene: Scene | None, dual: DualWindow,
         chi = np.zeros((zg.n_k + 1, len(xs)))
     else:
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
+    support = np.flatnonzero(np.any(chi != 0, axis=0))
 
     kernel_fft, hit = _load_or_fold(cache_dir, dual, spatial_table,
                                     spectral_table)
     return DiscreteOperator(
-        fp=fp, zg=zg, grid=xs, chi_slices=chi, kernel_fft=kernel_fft,
-        synth_matrix=synthesis_matrix(xs, fp),
-        analysis_matrix=analysis_matrix(xs, dual, fp), kernel_cache_hit=hit)
+        fp=fp, zg=zg, grid=xs[support], chi_slices=chi[:, support],
+        kernel_fft=kernel_fft, synth_matrix=synthesis_matrix(xs[support], fp),
+        analysis_matrix=analysis_matrix(xs, dual, fp, support),
+        kernel_cache_hit=hit)
 
 
 def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
@@ -205,24 +221,38 @@ def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     K[t, n]: K[m-s, k-l] against the input masked to k < n_k, and K[m-s, l-k]
     against the input masked to k > 0.  The second is the first applied to
     the k-reversed input and read back reversed in l, so both share one kernel
-    DFT; the sum over n is a matmul per frequency.
+    DFT; the sum over n is a matmul per frequency.  Each batch column runs
+    through op's workspace in turn, so two threads must not apply one
+    operator at once; the result is a new array.
     """
     c = np.asarray(coeffs, dtype=complex)
     _check_coeffs(c, op.fp, op.zg)
-    nm, nn, nk = coeff_shape(op.fp, op.zg)
-    nb = int(np.prod(c.shape[3:])) if c.ndim > 3 else 1
-    phase = _diag_phase(op.fp)
-    y = c.reshape(nm, nn, nk, nb) * phase[:, :, None, None]
-    lm, lk = op.kernel_fft.shape[:2]
-    padded = np.zeros((lm, lk, nn, 2, nb), dtype=complex)
-    padded[:nm, :nk - 1, :, 0] = y[:, :, :-1].transpose(0, 2, 1, 3)    # k < n_k
-    padded[:nm, :nk - 1, :, 1] = y[:, :, :0:-1].transpose(0, 2, 1, 3)  # k > 0
-    spec = scipy.fft.fft2(padded.reshape(lm, lk, nn, 2 * nb), axes=(0, 1))
-    corr = scipy.fft.ifft2(op.kernel_fft @ spec, axes=(0, 1))[:nm, :nk]
-    corr = corr.reshape(nm, nk, nn, 2, nb)
-    out = corr[:, :, :, 0] + corr[:, ::-1, :, 1]              # (s, l, t, batch)
-    out = out.transpose(0, 2, 1, 3) * np.conj(phase)[:, :, None, None]
-    return out.reshape(c.shape)
+    nm, _, nk = coeff_shape(op.fp, op.zg)
+    phase = _diag_phase(op.fp)[:, None, :]          # (m, 1, n)
+    spec, prod = op.spectrum, op.product
+    live = spec[:nm, :nk - 1]                       # (m, k < n_k, n, 2)
+    out = np.empty(c.shape, dtype=complex)
+    c_cols = c.reshape(c.shape[:3] + (-1,))
+    out_cols = out.reshape(c_cols.shape)
+    for b in range(c_cols.shape[3]):
+        # the previous transforms filled the zero padding around live
+        spec[nm:] = 0
+        spec[:nm, nk - 1:] = 0
+        col = c_cols[..., b].transpose(0, 2, 1)     # (m, k, n)
+        np.multiply(col[:, :-1], phase, out=live[..., 0])       # k < n_k
+        np.multiply(col[:, :0:-1], phase, out=live[..., 1])     # k > 0
+        # pruned 2-D transforms: along k only on the rows m < 2M+1 that are
+        # not zero, and back along k only on those read out
+        scipy.fft.fft(spec[:nm], axis=1, overwrite_x=True)
+        scipy.fft.fft(spec, axis=0, overwrite_x=True)
+        np.matmul(op.kernel_fft, spec, out=prod)
+        scipy.fft.ifft(prod, axis=0, overwrite_x=True)
+        scipy.fft.ifft(prod[:nm], axis=1, overwrite_x=True)
+        corr = prod[:nm, :nk]                       # (s, l, t, 2)
+        dst = out_cols[..., b].transpose(0, 2, 1)   # (s, l, t)
+        np.add(corr[..., 0], corr[:, ::-1, :, 1], out=dst)
+        dst *= np.conj(phase)
+    return out
 
 
 def contrast_multiply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:

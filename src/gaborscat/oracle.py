@@ -7,13 +7,13 @@ the analytic cylinder series at the same cell size.  The self term integrates
 the Green function over the equal-area circle of the patch in closed form.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, GridMismatch, SingularMatrix, SizeCap
+from .errors import (DomainError, GridMismatch, SingularMatrix, SizeCap,
+                     check_memory)
 from .green import green_exact
 from .scene import (Scene, incident_field, inside_shape, x_half_extent,
                     z_half_extent)
@@ -21,10 +21,6 @@ from .scene import (Scene, incident_field, inside_shape, x_half_extent,
 _MAX_CELLS = 40000
 _FRACTION_SUBSAMPLE = 16
 _BYTES_PER_ENTRY = 72    # dx, dz, r real; s, a and np.linalg.solve's copy complex
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -105,9 +101,7 @@ def mom_solve(scene: Scene, cfg: MoMConfig = MoMConfig()) -> MoMResult:
         raise SizeCap(f"{n} MoM cells exceed the {_MAX_CELLS} cap")
     if n == 0:
         raise DomainError("scene has no material cells")
-    if _BYTES_PER_ENTRY * n * n > _physical_memory():
-        raise SizeCap(f"{n} MoM cells need {_BYTES_PER_ENTRY * n * n / 2**30:.1f} GiB "
-                      "for the dense solve, more than the machine's memory")
+    check_memory(_BYTES_PER_ENTRY * n * n, f"the dense solve of {n} MoM cells")
     k0 = scene.k0
     area = cell * cell * frac
     dx = xc[:, None] - xc[None, :]

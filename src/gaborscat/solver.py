@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import NonConvergence, SingularMatrix
+from .errors import NonConvergence, SingularMatrix, check_memory
 from .frame import FrameParams, synthesize
 from .kernels import ZGrid, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
@@ -79,11 +79,19 @@ def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
     """GMRES on the matrix-free forward map J - chi*(k0^2 G J), each matvec
     one FFT green_apply plus one contrast_multiply.  Returns (x, matvecs,
     relative residual history, one entry per inner iteration); raises
-    NonConvergence, carrying both, when _MAX_ITER matvecs do not reach tol."""
+    NonConvergence, carrying both, when _MAX_ITER matvecs do not reach tol,
+    and SizeCap, before it starts, when the Krylov basis and the operator's
+    FFT workspace do not fit in memory."""
     nm, nn, nk = coeff_shape(operator.fp, operator.zg)
     n = b.size
     matvecs = 0
     history = []
+    # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
+    # (the last one recomputes the true residual)
+    cycles = -(-_MAX_ITER // (_RESTART + 1))
+    restart = _MAX_ITER // cycles - 1
+    check_memory(n * (restart + 1) * 16 + operator.spectrum.nbytes
+                 + operator.product.nbytes, f"GMRES on {n} unknowns")
 
     def matvec(v):
         nonlocal matvecs
@@ -92,10 +100,6 @@ def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
         return (c - contrast_multiply(green_apply(c, operator), operator)
                 ).reshape(n)
 
-    # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
-    # (the last one recomputes the true residual)
-    cycles = -(-_MAX_ITER // (_RESTART + 1))
-    restart = _MAX_ITER // cycles - 1
     lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
                                              dtype=complex)
     x, info = scipy.sparse.linalg.gmres(

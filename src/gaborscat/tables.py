@@ -86,9 +86,6 @@ class KernelTable:
     def p_max(self) -> int:
         return index_bounds(self.fp, self.n_u, self.n_v)[1]
 
-    def entry(self, q: int, p: int, d: int) -> complex:
-        return complex(self.data[q + self.q_max, p + self.p_max, d + self.zg.n_k])
-
 
 def _q_decay_rate(fp: FrameParams, split: float) -> float:
     """Slowest q^2 decay rate of |f| over the real axis, attained at xi = E."""
@@ -415,20 +412,15 @@ def load_kernel_fft(path, table: KernelTable, a: np.ndarray,
     path = Path(path)
     expected = _kernel_header(table, *shape[:2])
     guard = np.ascontiguousarray(a, dtype=complex).tobytes()
+    kernel_fft = np.empty(shape, dtype=complex)
     with open(path, "rb") as fh:
         if fh.read(len(expected)) != expected:
             raise DomainError(f"cache file {path} does not match the requested build")
         if fh.read(len(guard)) != guard:
             raise DomainError(f"cache file {path} was folded from other dual "
                               "coefficients")
-        raw = fh.read()
-    expect = int(np.prod(shape)) * np.dtype(complex).itemsize
-    if len(raw) != expect:
-        raise DomainError(f"cache file {path} holds {len(raw)} data bytes, "
-                          f"expected {expect}")
-    # copied out of the read buffer, as load_table does, and not read into
-    # the array in place: freeing the multi-MB buffer raises glibc's dynamic
-    # mmap threshold, so the matvec temporaries that follow are reused from
-    # the heap instead of being mapped and faulted in on every call (in-place
-    # reads made grating's GMRES solve 0.11 -> 0.13 s)
-    return np.frombuffer(raw, dtype=complex).reshape(shape).copy()
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != kernel_fft.nbytes or fh.readinto(kernel_fft) != size:
+            raise DomainError(f"cache file {path} holds {size} data bytes, "
+                              f"expected {kernel_fft.nbytes}")
+    return kernel_fft

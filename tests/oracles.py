@@ -6,8 +6,9 @@ holds helpers that only the tests use (the dense least-squares dual, the
 Fourier-side frame elements and dual coefficients, the Ewald contour xi(w),
 the guarded complex erf and its OverflowGuard,
 the per-d erf_diff form of the half-triangle z' integrals and the
-full-triangle ones, and the kx-domain reductions f~ and g~ of the contour
-head); the tests check those in their own right.
+full-triangle ones, the kx-domain reductions f~ and g~ of the contour
+head, and the signed-index kernel-table lookup); the tests check those in
+their own right.
 """
 
 import cmath
@@ -19,13 +20,14 @@ from scipy import special
 from scipy.integrate import quad_vec
 
 from gaborscat.errors import GaborscatError, SingularFrame
-from gaborscat.frame import (TWO_QUARTER, analysis_matrix, frame_matrix,
-                             window_value)
+from gaborscat.frame import (TWO_QUARTER, analysis_grid, analysis_matrix,
+                             frame_matrix, synthesis_matrix, window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
 from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial
 from gaborscat.quadrature import (adaptive_quad, averaged_limit,
                                   oscillatory_tail_bounds, panel_nodes,
                                   subdivided_panels)
+from gaborscat.scene import contrast_at
 from gaborscat.tables import (_q_decay_rate, _spatial_envelope,
                               _spectral_envelope, _spectral_head_envelope,
                               index_bounds)
@@ -287,6 +289,11 @@ def f_on_contour(q, p, zeta, fp):
 def g_on_contour(d, zeta, zg):
     """g(d, 1/zeta): the package's z-factor on the contour head."""
     return g_z_spatial(d, 1 / np.asarray(zeta), zg)
+
+
+def table_entry(table, q: int, p: int, d: int) -> complex:
+    """T[q, p, d] of a kernel table, by its signed indices."""
+    return complex(table.data[q + table.q_max, p + table.p_max, d + table.zg.n_k])
 
 
 def kx_domain_tables(tables):
@@ -697,6 +704,21 @@ def full_system_matrix(op, dual, tables):
         proj = op.analysis_matrix @ (op.chi_slices[l][:, None] * op.synth_matrix)
         g[:, l] = proj @ g[:, l]
     return np.eye(n) - g.reshape(n, n)
+
+
+def full_grid_contrast_multiply(coeffs, scene, dual, fp, zg):
+    """chi*J per z slice l as analysis_matrix . diag(chi(., z_l)) .
+    synthesis_matrix on the whole analysis grid (scene None: chi == 0), with
+    trailing batch axes after (m, n, k)."""
+    xs = analysis_grid(fp)
+    synth, ana = synthesis_matrix(xs, fp), analysis_matrix(xs, dual, fp)
+    c = np.asarray(coeffs, dtype=complex)
+    flat = c.reshape(c.shape[0] * c.shape[1], c.shape[2], -1)
+    out = np.empty_like(flat)
+    for l, z in enumerate(zg.nodes):
+        chi = np.zeros(len(xs)) if scene is None else contrast_at(xs, z, scene)
+        out[:, l] = ana @ (chi[:, None] * (synth @ flat[:, l]))
+    return out.reshape(c.shape)
 
 
 # ---------------------------------------------------------------------------

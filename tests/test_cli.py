@@ -325,6 +325,16 @@ def test_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
     assert 0 < len(report["gmres_residuals"]) <= report["iterations"]
 
 
+def test_gmres_memory_estimate_reports_sizecap(tmp_path, capsys, monkeypatch):
+    # a machine too small for the GMRES basis: exit 3 and a SizeCap report
+    monkeypatch.setattr("gaborscat.errors._physical_memory", lambda: 1000)
+    path = write_config(tmp_path, solver={"method": "iterative"})
+    assert main(["solve", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "SizeCap"
+    assert "GMRES" in report["message"]
+
+
 def test_solve_checks_scene_before_dual_fit_and_tables(tmp_path, capsys,
                                                        monkeypatch):
     # an object beyond the frame coverage ends the run before any dual fit
@@ -451,7 +461,7 @@ def test_green_check_rejects_bad_option(capsys, option, value):
 def test_compare_oracle_memory_estimate(tmp_path, capsys, monkeypatch):
     # a machine too small for the oracle's dense solve: SizeCap before any
     # n x n array is allocated, reported as a numerical failure
-    monkeypatch.setattr("gaborscat.oracle._physical_memory", lambda: 1000)
+    monkeypatch.setattr("gaborscat.errors._physical_memory", lambda: 1000)
     path = write_config(tmp_path)
     assert main(["compare", str(path), "--oracle-cell", "0.05"]) == 3
     report = json.loads((tmp_path / "out" / "error.json").read_text())

@@ -11,9 +11,9 @@ import gaborscat as gs
 from gaborscat import operators, tables
 from gaborscat.errors import DimensionMismatch, DomainError, SizeCap
 
-from .oracles import (active_unknowns, analyze, full_system_matrix,
-                      kx_domain_tables, unit_source_field, xfactor_green_apply,
-                      xfactor_green_matrix)
+from .oracles import (active_unknowns, analyze, full_grid_contrast_multiply,
+                      full_system_matrix, kx_domain_tables, unit_source_field,
+                      xfactor_green_apply, xfactor_green_matrix)
 
 
 def unit_coeffs(fp, zg, m=0, n=0, k=None):
@@ -95,12 +95,13 @@ def test_kernel_cache_round_trip_bit_exact(tmp_path, dual_small, tables_small):
         assert op.kernel_fft.tobytes() == fresh.kernel_fft.tobytes()
 
 
-@pytest.mark.parametrize("damage", ["dual", "truncated", "version"])
+@pytest.mark.parametrize("damage", ["dual", "truncated", "lengthened",
+                                    "version"])
 def test_kernel_cache_rejects_and_rewrites(tmp_path, damage, dual_small,
                                            tables_small):
     # a file folded from dual coefficients one ulp off in one entry, one cut
-    # short, or one of an older format version is a miss: the kernel is
-    # folded again and the file rewritten
+    # short, one with bytes past its payload, or one of an older format
+    # version is a miss: the kernel is folded again and the file rewritten
     op = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
     path = gs.kernel_cache_path(tmp_path, tables_small[0])
     good = path.read_bytes()
@@ -111,6 +112,9 @@ def test_kernel_cache_rejects_and_rewrites(tmp_path, damage, dual_small,
         match = "other dual coefficients"
     elif damage == "truncated":
         path.write_bytes(good[:-16])
+        match = "data bytes"
+    elif damage == "lengthened":
+        path.write_bytes(good + bytes(16))
         match = "data bytes"
     else:
         raw = bytearray(good)
@@ -144,11 +148,21 @@ def test_kernel_cache_doc_matches_code(tmp_path, fp_small, zg_small,
     assert gs.kernel_cache_path(tmp_path, tables_small[0]).stat().st_size == size
 
 
-def test_operator_x_matrices_come_from_frame(op_small, fp_small, dual_small):
+def test_operator_x_matrices_come_from_frame(op_small, fp_small, zg_small,
+                                             dual_small, scene_small_circle):
+    # the frame's matrices on the whole analysis grid, at the points where
+    # chi is nonzero on some z slice
+    xs = gs.analysis_grid(fp_small)
+    chi = np.array([gs.contrast_at(xs, z, scene_small_circle)
+                    for z in zg_small.nodes])
+    support = np.any(chi != 0, axis=0)
+    assert 0 < support.sum() < len(xs)
+    assert np.array_equal(op_small.grid, xs[support])
+    assert np.array_equal(op_small.chi_slices, chi[:, support])
     assert np.array_equal(op_small.synth_matrix,
-                          gs.synthesis_matrix(op_small.grid, fp_small))
+                          gs.synthesis_matrix(xs, fp_small)[support])
     assert np.array_equal(op_small.analysis_matrix,
-                          gs.analysis_matrix(op_small.grid, dual_small, fp_small))
+                          gs.analysis_matrix(xs, dual_small, fp_small)[:, support])
 
 
 def test_operator_memory_grating_size(zg_small, cfg_small):
@@ -240,6 +254,48 @@ def test_green_apply_dimension_mismatch(op_small):
         gs.green_apply(np.zeros((3, 3, 3), dtype=complex), op_small)
 
 
+def test_green_apply_workspace_keeps_no_state(scene_small_circle, dual_small,
+                                              tables_small, fp_small,
+                                              zg_small):
+    # calls in a row through one operator's workspace, a zero input among
+    # them, give what each gives on an operator of its own
+    rng = np.random.default_rng(9)
+    shape = gs.coeff_shape(fp_small, zg_small)
+    inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for _ in range(2)]
+    inputs = [inputs[0], np.zeros(shape, dtype=complex), inputs[1], inputs[0]]
+    op = gs.build_operator(scene_small_circle, dual_small, *tables_small)
+    for c in inputs:
+        fresh = gs.build_operator(scene_small_circle, dual_small,
+                                  *tables_small)
+        assert np.array_equal(gs.green_apply(c, op), gs.green_apply(c, fresh))
+
+
+def test_matvec_results_share_no_memory(op_small, fp_small, zg_small):
+    # GMRES keeps the vectors it is handed, so neither map may return a view
+    # of the operator's arrays (its workspace included) or of its input
+    rng = np.random.default_rng(10)
+    shape = gs.coeff_shape(fp_small, zg_small)
+    held = [v for v in vars(op_small).values() if isinstance(v, np.ndarray)]
+    for nb in ((), (3,)):
+        c = rng.standard_normal(shape + nb) + 1j * rng.standard_normal(shape + nb)
+        for apply in (gs.green_apply, gs.contrast_multiply):
+            out = apply(c, op_small)
+            assert not any(np.shares_memory(out, a) for a in held + [c])
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+def test_matvec_batch_matches_columns(op_small, fp_small, zg_small, nb):
+    rng = np.random.default_rng(11)
+    shape = gs.coeff_shape(fp_small, zg_small) + (nb,)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for apply in (gs.green_apply, gs.contrast_multiply):
+        batched = apply(c, op_small)
+        assert batched.shape == shape
+        for b in range(nb):
+            assert np.array_equal(batched[..., b], apply(c[..., b], op_small))
+
+
 @pytest.mark.slow
 def test_unit_source_matches_brute_force(fp_unit, zg_small, dual_unit,
                                          tables_unit):
@@ -276,6 +332,31 @@ def test_unit_source_translation_quasi_invariance(fp_unit, zg_small, dual_unit,
     assert np.linalg.norm(f1 - f0) / np.linalg.norm(f0) < 1e-6
 
 
+@pytest.mark.parametrize("scene", ["circle", "partial", "grating", "none"])
+def test_contrast_multiply_matches_full_grid(scene, scene_small_circle,
+                                             scene_partial, fp_small,
+                                             zg_small, dual_small,
+                                             tables_small):
+    # the operator keeps its x-matrices only where chi is nonzero on some
+    # slice, which is exact: the whole-grid product differs by rounding only.
+    # The grating's blocks leave gaps in that support
+    grating = gs.Scene(shape=gs.Grating(n_blocks=2, block_w=0.3, block_h=0.4,
+                                        spacing=0.8),
+                       eps_r=2.0, k0=1.45, theta=0.0)
+    s = {"circle": scene_small_circle, "partial": scene_partial,
+         "grating": grating, "none": None}[scene]
+    op = gs.build_operator(s, dual_small, *tables_small)
+    rng = np.random.default_rng(12)
+    shape = gs.coeff_shape(fp_small, zg_small) + (2,)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = full_grid_contrast_multiply(c, s, dual_small, fp_small, zg_small)
+    got = gs.contrast_multiply(c, op)
+    if s is None:
+        assert np.all(got == 0) and np.all(ref == 0)
+    else:
+        assert rel_err(got, ref) <= 1e-14
+
+
 def test_contrast_multiply_zero_scene(fp_small, zg_small, dual_small,
                                       tables_small):
     op = gs.build_operator(None, dual_small, *tables_small)
@@ -292,7 +373,7 @@ def test_contrast_multiply_unity_round_trip(fp_unit, zg_small, dual_unit,
     wide = gs.Scene(shape=gs.Rectangle(width=50.0, height=50.0), eps_r=2.0,
                     k0=1.45, theta=0.0, center=(0.0, 0.0))
     op = gs.build_operator(wide, dual_unit, *tables_unit)
-    grid = op.grid
+    grid = gs.analysis_grid(fp_unit)
     f0 = np.exp(-np.pi * grid ** 2 / (1.2 * fp_unit.X) ** 2) * np.exp(1j * grid)
     c = analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid,
                 dual_unit, fp_unit)
@@ -305,13 +386,13 @@ def test_contrast_multiply_support(scene_small_circle, fp_unit, zg_small,
     # output field rings below 1e-3 of peak outside the circle (bounded by the
     # spectral-box truncation of the analyze/synthesize pair)
     op = gs.build_operator(scene_small_circle, dual_unit, *tables_unit)
-    grid0 = op.grid
+    grid0 = gs.analysis_grid(fp_unit)
     f0 = (np.exp(-np.pi * grid0 ** 2 / (2.0 * fp_unit.X) ** 2)
           * np.exp(1j * 1.45 * grid0))
     c = analyze(np.tile(f0[:, None], (1, zg_small.n_k + 1)), grid0,
                 dual_unit, fp_unit)
     out = gs.contrast_multiply(c, op)
-    grid = op.grid
+    grid = gs.analysis_grid(fp_unit)
     fields = gs.synthesize(out, grid, fp_unit)
     outside = np.abs(grid) > scene_small_circle.shape.radius + 2 * fp_unit.X
     peak = np.abs(fields).max()

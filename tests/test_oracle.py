@@ -40,7 +40,7 @@ def test_mom_memory_estimate_before_allocation(monkeypatch, mom_circle):
     # the dense set-up needs 72 B per n x n entry; with the memory reading
     # below that, mom_solve refuses before allocating any n x n array
     n = len(mom_circle.x)
-    monkeypatch.setattr("gaborscat.oracle._physical_memory",
+    monkeypatch.setattr("gaborscat.errors._physical_memory",
                         lambda: 72 * n * n - 1)
     with pytest.raises(SizeCap):
         gs.mom_solve(circle_scene(), gs.MoMConfig())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import gaborscat as gs
 from gaborscat import operators, solver
@@ -139,6 +140,28 @@ def test_gmres_matvec_budget(solve_ctx, monkeypatch):
     assert info.value.matvecs == len(calls)
     assert 0 < len(info.value.residuals) <= info.value.matvecs
     assert all(r > 0 for r in info.value.residuals)
+
+
+def _no_gmres(*args, **kwargs):
+    raise AssertionError("GMRES started")
+
+
+def test_gmres_memory_estimate_before_allocation(op_small, scene_small_circle,
+                                                 monkeypatch):
+    # the Krylov basis, n (restart + 1) complex entries with restart 199 at
+    # _MAX_ITER 2000, plus the operator's FFT workspace: one byte over the
+    # memory reading is refused before GMRES starts, an exact fit solves
+    n = int(np.prod(gs.coeff_shape(op_small.fp, op_small.zg)))
+    need = (n * 200 * 16 + op_small.spectrum.nbytes
+            + op_small.product.nbytes)
+    monkeypatch.setattr("gaborscat.errors._physical_memory",
+                        lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(scipy.sparse.linalg, "gmres", _no_gmres)
+        with pytest.raises(SizeCap, match="GMRES"):
+            gs.solve(scene_small_circle, op_small)
+    monkeypatch.setattr("gaborscat.errors._physical_memory", lambda: need)
+    assert gs.solve(scene_small_circle, op_small).iterations > 0
 
 
 def test_synthesize_points_matches_pointwise_loop(solve_ctx):
