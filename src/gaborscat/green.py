@@ -5,10 +5,11 @@ is H0^(2); the Ewald representation integrates exp(-R^2 xi^2 + k0^2/(4 xi^2))/xi
 over a contour that leaves xi = 0 along the (1+j) ray and returns to the real
 axis at the splitting point.  The head of the integral (the spectral part) is
 evaluated in the inverse variable zeta = 1/xi, where the endpoint oscillation
-exp(-j k0^2 w^2 / 8) becomes a quadratic-phase tail that the phase-block
-machinery in `quadrature` sums to high accuracy.  Direct quadrature on the xi
-side cannot reach the endpoint: the phase k0^2/(8 w^2) completes ~1e7
-oscillations before any usable cutoff (see the decisions ledger).
+exp(-j k0^2 w^2 / 8) becomes a quadratic-phase tail; the integrand is
+analytic in w, so `quadrature.tail_path` takes that tail off the real axis to
+where it decays exponentially.  Direct quadrature on the xi side cannot reach
+the endpoint: the phase k0^2/(8 w^2) completes ~1e7 oscillations before any
+usable cutoff.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .quadrature import adaptive_quad, oscillatory_tail
+from .quadrature import adaptive_quad, tail_path
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def green_spectral(dx, dz, cfg: EwaldConfig):
 
     Equals (1/2pi) int over zeta from 1/E of e^{-R^2/zeta^2 + k0^2 zeta^2/4} dzeta/zeta;
     the w > 2/E tail oscillates as exp(-j k0^2 w^2/8 - 2j R^2/w^2) / w and is
-    summed in phase blocks.
+    taken along the deformed path of `quadrature.tail_path`.
     """
     r = _radii(dx, dz)
     scalar = r.ndim == 0
@@ -147,11 +148,8 @@ def green_spectral(dx, dz, cfg: EwaldConfig):
     if v.ndim == 2:
         v = v[:, 0]
 
-    def tail(w):
-        return np.exp(-2j * rc * rc / (w * w) - 1j * k0 * k0 * w * w / 8) / w
-
-    v = v + oscillatory_tail(lambda w, weights: tail(w) @ weights, 2 / e, k0,
-                             2 * float(r.max()) ** 2)
+    w, weights = tail_path(2 / e, k0, 2 * float(r.max()) ** 2, 1)
+    v = v + (np.exp(-2j * rc * rc / (w * w) - 1j * k0 * k0 * w * w / 8) / w) @ weights
     v /= 2 * np.pi
     return complex(v[0]) if scalar else v
 

@@ -1,14 +1,17 @@
-"""Quadrature helpers: Gauss-Legendre panels, phase-block summation of the
-oscillatory 1/w tails on the inverse-variable Green-function contour, and
+"""Quadrature helpers: Gauss-Legendre panels, the deformed path that carries
+the oscillatory 1/w tails of the inverse-variable Green-function contour, and
 adaptive Gauss-Kronrod quadrature, which only `green` uses (scipy.integrate
 is imported on its first call, so the solve pipeline never loads it).
 
-The tail integrands all share the structure exp(-j*k0^2*w^2/8 - j*c/w^2) * S(w)
-with S slowly varying and |c| bounded.  Zone A resolves the mixed-phase region
-with panels of bounded phase variation; zone B sums half-period blocks of the
-quadratic phase and extrapolates the conditionally convergent remainder by
-repeated averaging of the partial sums.  The averaging is linear in the block
-sums, so zone B is evaluated as one weighted node sum (see limit_weights).
+The tail integrands all share the structure e^{-j k0^2 w^2/8 - j c/w^2} S(w)
+with S algebraic and |c| bounded, and every factor is analytic in w off the
+real axis (the table's x-factor has its one singular point at angle -pi/4,
+outside the region the path sweeps).  So by Cauchy's theorem the tail from
+w0 to infinity may leave the real axis: `tail_path` rises into the upper half
+plane, where e^{-jc/w^2} decays, returns to the real axis where the quadratic
+phase dominates, and leaves along a ray into the lower half plane, where
+e^{-j k0^2 w^2/8} decays exponentially.  One fixed Gauss-Legendre rule covers
+the whole tail.
 """
 
 import numpy as np
@@ -17,6 +20,13 @@ from .errors import QuadratureFailure
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+_RISE = 0.5            # height of the raised segments above the real axis
+_RISE_PANELS = 12      # panels of the rise, graded toward w0
+_GRADE = 1e-6          # width of the lowest rise panel, as a fraction of _RISE
+_PANELS = 16           # panels of the return segment and of the ray
+_RAY = np.pi / 6       # the ray leaves the real axis at angle -_RAY
+_DECAY = 40.0          # the ray ends where |e^{-j k0^2 w^2/8}| = e^{-_DECAY}
 
 
 def adaptive_quad(f, a: float, b: float, *, rtol: float = 1e-10,
@@ -50,103 +60,69 @@ def panel_nodes(bounds: np.ndarray):
 def subdivided_panels(bounds: np.ndarray, max_ratio: float = 1.3):
     """Panels refined so no panel spans more than max_ratio in its endpoints.
 
-    Algebraic 1/w-type variation needs geometric resolution on top of the
-    phase-based block boundaries.  Returns (nodes, weights, block_index) with
-    block_index mapping each finest panel back to its originating block.
+    Algebraic 1/w-type variation needs geometric resolution.  Returns
+    (nodes, weights).
     """
     refined = []
-    owner = []
     log_r = np.log(max_ratio)
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+    for a, b in zip(bounds[:-1], bounds[1:]):
         n_sub = max(1, int(np.ceil(np.log(b / a) / log_r))) if a > 0 else 1
         edges = a * (b / a) ** (np.arange(n_sub + 1) / n_sub) if a > 0 \
             else np.linspace(a, b, n_sub + 1)
         refined.append(edges[:-1])
-        owner.extend([i] * n_sub)
     refined.append(bounds[-1:])
-    edges = np.concatenate(refined)
-    nodes, weights = panel_nodes(edges)
-    owner = np.asarray(owner, dtype=int)
-    # first node index of each original block (owner is sorted)
-    block_offsets = np.searchsorted(np.repeat(owner, _GL_ORDER),
-                                    np.arange(len(bounds) - 1))
-    return nodes, weights, block_offsets
+    return panel_nodes(np.concatenate(refined))
 
 
-def _psi_inverse(t, k0: float, c: float):
-    """Invert psi(w) = k0^2 w^2/8 - c/w^2 for w > 0, stable for both signs of t."""
-    t = np.asarray(t, dtype=float)
-    disc = np.sqrt(t * t + k0 * k0 * c / 2)
-    u = np.where(t >= 0, (t + disc) * 4 / (k0 * k0), 2 * c / (disc - t))
-    return np.sqrt(u)
+def _segment(a: complex, b: complex, edges: np.ndarray, refine: int):
+    """Nodes and weights on the straight segment from a to b: the panels
+    a + (b - a) * edges, each split into refine equal parts."""
+    parts = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(refine) / refine
+    s, ws = panel_nodes(np.append(parts.ravel(), edges[-1]))
+    return a + (b - a) * s, (b - a) * ws
 
 
-def oscillatory_tail_bounds(w0: float, k0: float, phase_coeff: float,
-                            n_blocks: int, w_cap: float | None = None):
-    """Panel boundaries for the two tail zones starting at w0.
+def tail_path(w0: float, k0: float, c: float, refine: int):
+    """Nodes and weights (complex) of a path from w0 > 0 to infinity for
+    integrands e^{-j k0^2 w^2/8 - j c'/w^2} S(w) with |c'| <= c and S
+    algebraic; each panel is split into refine equal parts.
 
-    phase_coeff bounds the 1/w^2 phase contribution; zone A ends where the
-    quadratic phase dominates, zone B holds n_blocks half-period blocks of
-    k0^2 w^2 / 8 (clipped to w_cap when given).
+    - Rise from w0 to w0 + j*_RISE, on panels graded geometrically toward w0.
+      Up the rise e^{-jc/w^2} falls off across a layer of width w0^3/(2c);
+      the lowest panel, 1e-6 _RISE, lies below that width (w0^3/(2c) is
+      1e-4 or more on the bundled configs and for the Green function at
+      R <= 8, k0 <= 3), and the panel ratio of 3.5 resolves every wider
+      layer.
+    - Return straight to r = max(w0, (27c/k0^2)^{1/4}) on the real axis.
+      Above the axis |e^{-j k0^2 w^2/8}| = e^{k0^2 Re(w) Im(w)/4}, so these
+      two segments grow at most by e^{k0^2 r _RISE/4}: 1.2-1.8 in fact on
+      the bundled configs, under one digit of cancellation.
+    - Follow the ray w = r + t e^{-j _RAY}.  Below the axis e^{-j c'/w^2}
+      grows at most like e^{2c Re(w)|Im(w)|/|w|^4} against the decay
+      e^{-k0^2 Re(w)|Im(w)|/4}; the ratio 8c/(k0^2|w|^4) is at most 8/27
+      for |w| >= r.  c bounds the z-factor's exponents 2 s^2/w^2 too, so
+      the table needs no separate z margin.  At angle pi/6, xi^2 =
+      2j/w^2 stays within 5pi/6 of the positive axis, clear of the branch
+      cut of the x-factor's square root.  The ray ends where the quadratic
+      decay reaches e^{-_DECAY}: what it leaves out is below
+      e^{-_DECAY (1 - 8/27)} < 1e-12 of the integrand at r.  Its panels are
+      graded geometrically in r + t: near uniform when the ray is short
+      against r, and resolving 1/w when r is small.
     """
-    c = max(phase_coeff, 0.0)
-    psi = lambda w: k0 * k0 * w * w / 8 - c / (w * w)
-    w_s = max(w0, (27 * c / (k0 * k0)) ** 0.25) if c > 0 else w0
-    if w_s > w0:
-        n_a = max(1, int(np.ceil((psi(w_s) - psi(w0)) / np.pi)))
-        bounds_a = _psi_inverse(np.linspace(psi(w0), psi(w_s), n_a + 1), k0, c)
-        bounds_a[0] = w0
-        bounds_a[-1] = w_s
-    else:
-        bounds_a = np.array([w0])
-        w_s = w0
-    phi0 = k0 * k0 * w_s * w_s / 8
-    if w_cap is not None and w_cap > w_s:
-        n_blocks = max(n_blocks, int(np.ceil((k0 * k0 * w_cap * w_cap / 8 - phi0) / np.pi)))
-    bounds_b = np.sqrt((phi0 + np.arange(n_blocks + 1) * np.pi) * 8 / (k0 * k0))
-    return bounds_a, bounds_b
-
-
-def averaged_limit(block_sums: np.ndarray, depth: int = 40):
-    """Limit of a conditionally convergent block series by repeated averaging.
-
-    block_sums holds the per-block integrals along the last axis; consecutive
-    blocks alternate in sign up to slow drift, so iterated means of the
-    partial sums converge geometrically to the tail integral.
-    """
-    t = np.cumsum(block_sums, axis=-1)
-    for _ in range(min(depth, t.shape[-1] - 1)):
-        t = 0.5 * (t[..., :-1] + t[..., 1:])
-    return t[..., -1]
-
-
-def limit_weights(block_offsets: np.ndarray, n_nodes: int, depth: int = 40):
-    """Per-node weights c with sum_n c_n v_n == averaged_limit(block sums of v).
-
-    block_offsets holds the first node index of each block, as returned by
-    subdivided_panels.  averaged_limit is a fixed linear functional of the
-    block sums: every block but the last depth+1 gets weight 1 and those get
-    binomial tails, dyadic rationals that the averaging of the identity
-    computes exactly.
-    """
-    per_block = averaged_limit(np.eye(len(block_offsets)), depth)
-    return np.repeat(per_block, np.diff(block_offsets, append=n_nodes))
-
-
-def oscillatory_tail(contract, w0: float, k0: float, phase_coeff: float,
-                     n_blocks: int = 170, depth: int = 40,
-                     w_cap: float | None = None):
-    """Integrate over (w0, inf) for quadratic-phase oscillatory integrands.
-
-    contract(nodes, weights) returns sum_n F(nodes_n) weights_n, of any
-    leading shape, for the integrand F; it is called once per tail zone.
-    w_cap extends zone B to at least that w (see oscillatory_tail_bounds).
-    """
-    bounds_a, bounds_b = oscillatory_tail_bounds(w0, k0, phase_coeff, n_blocks,
-                                                 w_cap)
-    nodes, weights, block_offsets = subdivided_panels(bounds_b)
-    total = contract(nodes, weights * limit_weights(block_offsets, len(nodes), depth))
-    if len(bounds_a) > 1:
-        nodes, weights, _ = subdivided_panels(bounds_a)
-        total = total + contract(nodes, weights)
-    return total
+    r = max(w0, (27 * c / (k0 * k0)) ** 0.25)
+    # the ray's decay exponent k0^2 (2 r t sin a + t^2 sin 2a)/8 = _DECAY
+    sin_a, sin_2a = np.sin(_RAY), np.sin(2 * _RAY)
+    t_end = (np.sqrt((r * sin_a) ** 2 + 8 * _DECAY * sin_2a / (k0 * k0))
+             - r * sin_a) / sin_2a
+    top = w0 + 1j * _RISE
+    grow = 1 + t_end / r
+    parts = [
+        _segment(w0, top, np.append(0.0, np.geomspace(_GRADE, 1, _RISE_PANELS)),
+                 refine),
+        _segment(top, r, np.linspace(0.0, 1.0, _PANELS + 1), refine),
+        _segment(r, r + t_end * np.exp(-1j * _RAY),
+                 (grow ** (np.arange(_PANELS + 1) / _PANELS) - 1) / (grow - 1),
+                 refine),
+    ]
+    return (np.concatenate([nodes for nodes, _ in parts]),
+            np.concatenate([weights for _, weights in parts]))

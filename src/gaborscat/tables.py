@@ -7,22 +7,22 @@ takes the real axis from the splitting point E: geometric panels run to the
 d = 0 truncation point xc, which bounds every d, and the algebraic remainder
 is folded in through the compactification xi = xc/t, so no entry carries
 truncation error.  The spectral table takes the rest of the contour, from 0
-to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w;
-its conditionally convergent 1/w tail is summed in half-period phase blocks
-and extrapolated by repeated averaging, which is linear in the block sums and
-so enters as one more weight per node.
+to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w:
+head panels on [1/E, 2/E], then the tail zeta = (1-j)w/2 along the deformed
+path of `quadrature.tail_path`, where the integrand decays exponentially.
 
 Both tables are fixed-node contractions by one helper: every node set is a
 sum of (q*p x nodes) @ (nodes x d) matrix products over blocks of
-_NODE_BLOCK nodes, so memory does not grow with the node count.  The spatial
-node set and the spectral head are each checked against the rule with every
-panel halved.  Both are built for p >= 0 only and the p < 0 half is filled by
-the exact mirror T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
+_NODE_BLOCK nodes, so memory does not grow with the node count.  Each node
+set is checked once against the rule with every panel halved.  Both are
+built for p >= 0 only and the p < 0 half is filled by the exact mirror
+T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
 (alpha*q + j*beta*p)^2 and p^2).
 
-Entries whose integrand envelope at the lower limit is below trunc_tol are set
-to zero without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k,
-k0, split, bounds), so they are cached to disk in the EGKT format documented in
+The spectral table integrates every (q, p, d).  Spatial entries whose
+integrand envelope at the lower limit is below trunc_tol are set to zero
+without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k, k0,
+split, bounds), so they are cached to disk in the EGKT format documented in
 docs/table-cache.md; the operator's kernel DFT, folded from them and the dual
 coefficients, is cached beside them in the EGKF format of the same document.
 """
@@ -40,11 +40,10 @@ from .errors import DomainError, QuadratureFailure
 from .frame import FrameParams
 from .green import EwaldConfig, zeta_path, zeta_path_derivative
 from .kernels import ZGrid, f_spatial, g_z_spatial
-from .quadrature import oscillatory_tail, panel_nodes, subdivided_panels
+from .quadrature import panel_nodes, subdivided_panels, tail_path
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5   # of both files: the kernel DFT is folded from the tables
 _MAGIC = b"EGKT"
-_KERNEL_VERSION = 1
 _KERNEL_MAGIC = b"EGKF"
 _KINDS = ("spatial", "spectral")
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
@@ -92,17 +91,6 @@ def _q_decay_rate(fp: FrameParams, split: float) -> float:
     return np.pi / (2 + np.pi / (fp.X ** 2 * split ** 2)) * fp.alpha ** 2
 
 
-def _p_decay_rate_spectral(fp: FrameParams, split: float) -> float:
-    """Slowest p^2 decay rate of |f(q, p, 1/zeta)| along the contour, attained
-    at zeta = 1/E.
-
-    The positive quadratic term of the exponent cancels most of the p-Gaussian
-    near zeta -> 0, so the surviving rate is far below pi/2 * beta^2.
-    """
-    den = 8 * np.pi + fp.K ** 2 / split ** 2
-    return np.pi / 2 * fp.beta ** 2 * (1 - (8 * np.pi / den) ** 2)
-
-
 def _spatial_envelope(xi: float, q: int, d: int, fp: FrameParams, zg: ZGrid,
                       cfg: EwaldConfig) -> float:
     """Magnitude bound of the spatial integrand at xi (large-xi asymptotics).
@@ -118,19 +106,6 @@ def _spatial_envelope(xi: float, q: int, d: int, fp: FrameParams, zg: ZGrid,
         g_env = np.exp(-m_d * m_d * dd * dd * xi * xi) / (2 * m_d * dd * xi * xi)
     return (np.exp(cfg.k0 ** 2 / (4 * xi * xi)) / (2 * fp.X * xi * xi)
             * np.exp(-_q_decay_rate(fp, cfg.split) * q * q) * g_env)
-
-
-def _spectral_envelope(w: float, p: int, fp: FrameParams, zg: ZGrid) -> float:
-    """Oscillatory-tail envelope sqrt(2)*sqrt(2pi)*Delta/(4Kw) * p-Gaussian."""
-    return (np.sqrt(2) * np.sqrt(2 * np.pi) * zg.delta / (4 * fp.K * w)
-            * np.exp(-np.pi / 2 * fp.beta ** 2 * p * p))
-
-
-def _spectral_head_envelope(p: int, fp: FrameParams, zg: ZGrid,
-                            cfg: EwaldConfig) -> float:
-    """Magnitude bound of the contour-head contribution for index p."""
-    scale = np.sqrt(1 / 8) * zg.delta / cfg.split
-    return scale * np.exp(-_p_decay_rate_spectral(fp, cfg.split) * p * p)
 
 
 def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
@@ -222,7 +197,7 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
         return _contract(qg, pg, live_d, x, weights, fp, zg, cfg.k0)
 
     def rule(k):
-        x, wx, _ = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
+        x, wx = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
         t, wt = panel_nodes(np.linspace(0.0, 1.0, k * _TAIL_PANELS + 1))
         return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
 
@@ -233,28 +208,18 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
 
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
-                         n_u: int, n_v: int,
-                         averaging_depth: int = 40) -> KernelTable:
+                         n_u: int, n_v: int) -> KernelTable:
     """The rest of the Ewald contour, xi = 1/zeta(w) for w in [1/E, inf): the
-    head panels on [1/E, 2/E] checked by panel doubling, the tail by
-    phase-block extrapolation.  Each node carries the weight
-    zeta'/zeta^2 dw = -dxi, which orients the integral from xi = 0 to E."""
+    head panels on [1/E, 2/E] and the tail along the deformed path, every
+    (q, p, d) in one fixed-node contraction checked by panel doubling.  Each
+    node carries the weight zeta'/zeta^2 dw = -dxi, which orients the
+    integral from xi = 0 to E."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
-    qs = np.arange(-q_max, q_max + 1)
-    ps = np.arange(p_max + 1)
-    half = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
-    e = cfg.split
-    k0 = cfg.k0
-    w0, w1 = 1 / e, 2 / e
-
-    # the spectral envelopes bound X/sqrt(2) times an entry, the kx-domain
-    # scale in which this live-p rule was set
-    live_p = ps[np.array([max(_spectral_envelope(w1, p, fp, zg),
-                              _spectral_head_envelope(p, fp, zg, cfg))
-                          for p in ps]) >= cfg.trunc_tol]
-    qg = qs[:, None, None].astype(float)
-    pg = live_p[None, :, None].astype(float)
+    qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
+    pg = np.arange(p_max + 1)[None, :, None].astype(float)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
+    e = cfg.split
+    w0, w1 = 1 / e, 2 / e
 
     # phase-rate bound of the 1/w^2 terms: the exponent of f(q, p, 1/zeta)
     # plus the erf phases of g(d, 1/zeta)
@@ -262,18 +227,19 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                                      + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
                    + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
 
-    def contract(w_nodes, weights):
-        zeta = zeta_path(w_nodes, e)
-        return _contract(qg, pg, ds, 1 / zeta,
-                         zeta_path_derivative(w_nodes, e) / zeta ** 2 * weights,
-                         fp, zg, k0)
+    def contract(xi, weights):
+        return _contract(qg, pg, ds, xi, weights, fp, zg, cfg.k0)
 
-    head = _doubling_checked(
-        contract, lambda k: panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1)),
-        cfg.quad_tol, "spectral head integral")
-    tail = oscillatory_tail(contract, w1, k0, phase_coeff, n_blocks=16,
-                            depth=averaging_depth, w_cap=200 / e)
-    half[:, live_p, :] = head + tail
+    def rule(k):
+        # zeta and zeta' dw on the head, then on the tail path
+        w, dw = panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1))
+        zeta, dzeta = zeta_path(w, e), zeta_path_derivative(w, e) * dw
+        w, dw = tail_path(w1, cfg.k0, phase_coeff, k)
+        zeta = np.concatenate([zeta, (1 - 1j) / 2 * w])
+        dzeta = np.concatenate([dzeta, (1 - 1j) / 2 * dw])
+        return 1 / zeta, dzeta / zeta ** 2
+
+    half = _doubling_checked(contract, rule, cfg.quad_tol, "spectral table")
     return KernelTable(data=_mirror_half_plane(half), kind="spectral", fp=fp,
                        zg=zg, cfg=cfg, n_u=n_u, n_v=n_v)
 
@@ -340,23 +306,27 @@ def save_table(table: KernelTable, path) -> Path:
         table.data, dtype=complex).tobytes())
 
 
+def _read_payload(fh, path, out: np.ndarray) -> np.ndarray:
+    """Fill out from the rest of the open file fh, which must hold exactly
+    out.nbytes more bytes; otherwise DomainError."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != out.nbytes or fh.readinto(out) != size:
+        raise DomainError(f"cache file {path} holds {size} data bytes, "
+                          f"expected {out.nbytes}")
+    return out
+
+
 def load_table(path, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                n_u: int, n_v: int, kind: str) -> KernelTable:
     """Read a cached table; every header field must match the request exactly."""
     path = Path(path)
     expected = _header_bytes(kind, fp, zg, cfg, n_u, n_v)
-    with open(path, "rb") as fh:
-        header = fh.read(len(expected))
-        if header != expected:
-            raise DomainError(f"cache file {path} does not match the requested build")
-        raw = fh.read()
     q_max, p_max = index_bounds(fp, n_u, n_v)
-    shape = (2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1)
-    expect = int(np.prod(shape)) * np.dtype(complex).itemsize
-    if len(raw) != expect:
-        raise DomainError(f"cache file {path} holds {len(raw)} data bytes, "
-                          f"expected {expect}")
-    data = np.frombuffer(raw, dtype=complex).reshape(shape).copy()
+    data = np.empty((2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1), dtype=complex)
+    with open(path, "rb") as fh:
+        if fh.read(len(expected)) != expected:
+            raise DomainError(f"cache file {path} does not match the requested build")
+        _read_payload(fh, path, data)
     return KernelTable(data=data, kind=kind, fp=fp, zg=zg, cfg=cfg,
                        n_u=n_u, n_v=n_v)
 
@@ -388,7 +358,7 @@ def kernel_cache_path(directory, table: KernelTable) -> Path:
 
 
 def _kernel_header(table: KernelTable, lm: int, lk: int) -> bytes:
-    return (struct.pack("<4sI", _KERNEL_MAGIC, _KERNEL_VERSION)
+    return (struct.pack("<4sI", _KERNEL_MAGIC, _FORMAT_VERSION)
             + _meta_bytes(table.fp, table.zg, table.cfg, table.n_u, table.n_v)
             + struct.pack("<2I", lm, lk))
 
@@ -419,8 +389,4 @@ def load_kernel_fft(path, table: KernelTable, a: np.ndarray,
         if fh.read(len(guard)) != guard:
             raise DomainError(f"cache file {path} was folded from other dual "
                               "coefficients")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != kernel_fft.nbytes or fh.readinto(kernel_fft) != size:
-            raise DomainError(f"cache file {path} holds {size} data bytes, "
-                              f"expected {kernel_fft.nbytes}")
-    return kernel_fft
+        return _read_payload(fh, path, kernel_fft)

@@ -7,8 +7,9 @@ Fourier-side frame elements and dual coefficients, the Ewald contour xi(w),
 the guarded complex erf and its OverflowGuard,
 the per-d erf_diff form of the half-triangle z' integrals and the
 full-triangle ones, the kx-domain reductions f~ and g~ of the contour
-head, and the signed-index kernel-table lookup); the tests check those in
-their own right.
+head, the signed-index kernel-table lookup, and the real-axis phase-block
+tail with its averaging extrapolation that the deformed tail path replaced);
+the tests check those in their own right.
 """
 
 import cmath
@@ -24,13 +25,9 @@ from gaborscat.frame import (TWO_QUARTER, analysis_grid, analysis_matrix,
                              frame_matrix, synthesis_matrix, window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
 from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial
-from gaborscat.quadrature import (adaptive_quad, averaged_limit,
-                                  oscillatory_tail_bounds, panel_nodes,
-                                  subdivided_panels)
+from gaborscat.quadrature import adaptive_quad, panel_nodes, subdivided_panels
 from gaborscat.scene import contrast_at
-from gaborscat.tables import (_q_decay_rate, _spatial_envelope,
-                              _spectral_envelope, _spectral_head_envelope,
-                              index_bounds)
+from gaborscat.tables import _q_decay_rate, _spatial_envelope, index_bounds
 
 # ---------------------------------------------------------------------------
 # Bessel J0/Y0 from scratch: power series for small argument, Hankel's
@@ -722,27 +719,132 @@ def full_grid_contrast_multiply(coeffs, scene, dual, fp, zg):
 
 
 # ---------------------------------------------------------------------------
-# spectral table with its phase-block tail summed block by block: per d, the
-# node terms are reduced to block sums and extrapolated by averaged_limit,
-# the route the weighted single-product build folds into per-node weights.
-# Every (q, p) is integrated (no mirror), in the kx-domain form with f~ and
-# with g~ in its per-d form.  The contour, panels and live-p rule are the
-# package's own.
+# the phase-block tail that the deformed path replaced, kept as the reference
+# for it: int_{w0}^inf on the real axis of integrands
+# e^{-j k0^2 w^2/8 - j c/w^2} S(w).  Zone A resolves the mixed-phase region
+# with panels of bounded phase variation; zone B sums half-period blocks of
+# the quadratic phase and extrapolates the conditionally convergent remainder
+# by repeated averaging of the partial sums.
+
+def _psi_inverse(t, k0: float, c: float):
+    """Invert psi(w) = k0^2 w^2/8 - c/w^2 for w > 0, stable for both signs of t."""
+    t = np.asarray(t, dtype=float)
+    disc = np.sqrt(t * t + k0 * k0 * c / 2)
+    u = np.where(t >= 0, (t + disc) * 4 / (k0 * k0), 2 * c / (disc - t))
+    return np.sqrt(u)
+
+
+def oscillatory_tail_bounds(w0: float, k0: float, phase_coeff: float,
+                            n_blocks: int, w_cap: float | None = None):
+    """Panel boundaries for the two tail zones starting at w0.
+
+    phase_coeff bounds the 1/w^2 phase contribution; zone A ends where the
+    quadratic phase dominates, zone B holds n_blocks half-period blocks of
+    k0^2 w^2 / 8 (extended to w_cap when given).
+    """
+    c = max(phase_coeff, 0.0)
+    psi = lambda w: k0 * k0 * w * w / 8 - c / (w * w)
+    w_s = max(w0, (27 * c / (k0 * k0)) ** 0.25) if c > 0 else w0
+    if w_s > w0:
+        n_a = max(1, int(np.ceil((psi(w_s) - psi(w0)) / np.pi)))
+        bounds_a = _psi_inverse(np.linspace(psi(w0), psi(w_s), n_a + 1), k0, c)
+        bounds_a[0] = w0
+        bounds_a[-1] = w_s
+    else:
+        bounds_a = np.array([w0])
+        w_s = w0
+    phi0 = k0 * k0 * w_s * w_s / 8
+    if w_cap is not None and w_cap > w_s:
+        n_blocks = max(n_blocks, int(np.ceil((k0 * k0 * w_cap * w_cap / 8 - phi0) / np.pi)))
+    bounds_b = np.sqrt((phi0 + np.arange(n_blocks + 1) * np.pi) * 8 / (k0 * k0))
+    return bounds_a, bounds_b
+
+
+def averaged_limit(block_sums: np.ndarray, depth: int = 40):
+    """Limit of a conditionally convergent block series by repeated averaging.
+
+    block_sums holds the per-block integrals along the last axis; consecutive
+    blocks alternate in sign up to slow drift, so iterated means of the
+    partial sums converge geometrically to the tail integral.
+    """
+    t = np.cumsum(block_sums, axis=-1)
+    for _ in range(min(depth, t.shape[-1] - 1)):
+        t = 0.5 * (t[..., :-1] + t[..., 1:])
+    return t[..., -1]
+
+
+def limit_weights(block_offsets: np.ndarray, n_nodes: int, depth: int = 40):
+    """Per-node weights c with sum_n c_n v_n == averaged_limit(block sums of v).
+
+    block_offsets holds the first node index of each block, as returned by
+    block_panels.  averaged_limit is a fixed linear functional of the block
+    sums: every block but the last depth+1 gets weight 1 and those get
+    binomial tails, dyadic rationals that the averaging of the identity
+    computes exactly.
+    """
+    per_block = averaged_limit(np.eye(len(block_offsets)), depth)
+    return np.repeat(per_block, np.diff(block_offsets, append=n_nodes))
+
+
+def block_panels(bounds: np.ndarray):
+    """subdivided_panels over each block of bounds in turn: (nodes, weights,
+    the first node index of each block)."""
+    parts = [subdivided_panels(bounds[i:i + 2]) for i in range(len(bounds) - 1)]
+    sizes = [len(nodes) for nodes, _ in parts]
+    return (np.concatenate([nodes for nodes, _ in parts]),
+            np.concatenate([weights for _, weights in parts]),
+            np.cumsum([0] + sizes[:-1]))
+
+
+def phase_block_tail(integrand, w0: float, k0: float, phase_coeff: float,
+                     n_blocks: int = 170, depth: int = 40,
+                     w_cap: float | None = None):
+    """int_{w0}^inf integrand(w) dw on the real axis, integrand(w) with the
+    node axis last: zone A as a plain node sum, zone B as one node sum under
+    limit_weights."""
+    bounds_a, bounds_b = oscillatory_tail_bounds(w0, k0, phase_coeff, n_blocks,
+                                                 w_cap)
+    nodes, weights, offsets = block_panels(bounds_b)
+    total = integrand(nodes) @ (weights * limit_weights(offsets, len(nodes), depth))
+    if len(bounds_a) > 1:
+        nodes, weights, _ = block_panels(bounds_a)
+        total = total + integrand(nodes) @ weights
+    return total
+
+
+def green_spectral_phase_blocks(r, cfg):
+    """green_spectral at radii r > 0 with its tail summed in phase blocks:
+    the same adaptive head on [1/E, 2/E], then phase_block_tail."""
+    rc = np.asarray(r, dtype=float)[:, None]
+    e, k0 = cfg.split, cfg.k0
+
+    def head(w):
+        z = zeta_path(np.atleast_1d(w), e)
+        return (np.exp(-rc * rc / (z * z) + k0 * k0 * z * z / 4)
+                * zeta_path_derivative(np.atleast_1d(w), e) / z)
+
+    v = adaptive_quad(head, 1 / e, 2 / e, rtol=cfg.quad_tol)[:, 0]
+    v = v + phase_block_tail(
+        lambda w: np.exp(-2j * rc * rc / (w * w) - 1j * k0 * k0 * w * w / 8) / w,
+        2 / e, k0, 2 * float(rc.max()) ** 2)
+    return v / (2 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# spectral table with its tail summed in phase blocks, block by block: per d,
+# the node terms are reduced to block sums and extrapolated by
+# averaged_limit.  Every (q, p, d) is integrated (no mirror), in the
+# kx-domain form with f~ and with g~ in its per-d form, on the package's own
+# head panels.
 
 def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
                              averaging_depth=40):
     q_max, p_max = index_bounds(fp, n_u, n_v)
-    qs = np.arange(-q_max, q_max + 1)
-    ps = np.arange(-p_max, p_max + 1)
-    data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
+    qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
+    pg = np.arange(-p_max, p_max + 1)[None, :, None].astype(float)
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
     e, k0 = cfg.split, cfg.k0
     w0, w1 = 1 / e, 2 / e
-    live_p = ps[np.array([max(_spectral_envelope(w1, p, fp, zg),
-                              _spectral_head_envelope(p, fp, zg, cfg))
-                          for p in ps]) >= cfg.trunc_tol]
-    qg = qs[:, None, None].astype(float)
-    pg = live_p[None, :, None].astype(float)
-    ds = np.arange(-zg.n_k, zg.n_k + 1)
     phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
                                      + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
                    + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
@@ -763,17 +865,15 @@ def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
 
     total = weighted_sum(*panel_nodes(np.linspace(w0, w1, 2 * head_panels + 1)))
     if len(bounds_a) > 1:
-        nodes_a, weights_a, _ = subdivided_panels(bounds_a)
-        total = total + weighted_sum(nodes_a, weights_a)
-    nodes_b, weights_b, block_offsets = subdivided_panels(bounds_b)
+        total = total + weighted_sum(*block_panels(bounds_a)[:2])
+    nodes_b, weights_b, block_offsets = block_panels(bounds_b)
     fvals, gvals, shared = node_factors(nodes_b)
     shared = shared * weights_b
     for di in range(len(ds)):
         node_terms = fvals * (gvals[di] * shared)[None, None, :]
         blocks = np.add.reduceat(node_terms, block_offsets, axis=-1)
         total[:, :, di] += averaged_limit(blocks, averaging_depth)
-    data[:, live_p + p_max, :] = total
-    return data
+    return total
 
 
 # ---------------------------------------------------------------------------

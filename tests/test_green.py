@@ -4,8 +4,8 @@ import pytest
 import gaborscat as gs
 from gaborscat.errors import DomainError
 
-from .oracles import (J0_TABLE, Y0_TABLE, bessel_j0, bessel_y0, hankel2_0,
-                      xi_path)
+from .oracles import (J0_TABLE, Y0_TABLE, bessel_j0, bessel_y0,
+                      green_spectral_phase_blocks, hankel2_0, xi_path)
 
 K0 = 1.45
 DELTA = 0.05
@@ -161,6 +161,18 @@ def test_parts_depend_only_on_radius(cfg):
 def test_green_spatial_finite_at_origin(cfg):
     val = gs.green_spatial(0.0, 0.0, cfg)
     assert np.isfinite(val)
+
+
+@pytest.mark.parametrize("k0", [0.84, 1.45, 3.0])
+def test_green_spectral_matches_phase_block_tail(k0):
+    # the deformed tail path against the real-axis tail summed in phase
+    # blocks, from near the origin to R = 8, where e^{-2jR^2/w^2} puts a thin
+    # layer at the foot of the path's rise
+    cfg = gs.EwaldConfig(split=gs.optimal_split(k0, DELTA), k0=k0)
+    r = np.geomspace(0.02, 8.0, 40)
+    got = gs.green_spectral(r, 0.0, cfg)
+    ref = green_spectral_phase_blocks(r, cfg)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_green_spectral_rejects_origin(cfg):

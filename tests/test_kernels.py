@@ -8,14 +8,13 @@ import gaborscat as gs
 from gaborscat.errors import DomainError
 
 from .conftest import RT23
-from gaborscat.quadrature import (oscillatory_tail_bounds, panel_nodes,
-                                  subdivided_panels)
+from gaborscat.quadrature import panel_nodes, subdivided_panels, tail_path
 
 from .oracles import (OverflowGuard, erf_complex, erf_diff, erf_maclaurin,
                       f_on_contour, f_spectral, g_on_contour, g_z_spatial_per_d,
                       g_z_spectral, g_z_spectral_per_d, h_z_spatial,
                       h_z_spectral, half_triangle_integral, kx_integral,
-                      xx_double_integral)
+                      oscillatory_tail_bounds, xx_double_integral)
 
 K0 = 1.45
 
@@ -146,9 +145,12 @@ def test_f_spectral_reduction_matches_kx_integral(fp, split):
 
 
 def test_contour_factors_match_kx_domain_forms(fp, zg, split):
-    # the spectral table contracts f and g at xi = 1/zeta: on every head and
-    # tail node of the contour, X/(sqrt(2) zeta) f(-q, p, 1/zeta) is f~ and
-    # g(d, 1/zeta) is g~ (measured to 3.1e-14 and 5.2e-14 of their maxima)
+    # the spectral table contracts f and g at xi = 1/zeta: on every head node,
+    # on the real-axis tail nodes of the phase-block reference and on the
+    # nodes of the deformed tail path, zeta = (1-j)w/2 off the axis,
+    # X/(sqrt(2) zeta) f(-q, p, 1/zeta) is f~ and g(d, 1/zeta) is g~
+    # (measured to 3.1e-14 and 5.5e-12 of their maxima; g's largest
+    # difference is on the ray, where Re xi^2 < 0 and the erf terms grow)
     q_max, p_max = gs.index_bounds(fp, 2, 3)
     phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
                                      + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
@@ -159,7 +161,9 @@ def test_contour_factors_match_kx_domain_forms(fp, zg, split):
     w = np.concatenate([head, subdivided_panels(zone_a)[0],
                         subdivided_panels(zone_b)[0]])
     assert len(zone_a) > 1 and w.max() > 100 / split
-    zeta = gs.zeta_path(w, split)
+    path, _ = tail_path(2 / split, K0, phase_coeff, 1)
+    assert path.imag.max() > 0 > path.imag.min()
+    zeta = np.concatenate([gs.zeta_path(w, split), (1 - 1j) / 2 * path])
     qg = np.arange(-q_max, q_max + 1)[:, None, None]
     pg = np.arange(-p_max, p_max + 1)[None, :, None]
     ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]

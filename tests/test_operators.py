@@ -118,7 +118,7 @@ def test_kernel_cache_rejects_and_rewrites(tmp_path, damage, dual_small,
         match = "data bytes"
     else:
         raw = bytearray(good)
-        raw[4:8] = struct.pack("<I", tables._KERNEL_VERSION - 1)
+        raw[4:8] = struct.pack("<I", tables._FORMAT_VERSION - 1)
         path.write_bytes(bytes(raw))
         match = "does not match"
     with pytest.raises(DomainError, match=match):
@@ -130,12 +130,27 @@ def test_kernel_cache_rejects_and_rewrites(tmp_path, damage, dual_small,
     assert again.kernel_fft.tobytes() == op.kernel_fft.tobytes()
 
 
+def test_kernel_cache_misses_under_another_table_version(
+        tmp_path, monkeypatch, dual_small, tables_small):
+    # a kernel DFT written while another table format version was current is
+    # a miss, so tables rebuilt under a new format are never paired with a
+    # kernel folded from the old ones
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "_FORMAT_VERSION", tables._FORMAT_VERSION - 1)
+        assert not gs.build_operator(None, dual_small, *tables_small,
+                                     cache_dir=tmp_path).kernel_cache_hit
+    again = gs.build_operator(None, dual_small, *tables_small, cache_dir=tmp_path)
+    assert not again.kernel_cache_hit
+    assert gs.build_operator(None, dual_small, *tables_small,
+                             cache_dir=tmp_path).kernel_cache_hit
+
+
 def test_kernel_cache_doc_matches_code(tmp_path, fp_small, zg_small,
                                        dual_small, tables_small):
-    # docs/table-cache.md states the kernel format version that
-    # _KERNEL_VERSION writes, and its size formula gives a saved file's size
+    # docs/table-cache.md states that the kernel header holds the table
+    # format version, and its size formula gives a saved file's size
     doc = (Path(__file__).resolve().parents[1] / "docs" / "table-cache.md").read_text()
-    assert f"kernel format version ({tables._KERNEL_VERSION})" in doc
+    assert f"| 4 | `u32` | table format version ({tables._FORMAT_VERSION}) |" in doc
     formula = re.search(r"a kernel file holds\s+`([^`]+)` bytes", doc).group(1)
     expr = re.sub(r"(\d|\))\s*(?=[A-Za-z(])", r"\1*", formula)     # 16 (, 2N, )(
     expr = re.sub(r"([A-Za-z]\w*)\s+(?=[A-Za-z(])", r"\1*", expr)  # L_m L_k (

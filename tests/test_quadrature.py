@@ -6,9 +6,9 @@ import pytest
 from scipy import special
 
 from gaborscat.errors import QuadratureFailure
-from gaborscat.quadrature import (adaptive_quad, averaged_limit,
-                                  limit_weights, oscillatory_tail,
-                                  oscillatory_tail_bounds, panel_nodes)
+from gaborscat.quadrature import adaptive_quad, panel_nodes, tail_path
+
+from .oracles import averaged_limit, limit_weights, oscillatory_tail_bounds
 
 
 def test_adaptive_quad_scalar_complex():
@@ -40,12 +40,15 @@ def test_panel_nodes_integrate_polynomial():
 
 @pytest.mark.parametrize("a, w0", [(0.26, 0.4), (1.0, 1.3), (0.1, 0.05)])
 def test_oscillatory_tail_vs_exponential_integral(a, w0):
-    # int_{w0}^inf exp(-j a w^2) / w dw = E1(j a w0^2) / 2 (substitute u = w^2)
+    # int_{w0}^inf exp(-j a w^2) / w dw = E1(j a w0^2) / 2 (substitute u = w^2),
+    # taken along the deformed tail path; at w0 = 0.05 the ray's panels must
+    # resolve 1/w near its start
     k0 = np.sqrt(8 * a)          # phase convention k0^2 w^2 / 8 = a w^2
     f = lambda w: np.exp(-1j * a * w * w) / w
-    got = oscillatory_tail(lambda w, weights: f(w) @ weights, w0, k0, 0.0)
+    nodes, weights = tail_path(w0, k0, 0.0, 1)
+    got = f(nodes) @ weights
     expect = special.exp1(1j * a * w0 * w0) / 2
-    assert abs(got - expect) / abs(expect) < 1e-9
+    assert abs(got - expect) / abs(expect) < 1e-13
 
 
 def test_oscillatory_tail_mixed_phase():
@@ -54,7 +57,8 @@ def test_oscillatory_tail_mixed_phase():
     a, c, w0 = 0.26, 40.0, 0.4
     k0 = np.sqrt(8 * a)
     f = lambda w: np.exp(-1j * a * w * w - 1j * c / (w * w)) / w
-    got = oscillatory_tail(lambda w, weights: f(w) @ weights, w0, k0, c)
+    nodes, weights = tail_path(w0, k0, c, 1)
+    got = f(nodes) @ weights
     # reference in u = w^2: phase a u + c/u falls to its minimum at u* = sqrt(c/a)
     # then rises; solve the phase for explicit half-period boundaries on each
     # monotone branch (quadratic in u) and hand them to mpmath
@@ -71,8 +75,11 @@ def test_oscillatory_tail_mixed_phase():
                           + np.sqrt((phi(u_star) + n * np.pi) ** 2 - 4 * a * c))
                          / (2 * a))
     ref += complex(mp.quadosc(fu, [u_star, mp.inf], zeros=up))
-    assert abs(got - ref) / abs(ref) < 1e-8
+    assert abs(got - ref) / abs(ref) < 1e-13
 
+
+# ---------------------------------------------------------------------------
+# the phase-block tail kept in the oracles as the reference for the path
 
 def test_averaged_limit_alternating_series():
     # sum (-1)^n / (n+1) = ln 2, via "blocks" of the alternating series
