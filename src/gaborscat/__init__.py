@@ -21,12 +21,13 @@ from .green import (EwaldConfig, green_exact, green_spatial, green_spectral,
 from .kernels import ZGrid, f_spatial, g_z_spatial, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
                         assemble_green_matrix, build_operator, coeff_shape,
-                        contrast_multiply, forward_residual, green_apply)
+                        contrast_multiply, green_apply)
 from .oracle import (MoMConfig, MoMResult, compare_fields, interior_mask,
                      cylinder_reference_field, mom_solve)
 from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
                     incident_field, project_source, validate_scene)
-from .solver import Solution, solve, synthesize_field, synthesize_points
+from .solver import (Solution, forward_residual, solve, synthesize_field,
+                     synthesize_points)
 from .tables import (KernelTable, build_spatial_table, build_spectral_table,
                      build_tables, cache_key, cache_path, index_bounds,
                      kernel_cache_path, load_kernel_fft, load_or_build,

@@ -278,8 +278,20 @@ def write_pgm(path, field_real, xs, zs):
 def _column_counts(table) -> dict:
     """Live (any nonzero entry over d) and skipped (q, p) columns of a table,
     read from its data, so a cached table counts as it was built."""
-    live = int(np.count_nonzero(np.any(table.data != 0, axis=2)))
+    live = int(np.count_nonzero(np.any(table.data, axis=2)))
     return {"live": live, "skipped": table.data.shape[0] * table.data.shape[1] - live}
+
+
+def _edge_share(j: np.ndarray) -> dict:
+    """Share of ||J|| in the outermost window shifts, m = +-M ("m") and
+    n = +-N ("n"): a large share means the frame truncation cuts off part of
+    the contrast source."""
+    total = np.linalg.norm(j)
+    shares = {}
+    for name, axis in (("m", 0), ("n", 1)):
+        edges = np.take(j, sorted({0, j.shape[axis] - 1}), axis=axis)
+        shares[name] = float(np.linalg.norm(edges) / total) if total > 0 else 0.0
+    return shares
 
 
 def _pipeline(rc: RunConfig):
@@ -299,6 +311,10 @@ def _pipeline(rc: RunConfig):
     t2 = time.perf_counter()
     op = build_operator(rc.scene, dw, spat, spec, rc.cache_dir)
     t3 = time.perf_counter()
+    # the operator holds the tables only through its kernel DFT, so they
+    # are counted here and released before the solve allocates its basis
+    columns = {t.kind: _column_counts(t) for t in (spat, spec)}
+    del spat, spec
     sol = solve(rc.scene, op, method=rc.method, tol=rc.tol)
     t4 = time.perf_counter()
     metrics = {
@@ -309,13 +325,14 @@ def _pipeline(rc: RunConfig):
         "wall_time_solve": t4 - t3,
         "table_cache_hit": hit,
         "kernel_cache_hit": op.kernel_cache_hit,
-        "table_columns": {t.kind: _column_counts(t) for t in (spat, spec)},
+        "table_columns": columns,
         "condition_estimate": sol.condition_estimate,
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,
         "dual_fit_condition": dw.condition,
         "unknowns": sol.J.size,
         "gmres_residuals": sol.gmres_residuals,
+        "edge_share": _edge_share(sol.J),
         "stages": {"dual_fit_s": t1 - t0, "tables_s": t2 - t1,
                    "operator_s": t3 - t2, "solve_s": t4 - t3},
     }

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
-from .errors import DimensionMismatch, DomainError, SizeCap
+from .errors import DimensionMismatch, DomainError, SizeCap, check_memory
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
                     synthesis_matrix)
 from .kernels import ZGrid
@@ -104,13 +103,25 @@ def _fold_kernel(fp: FrameParams, dual: DualWindow, spatial_table: KernelTable,
     return kernel
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2*3*5*7*11-smooth length >= n, a length pocketfft's complex
+    transforms take without a Bluestein step (scipy.fft.next_fast_len)."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _fft_shape(fp: FrameParams, zg: ZGrid) -> tuple[int, int, int, int]:
     """(L_m, L_k, t, n) of the kernel DFT: L_m >= 4M+1 and L_k >= 2n_k+1
     keep every offset distinct, so the circular correlation of a zero-padded
     (m, k) input equals the linear one."""
     nn = 2 * fp.N + 1
-    return (scipy.fft.next_fast_len(4 * fp.M + 1),
-            scipy.fft.next_fast_len(2 * zg.n_k + 1), nn, nn)
+    return _fast_len(4 * fp.M + 1), _fast_len(2 * zg.n_k + 1), nn, nn
 
 
 def _circular_index(fp: FrameParams, zg: ZGrid):
@@ -127,13 +138,18 @@ def _kernel_fft(kernel: np.ndarray, fp: FrameParams, zg: ZGrid) -> np.ndarray:
     layout (L_m, L_k, t, n)."""
     circ = np.zeros(_fft_shape(fp, zg), dtype=complex)
     circ[_circular_index(fp, zg)] = kernel.transpose(2, 3, 0, 1)
-    return scipy.fft.fft2(circ, axes=(0, 1))
+    # in place, axis 0 first (np.fft.fft2 would start with axis 1 and round
+    # differently)
+    for axis in (0, 1):
+        np.fft.fft(circ, axis=axis, out=circ)
+    return circ
 
 
 def _kernel_from_fft(op: "DiscreteOperator") -> np.ndarray:
     """K[t, n, r, d] recovered from op.kernel_fft: one inverse DFT and the
     gather of _kernel_fft's placement."""
-    circ = scipy.fft.ifft2(op.kernel_fft, axes=(0, 1))
+    circ = np.fft.ifft(op.kernel_fft, axis=0)
+    np.fft.ifft(circ, axis=1, out=circ)
     return circ[_circular_index(op.fp, op.zg)].transpose(2, 3, 0, 1)
 
 
@@ -243,11 +259,11 @@ def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
         np.multiply(col[:, :0:-1], phase, out=live[..., 1])     # k > 0
         # pruned 2-D transforms: along k only on the rows m < 2M+1 that are
         # not zero, and back along k only on those read out
-        scipy.fft.fft(spec[:nm], axis=1, overwrite_x=True)
-        scipy.fft.fft(spec, axis=0, overwrite_x=True)
+        np.fft.fft(spec[:nm], axis=1, out=spec[:nm])
+        np.fft.fft(spec, axis=0, out=spec)
         np.matmul(op.kernel_fft, spec, out=prod)
-        scipy.fft.ifft(prod, axis=0, overwrite_x=True)
-        scipy.fft.ifft(prod[:nm], axis=1, overwrite_x=True)
+        np.fft.ifft(prod, axis=0, out=prod)
+        np.fft.ifft(prod[:nm], axis=1, out=prod[:nm])
         corr = prod[:nm, :nk]                       # (s, l, t, 2)
         dst = out_cols[..., b].transpose(0, 2, 1)   # (s, l, t)
         np.add(corr[..., 0], corr[:, ::-1, :, 1], out=dst)
@@ -266,17 +282,6 @@ def contrast_multiply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     fields *= op.chi_slices.T[:, :, None]
     out = op.analysis_matrix @ fields.reshape(-1, nk * nb)
     return out.reshape(c.shape)
-
-
-def forward_residual(coeffs: np.ndarray, inc_coeffs: np.ndarray,
-                     op: DiscreteOperator) -> np.ndarray:
-    """Residual J - J_inc - chi*(G J) of the contrast-source equation."""
-    c = np.asarray(coeffs, dtype=complex)
-    j0 = np.asarray(inc_coeffs, dtype=complex)
-    _check_coeffs(c, op.fp, op.zg)
-    if j0.shape != c.shape:
-        raise DimensionMismatch("J and J_inc shapes differ")
-    return c - j0 - contrast_multiply(green_apply(c, op), op)
 
 
 def active_slices(op: DiscreteOperator) -> np.ndarray:
@@ -322,10 +327,11 @@ def assemble_dense(op: DiscreteOperator) -> np.ndarray:
     exactly zero, so that slice's rows of the full I - chi*G are identity rows
     and its right-hand side, the analysis of chi*E_inc, is exactly zero; its
     unknowns are J = J_inc = 0 and their columns drop out.  _DENSE_CAP bounds
-    the active unknowns.  The contrast multiplication acts on each z slice l
-    separately, as the (nm*nn)^2 projector analysis * diag(chi(., z_l)) *
-    synthesis, which is formed once per slice instead of synthesizing every
-    column on the grid.
+    the active unknowns, and SizeCap refuses a matrix larger than the
+    machine's memory before it is allocated.  The contrast multiplication
+    acts on each z slice l separately, as the (nm*nn)^2 projector analysis *
+    diag(chi(., z_l)) * synthesis, which is formed once per slice instead of
+    synthesizing every column on the grid.
     """
     active = active_slices(op)
     nm, nn, _ = coeff_shape(op.fp, op.zg)
@@ -334,6 +340,7 @@ def assemble_dense(op: DiscreteOperator) -> np.ndarray:
         raise SizeCap(
             f"{n} active unknowns exceed the dense cap {_DENSE_CAP}; "
             "use the iterative solver")
+    check_memory(n * n * 16, f"the dense system matrix of {n} unknowns")
     a = assemble_green_matrix(op, active)
     by_slice = a.reshape(nm * nn, len(active), n)
     for i, l in enumerate(active):

@@ -1,17 +1,16 @@
 """Solve the discrete contrast-source equation and synthesize output fields."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import NonConvergence, SingularMatrix, check_memory
+from .errors import (DimensionMismatch, NonConvergence, SingularMatrix,
+                     check_memory)
 from .frame import FrameParams, synthesize
 from .kernels import ZGrid, triangle_value
 from .operators import (DiscreteOperator, active_slices, assemble_dense,
-                        coeff_shape, contrast_multiply, forward_residual,
-                        green_apply)
+                        coeff_shape, contrast_multiply, green_apply)
 from .scene import Scene, project_source
 
 _MAX_ITER = 2000        # GMRES matvec budget per solve
@@ -33,6 +32,19 @@ class Solution:
     gmres_residuals: list[float] = field(default_factory=list)
 
 
+def forward_residual(coeffs: np.ndarray, inc_coeffs: np.ndarray,
+                     op: DiscreteOperator) -> np.ndarray:
+    """Residual J - J_inc - chi*(G J) of the contrast-source equation.  It
+    applies G through this module's green_apply, as the GMRES matvec does,
+    so that each of its calls is one more matvec wherever green_apply is
+    counted."""
+    c = np.asarray(coeffs, dtype=complex)
+    j0 = np.asarray(inc_coeffs, dtype=complex)
+    if j0.shape != c.shape:
+        raise DimensionMismatch("J and J_inc shapes differ")
+    return c - j0 - contrast_multiply(green_apply(c, op), op)
+
+
 def _norm_1(a: np.ndarray, rows: int = 256) -> float:
     """||a||_1, the largest column sum of |a|, accumulated over row blocks so
     that no |a|-sized temporary is formed."""
@@ -45,6 +57,7 @@ def _norm_1(a: np.ndarray, rows: int = 256) -> float:
 def _condition_estimate(lu_t, a_norm: float) -> float:
     """1-norm condition estimate of A from the LU factors of A^T (LAPACK
     gecon in the infinity norm, with a_norm = ||A||_1 = ||A^T||_inf)."""
+    import scipy.linalg
     gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu_t,))[0]
     rcond, info = gecon(lu_t, a_norm, norm="I")
     if info != 0 or rcond == 0:
@@ -55,7 +68,10 @@ def _condition_estimate(lu_t, a_norm: float) -> float:
 def _direct(operator: DiscreteOperator, b: np.ndarray):
     """LU solve of I - chi*G over the z slices where chi is nonzero (see
     assemble_dense), J = J_inc elsewhere.  Returns (x, condition estimate,
-    factored unknowns); the estimate is None when nothing was factored."""
+    factored unknowns); the estimate is None when nothing was factored.
+    scipy.linalg is imported here, on first use, so that a GMRES solve does
+    not load it."""
+    import scipy.linalg
     nm, nn, nk = coeff_shape(operator.fp, operator.zg)
     x = b.copy()
     a = assemble_dense(operator)
@@ -75,19 +91,112 @@ def _direct(operator: DiscreteOperator, b: np.ndarray):
     return x, _condition_estimate(lu, a_norm), factored
 
 
+def _lartg(f, g):
+    """(c, s, r) with c real and [c s; -conj(s) c] [f; g] = [r; 0], by LAPACK
+    zlartg's formulas for operands far from under- and overflow (a complex
+    divided by a real part by part, as Fortran does)."""
+    if g == 0:
+        return 1.0, 0j, f
+    g2 = g.real ** 2 + g.imag ** 2
+    if f == 0:
+        d = math.sqrt(g2)
+        return 0.0, complex(g.real / d, -g.imag / d), d
+    f2 = f.real ** 2 + f.imag ** 2
+    h2 = f2 + g2
+    c = math.sqrt(f2 / h2)
+    d = math.sqrt(f2 * h2)
+    return (c, complex(g.real, -g.imag) * complex(f.real / d, f.imag / d),
+            complex(f.real / c, f.imag / c))
+
+
+def _restarted_gmres(matvec, residual, b: np.ndarray, rtol: float,
+                     restart: int, cycles: int):
+    """Restarted GMRES for A x = b from x = 0, ported from scipy 1.17's
+    scipy.sparse.linalg.gmres without a preconditioner: modified Gram-Schmidt,
+    Givens rotations, the inner tolerance control of scipy gh-8400 and one
+    true residual b - A x = residual(x) per restart cycle.  It stops when
+    ||b - A x|| <= rtol ||b||, or after cycles cycles of at most restart
+    matvec calls each.  Returns (x, ||b - A x||, the relative residual
+    estimate of every inner iteration, converged)."""
+    n = b.size
+    x = np.zeros_like(b)
+    history = []
+    b_norm = np.linalg.norm(b)
+    atol = rtol * b_norm
+    if b_norm == 0 or b_norm < atol:
+        return x, b_norm, history, True
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    ptol_max_factor = 1.0
+    ptol = b_norm * min(ptol_max_factor, atol / b_norm)
+    v = np.empty((restart + 1, n), dtype=b.dtype)          # Krylov basis
+    h = np.zeros((restart, restart + 1), dtype=b.dtype)     # h[j, i] = H_ij
+    givens = np.zeros((restart, 2), dtype=b.dtype)
+    r, r_norm = b, b_norm
+    for _ in range(cycles):
+        np.multiply(r, 1 / r_norm, out=v[0])
+        g = np.zeros(restart + 1, dtype=b.dtype)   # rotated r_norm e_1
+        g[0] = r_norm
+        for col in range(restart):
+            w = matvec(v[col])
+            w_norm = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = np.vdot(v[k], w)
+                w -= h[col, k] * v[k]
+            h1 = np.linalg.norm(w)
+            # w already in the Krylov space: the exact solution is in reach
+            breakdown = h1 <= eps * w_norm
+            h[col, col + 1] = 0 if breakdown else h1
+            if not breakdown:
+                np.multiply(w, 1 / h1, out=v[col + 1])
+            for k in range(col):
+                c, s = givens[k]
+                upper, lower = h[col, k], h[col, k + 1]
+                h[col, k] = c * upper + s * lower
+                h[col, k + 1] = -np.conj(s) * upper + c * lower
+            c, s, h[col, col] = _lartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col + 1] = 0
+            g[col], g[col + 1] = c * g[col], -np.conj(s) * g[col]
+            presid = np.abs(g[col + 1])
+            history.append(float(presid / b_norm))
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular h, skipping a zero pivot
+        if h[col, col] == 0:
+            g[col] = 0
+        y = g[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = residual(x)
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol or breakdown:
+            break
+        if presid <= ptol:          # the inner loop converged, x did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / r_norm)
+    return x, r_norm, history, bool(r_norm <= atol)
+
+
 def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
     """GMRES on the matrix-free forward map J - chi*(k0^2 G J), each matvec
-    one FFT green_apply plus one contrast_multiply.  Returns (x, matvecs,
-    relative residual history, one entry per inner iteration); raises
-    NonConvergence, carrying both, when _MAX_ITER matvecs do not reach tol,
-    and SizeCap, before it starts, when the Krylov basis and the operator's
-    FFT workspace do not fit in memory."""
-    nm, nn, nk = coeff_shape(operator.fp, operator.zg)
+    one FFT green_apply plus one contrast_multiply, and each restart cycle's
+    true residual one forward_residual, counted as a matvec.  Returns (x,
+    matvecs, relative residual history, one entry per inner iteration,
+    ||b - A x||); raises NonConvergence, carrying both, when _MAX_ITER
+    matvecs do not reach tol, and SizeCap, before it starts, when the Krylov
+    basis and the operator's FFT workspace do not fit in memory."""
+    shape = coeff_shape(operator.fp, operator.zg)
     n = b.size
     matvecs = 0
-    history = []
-    # scipy's maxiter counts restart cycles, each of restart + 1 matvecs
-    # (the last one recomputes the true residual)
+    # cycles of restart + 1 matvecs each (the last one is the true residual)
     cycles = -(-_MAX_ITER // (_RESTART + 1))
     restart = _MAX_ITER // cycles - 1
     check_memory(n * (restart + 1) * 16 + operator.spectrum.nbytes
@@ -96,20 +205,23 @@ def _gmres(operator: DiscreteOperator, b: np.ndarray, tol: float):
     def matvec(v):
         nonlocal matvecs
         matvecs += 1
-        c = v.reshape(nm, nn, nk)
+        c = v.reshape(shape)
         return (c - contrast_multiply(green_apply(c, operator), operator)
                 ).reshape(n)
 
-    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
-                                             dtype=complex)
-    x, info = scipy.sparse.linalg.gmres(
-        lin, b, rtol=tol / 10, atol=0.0, maxiter=cycles, restart=restart,
-        callback=lambda r: history.append(float(r)), callback_type="pr_norm")
-    if info != 0:
+    def residual(x):
+        nonlocal matvecs
+        matvecs += 1
+        return -forward_residual(x.reshape(shape), b.reshape(shape),
+                                 operator).reshape(n)
+
+    x, r_norm, history, converged = _restarted_gmres(
+        matvec, residual, b, tol / 10, restart, cycles)
+    if not converged:
         raise NonConvergence(
             f"GMRES did not converge within {matvecs} matvecs "
             f"(budget {_MAX_ITER})", residuals=history, matvecs=matvecs)
-    return x, matvecs, history
+    return x, matvecs, history, r_norm
 
 
 def solve(scene: Scene, operator: DiscreteOperator, *,
@@ -138,14 +250,15 @@ def solve(scene: Scene, operator: DiscreteOperator, *,
     iterations, history, cond, factored = 0, [], None, 0
     if method == "direct":
         x, cond, factored = _direct(operator, b)
+        r_norm = np.linalg.norm(
+            forward_residual(x.reshape(nm, nn, nk), j_inc, operator))
     else:
-        x, iterations, history = _gmres(operator, b,
-                                        1e-8 if tol is None else tol)
+        x, iterations, history, r_norm = _gmres(operator, b,
+                                                1e-8 if tol is None else tol)
 
     j = x.reshape(nm, nn, nk)
-    res = forward_residual(j, j_inc, operator)
-    res_norm = float(np.linalg.norm(res) / np.linalg.norm(j_inc)) \
-        if np.linalg.norm(j_inc) > 0 else 0.0
+    b_norm = np.linalg.norm(j_inc)
+    res_norm = float(r_norm / b_norm) if b_norm > 0 else 0.0
     return Solution(J=j, J_inc=j_inc, fp=fp, zg=zg,
                     residual_norm=res_norm, iterations=iterations,
                     condition_estimate=cond, factored_unknowns=factored,

@@ -259,6 +259,32 @@ def test_metrics_stages_cover_the_run(tmp_path, capsys):
     assert stages["solve_s"] == metrics["wall_time_solve"]
 
 
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_metrics_edge_share(tmp_path, capsys, method):
+    # the share of ||J|| in the window shifts m = +-M and n = +-N, as a
+    # direct computation from the solution reads it
+    path = write_config(tmp_path, **{"solver.method": method})
+    assert main(["solve", str(path)]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    sol, _ = cli._pipeline(parse_config(path))
+    j = sol.J
+    total = np.sqrt(np.sum(np.abs(j) ** 2))
+    m_edges = np.sqrt(np.sum(np.abs(j[0]) ** 2) + np.sum(np.abs(j[-1]) ** 2))
+    n_edges = np.sqrt(np.sum(np.abs(j[:, 0]) ** 2)
+                      + np.sum(np.abs(j[:, -1]) ** 2))
+    assert set(metrics["edge_share"]) == {"m", "n"}
+    assert metrics["edge_share"]["m"] == pytest.approx(m_edges / total,
+                                                       rel=1e-12)
+    assert metrics["edge_share"]["n"] == pytest.approx(n_edges / total,
+                                                       rel=1e-12)
+    assert 0 < metrics["edge_share"]["m"] < 1
+
+
+def test_zero_contrast_edge_share_is_zero():
+    assert cli._edge_share(np.zeros((3, 3, 4), dtype=complex)) == \
+        {"m": 0.0, "n": 0.0}
+
+
 def test_solve_parses_config_once(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -333,6 +359,21 @@ def test_gmres_memory_estimate_reports_sizecap(tmp_path, capsys, monkeypatch):
     report = json.loads((tmp_path / "out" / "error.json").read_text())
     assert report["error"] == "SizeCap"
     assert "GMRES" in report["message"]
+
+
+def test_dense_memory_estimate_reports_sizecap(tmp_path, capsys, monkeypatch):
+    # a machine too small for the direct solve's dense matrix: exit 3 and a
+    # SizeCap report, with the matrix never gathered
+    def not_gathered(*args, **kwargs):
+        raise AssertionError("the dense matrix was gathered")
+
+    monkeypatch.setattr("gaborscat.errors._physical_memory", lambda: 1000)
+    monkeypatch.setattr(operators, "assemble_green_matrix", not_gathered)
+    path = write_config(tmp_path, **{"solver.method": "direct"})
+    assert main(["solve", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "SizeCap"
+    assert "dense system matrix" in report["message"]
 
 
 def test_solve_checks_scene_before_dual_fit_and_tables(tmp_path, capsys,

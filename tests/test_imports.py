@@ -1,8 +1,11 @@
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from .test_cli import write_config
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaborscat"
 
@@ -34,14 +37,38 @@ def test_package_modules_use_every_import():
     assert unused == {}
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate serves only adaptive_quad (green-check and the tests),
-    # so a fresh `gaborscat solve` process must not pay for importing it
+def _run_python(code: str, *args) -> str:
+    """Standard output of `python -c code args` in a fresh process that
+    imports the package from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate serves only adaptive_quad (green-check and the tests),
+    # so a fresh `gaborscat solve` process must not pay for importing it
     code = ("import sys, gaborscat.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_warm_solve_runs_on_numpy_and_scipy_special(tmp_path):
+    # a GMRES solve needs FFTs, small matmuls and a Krylov loop, all numpy:
+    # neither a cold nor a warm `gaborscat solve` process loads scipy.fft,
+    # scipy.linalg, scipy.sparse or scipy.integrate; scipy.special (complex
+    # erf for cold table builds) is imported with the package
+    path = write_config(tmp_path, **{"solver.method": "iterative"})
+    code = ("import json, sys; from gaborscat.cli import main; "
+            "assert main(['solve', sys.argv[1]]) == 0; "
+            "print(json.dumps(sorted(sys.modules)))")
+    metrics = tmp_path / "out" / "metrics.json"
+    for warm in (False, True):
+        loaded = json.loads(_run_python(code, str(path)).splitlines()[-1])
+        assert json.loads(metrics.read_text())["kernel_cache_hit"] is warm
+        assert [m for m in loaded if m.startswith(
+            ("scipy.fft", "scipy.linalg", "scipy.sparse",
+             "scipy.integrate"))] == []
+        assert "scipy.special" in loaded

@@ -464,6 +464,34 @@ def test_assemble_dense_size_cap(op_small, monkeypatch):
         gs.assemble_dense(op_small)
 
 
+def test_assemble_dense_checks_memory_before_allocating(op_small,
+                                                       monkeypatch):
+    # the n^2 complex entries of the dense matrix: one byte over the memory
+    # reading is refused before anything is gathered, an exact fit assembles
+    n = len(gs.active_slices(op_small)) * int(
+        np.prod(gs.coeff_shape(op_small.fp, op_small.zg)[:2]))
+    monkeypatch.setattr("gaborscat.errors._physical_memory",
+                        lambda: n * n * 16 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(operators, "assemble_green_matrix", _not_gathered)
+        with pytest.raises(SizeCap, match="dense system matrix"):
+            gs.assemble_dense(op_small)
+    monkeypatch.setattr("gaborscat.errors._physical_memory",
+                        lambda: n * n * 16)
+    assert gs.assemble_dense(op_small).shape == (n, n)
+
+
+def _not_gathered(*args, **kwargs):
+    raise AssertionError("the dense matrix was gathered")
+
+
+def test_fast_len_matches_scipy():
+    # the kernel DFT lengths, and so the kernel cache file, are those that
+    # scipy.fft.next_fast_len gives for complex transforms
+    assert [operators._fast_len(n) for n in range(1, 4097)] == \
+        [scipy.fft.next_fast_len(n) for n in range(1, 4097)]
+
+
 def test_assemble_dense_is_active_block_of_full_system(op_partial, dual_small,
                                                        tables_small):
     # chi == 0 on the outer slices: their rows of the full I - chi*G are exact

@@ -157,11 +157,113 @@ def test_gmres_memory_estimate_before_allocation(op_small, scene_small_circle,
     monkeypatch.setattr("gaborscat.errors._physical_memory",
                         lambda: need - 1)
     with monkeypatch.context() as m:
-        m.setattr(scipy.sparse.linalg, "gmres", _no_gmres)
+        m.setattr(solver, "_restarted_gmres", _no_gmres)
         with pytest.raises(SizeCap, match="GMRES"):
             gs.solve(scene_small_circle, op_small)
     monkeypatch.setattr("gaborscat.errors._physical_memory", lambda: need)
     assert gs.solve(scene_small_circle, op_small).iterations > 0
+
+
+def _scipy_gmres(matvec, b, rtol, restart, cycles):
+    """scipy.sparse.linalg.gmres, the reference the package's GMRES is
+    ported from: (x, info, matvecs, pr_norm history)."""
+    calls, history = [], []
+
+    def counted(v):
+        calls.append(1)
+        return matvec(v)
+
+    lin = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=counted,
+                                             dtype=complex)
+    x, info = scipy.sparse.linalg.gmres(
+        lin, b, rtol=rtol, atol=0.0, maxiter=cycles, restart=restart,
+        callback=history.append, callback_type="pr_norm")
+    return x, info, len(calls), history
+
+
+def test_gmres_restarts_match_scipy_reference(op_small, scene_small_circle):
+    # on the small operator in restart cycles of 4 steps (the gh-8400 inner
+    # tolerance control at work): the same matvecs, the same residual
+    # estimates and the same solution as scipy's gmres
+    tol, restart = 1e-8, 4
+    shape = gs.coeff_shape(op_small.fp, op_small.zg)
+    b = gs.project_source(scene_small_circle, op_small.zg, op_small.grid,
+                          op_small.analysis_matrix).reshape(-1)
+
+    def matvec(v):
+        c = v.reshape(shape)
+        return (c - gs.contrast_multiply(gs.green_apply(c, op_small),
+                                         op_small)).reshape(-1)
+
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return matvec(v)
+
+    def residual(x):
+        calls.append(1)
+        return b - matvec(x)
+
+    ref, info, ref_matvecs, ref_history = _scipy_gmres(matvec, b, tol / 10,
+                                                       restart, 40)
+    x, r_norm, history, converged = solver._restarted_gmres(
+        counted, residual, b, tol / 10, restart, 40)
+    assert info == 0 and converged
+    assert len(calls) == ref_matvecs
+    assert len(history) == len(ref_history) > restart
+    assert np.abs(np.array(history) - ref_history).max() <= 1e-10
+    assert np.linalg.norm(x - ref) <= 10 * tol * np.linalg.norm(ref)
+    assert r_norm == pytest.approx(np.linalg.norm(b - matvec(x)), rel=1e-6)
+    assert r_norm <= tol / 10 * np.linalg.norm(b)
+
+
+def test_gmres_solve_matches_scipy_reference(op_small, scene_small_circle):
+    # the solve's GMRES, its true residual through forward_residual, against
+    # scipy's with the same restart split of the matvec budget
+    tol = 1e-8
+    shape = gs.coeff_shape(op_small.fp, op_small.zg)
+    sol = gs.solve(scene_small_circle, op_small, tol=tol)
+    b = sol.J_inc.reshape(-1)
+
+    def matvec(v):
+        c = v.reshape(shape)
+        return (c - gs.contrast_multiply(gs.green_apply(c, op_small),
+                                         op_small)).reshape(-1)
+
+    cycles = -(-solver._MAX_ITER // (solver._RESTART + 1))
+    ref, info, ref_matvecs, ref_history = _scipy_gmres(
+        matvec, b, tol / 10, solver._MAX_ITER // cycles - 1, cycles)
+    assert info == 0
+    assert sol.iterations == ref_matvecs
+    assert np.abs(np.array(sol.gmres_residuals) - ref_history).max() <= 1e-10
+    assert np.linalg.norm(sol.J.reshape(-1) - ref) <= \
+        10 * tol * np.linalg.norm(ref)
+    residual = gs.forward_residual(sol.J, sol.J_inc, op_small)
+    assert sol.residual_norm == \
+        np.linalg.norm(residual) / np.linalg.norm(sol.J_inc)
+
+
+def test_gmres_breakdown_matches_scipy_reference():
+    # a Krylov space that holds the solution after one step ends the cycle
+    # at once (the breakdown branch), as scipy's does
+    a = 2.0 * np.eye(6, dtype=complex)
+    b = np.arange(1, 7) * (1 + 1j)
+    ref, info, ref_matvecs, ref_history = _scipy_gmres(
+        lambda v: a @ v, b, 1e-10, 5, 3)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return a @ v
+
+    x, r_norm, history, converged = solver._restarted_gmres(
+        counted, lambda x: b - counted(x), b, 1e-10, 5, 3)
+    assert info == 0 and converged
+    assert len(calls) == ref_matvecs == 2
+    assert history == ref_history
+    assert np.array_equal(x, ref)
+    assert np.allclose(x, b / 2, rtol=1e-15, atol=0)
 
 
 def test_synthesize_points_matches_pointwise_loop(solve_ctx):
