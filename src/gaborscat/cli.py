@@ -314,6 +314,7 @@ def _pipeline(rc: RunConfig):
     # the operator holds the tables only through its kernel DFT, so they
     # are counted here and released before the solve allocates its basis
     columns = {t.kind: _column_counts(t) for t in (spat, spec)}
+    doubling = {t.kind: t.doubling_diff for t in (spat, spec)}
     del spat, spec
     sol = solve(rc.scene, op, method=rc.method, tol=rc.tol)
     t4 = time.perf_counter()
@@ -326,6 +327,7 @@ def _pipeline(rc: RunConfig):
         "table_cache_hit": hit,
         "kernel_cache_hit": op.kernel_cache_hit,
         "table_columns": columns,
+        "table_doubling_diff": doubling,
         "condition_estimate": sol.condition_estimate,
         "factored_unknowns": sol.factored_unknowns,
         "dual_fit_residual": dw.residual,

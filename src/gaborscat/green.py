@@ -10,6 +10,11 @@ analytic in w, so `quadrature.tail_path` takes that tail off the real axis to
 where it decays exponentially.  Direct quadrature on the xi side cannot reach
 the endpoint: the phase k0^2/(8 w^2) completes ~1e7 oscillations before any
 usable cutoff.
+
+The contour has one discretization, `spatial_rule` on the real axis from E
+and `spectral_rule` on the rest, which both the kernel tables and the two
+Green-function halves integrate on; each half doubles its panels
+(`quadrature.doubling_checked`) until two refinements agree within quad_tol.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,13 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .quadrature import adaptive_quad, tail_path
+from .quadrature import doubling_checked, panel_nodes, subdivided_panels, tail_path
+
+_SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
+_TAIL_PANELS = 8     # Gauss-Legendre panels of the compactified spatial tail
+_HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
+_MAX_REFINE = 1024   # panel-doubling budget of the Green-function halves
+_NODE_BLOCK = 4096   # nodes per block of a Green-function contraction
 
 
 @dataclass(frozen=True)
@@ -80,78 +91,72 @@ def zeta_path_derivative(w, split: float):
     return out if out.shape else complex(out)
 
 
-def _radii(dx, dz):
-    dx = np.asarray(dx, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    return np.hypot(dx, dz)
+def spatial_rule(split: float, xc: float, refine: int):
+    """Nodes and weights of the real axis from the splitting point E to
+    infinity: geometric panels on [E, xc], none spanning an endpoint ratio
+    above _SPATIAL_RATIO^(1/refine), then the remainder compactified as
+    xi = xc/t on refine * _TAIL_PANELS panels of t in (0, 1]."""
+    x, wx = subdivided_panels(np.array([split, xc]), _SPATIAL_RATIO ** (1 / refine))
+    t, wt = panel_nodes(np.linspace(0.0, 1.0, refine * _TAIL_PANELS + 1))
+    return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
+
+
+def spectral_rule(split: float, k0: float, c: float, refine: int):
+    """Nodes xi = 1/zeta(w) and weights zeta'/zeta^2 dw = -dxi of the rest of
+    the contour, from xi = 0 to E: refine * _HEAD_PANELS head panels on
+    [1/E, 2/E] along zeta_path, then the tail zeta = (1-j)w/2 along
+    `quadrature.tail_path` for phase rates |c'| <= c of the 1/w^2 terms."""
+    w, dw = panel_nodes(np.linspace(1 / split, 2 / split,
+                                    refine * _HEAD_PANELS + 1))
+    zeta, dzeta = zeta_path(w, split), zeta_path_derivative(w, split) * dw
+    w, dw = tail_path(2 / split, k0, c, refine)
+    zeta = np.concatenate([zeta, (1 - 1j) / 2 * w])
+    dzeta = np.concatenate([dzeta, (1 - 1j) / 2 * dw])
+    return 1 / zeta, dzeta / zeta ** 2
+
+
+def _green_half(dx, dz, cfg: EwaldConfig, rule, what: str):
+    """(1/2pi) sum_n e^{-R^2 xi_n^2} e^{k0^2/4xi_n^2}/xi_n w_n at R =
+    hypot(dx, dz) > 0 over (xi, w) = rule(R, refine), refined by panel
+    doubling up to _MAX_REFINE, in blocks of at most _NODE_BLOCK nodes."""
+    r = np.hypot(np.asarray(dx, dtype=float), np.asarray(dz, dtype=float))
+    if np.any(r <= 0):
+        raise DomainError(f"{what} requires R > 0")
+    r2 = r.reshape(-1, 1) ** 2
+
+    def contract(xi, weights):
+        blocks = range(_NODE_BLOCK, len(xi), _NODE_BLOCK)
+        return sum(np.exp(-r2 * x * x) @ (np.exp(cfg.k0 ** 2 / (4 * x * x)) / x * w)
+                   for x, w in zip(np.split(xi, blocks), np.split(weights, blocks))
+                   ) / (2 * np.pi)
+
+    v, _ = doubling_checked(contract, lambda k: rule(r, k), cfg.quad_tol, what,
+                            _MAX_REFINE)
+    return complex(v[0]) if r.ndim == 0 else v.reshape(r.shape)
 
 
 def green_spatial(dx, dz, cfg: EwaldConfig):
-    """Real-axis tail of the Ewald integral, (1/2pi) int_E^inf e^{-R^2 x^2 + k0^2/4x^2} dx/x.
+    """Real-axis tail of the Ewald integral, (1/2pi) int_E^inf e^{-R^2 x^2 + k0^2/4x^2} dx/x,
+    for R > 0 on spatial_rule."""
+    def rule(r, refine):
+        # beyond xc the integrand is below trunc_tol for every radius
+        xc = max(2 * cfg.split, np.sqrt(-np.log(cfg.trunc_tol) + 4.0) / r.min())
+        return spatial_rule(cfg.split, xc, refine)
 
-    Regular for all R when the 1/x tail is truncated; at R = 0 the value is the
-    conventional finite one with the tail cut at 100*E.
-    """
-    r = _radii(dx, dz)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    e = cfg.split
-    k0 = cfg.k0
-    out = np.empty(r.shape, dtype=complex)
-
-    pos = r > 0
-    if np.any(pos):
-        rp = r[pos][:, None]
-        # beyond xc the integrand is below trunc_tol for every positive radius
-        xc = max(2 * e, np.sqrt(-np.log(cfg.trunc_tol) + 4.0) / r[pos].min())
-
-        def body(x):
-            x = np.atleast_1d(x)
-            return np.exp(-rp * rp * x * x + k0 * k0 / (4 * x * x)) / x
-
-        v = adaptive_quad(body, e, xc, rtol=cfg.quad_tol)
-        # map the remaining tail to (0, 1]; integrand vanishes smoothly at t=0
-        v = v + adaptive_quad(lambda t: body(xc / t) * xc / t ** 2,
-                              1e-12, 1.0, rtol=cfg.quad_tol)
-        out[pos] = v[:, 0] if v.ndim == 2 else v
-    if np.any(~pos):
-        # R = 0: log-divergent tail, truncated at the 100*E cap by convention
-        f0 = lambda x: np.exp(k0 * k0 / (4 * x * x)) / x
-        out[~pos] = adaptive_quad(f0, e, 100 * e, rtol=cfg.quad_tol)
-    out /= 2 * np.pi
-    return complex(out[0]) if scalar else out
+    return _green_half(dx, dz, cfg, rule, "green_spatial")
 
 
 def green_spectral(dx, dz, cfg: EwaldConfig):
     """Contour head of the Ewald integral, evaluated in the inverse variable.
 
-    Equals (1/2pi) int over zeta from 1/E of e^{-R^2/zeta^2 + k0^2 zeta^2/4} dzeta/zeta;
-    the w > 2/E tail oscillates as exp(-j k0^2 w^2/8 - 2j R^2/w^2) / w and is
-    taken along the deformed path of `quadrature.tail_path`.
+    Equals (1/2pi) int over zeta from 1/E of e^{-R^2/zeta^2 + k0^2 zeta^2/4} dzeta/zeta
+    for R > 0 on spectral_rule; the w > 2/E tail oscillates as
+    exp(-j k0^2 w^2/8 - 2j R^2/w^2) / w, so the path's phase bound is 2R^2.
     """
-    r = _radii(dx, dz)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r <= 0):
-        raise DomainError("green_spectral requires R > 0")
-    e = cfg.split
-    k0 = cfg.k0
-    rc = r[:, None]
+    def rule(r, refine):
+        return spectral_rule(cfg.split, cfg.k0, 2 * float(r.max()) ** 2, refine)
 
-    def head(w):
-        w = np.atleast_1d(w)
-        z = zeta_path(w, e)
-        return (np.exp(-rc * rc / (z * z) + k0 * k0 * z * z / 4)
-                * zeta_path_derivative(w, e) / z)
-
-    v = adaptive_quad(head, 1 / e, 2 / e, rtol=cfg.quad_tol)
-    if v.ndim == 2:
-        v = v[:, 0]
-
-    w, weights = tail_path(2 / e, k0, 2 * float(r.max()) ** 2, 1)
-    v = v + (np.exp(-2j * rc * rc / (w * w) - 1j * k0 * k0 * w * w / 8) / w) @ weights
-    v /= 2 * np.pi
-    return complex(v[0]) if scalar else v
+    return _green_half(dx, dz, cfg, rule, "green_spectral")
 
 
 def split_identity_error(k0: float, radii, split: float | None = None,

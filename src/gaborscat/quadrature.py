@@ -1,7 +1,7 @@
 """Quadrature helpers: Gauss-Legendre panels, the deformed path that carries
 the oscillatory 1/w tails of the inverse-variable Green-function contour, and
-adaptive Gauss-Kronrod quadrature, which only `green` uses (scipy.integrate
-is imported on its first call, so the solve pipeline never loads it).
+the panel-doubling check through which every contour integral of the package
+(both kernel tables and both Green-function halves) refines its node rule.
 
 The tail integrands all share the structure e^{-j k0^2 w^2/8 - j c/w^2} S(w)
 with S algebraic and |c| bounded, and every factor is analytic in w off the
@@ -27,20 +27,6 @@ _GRADE = 1e-6          # width of the lowest rise panel, as a fraction of _RISE
 _PANELS = 16           # panels of the return segment and of the ray
 _RAY = np.pi / 6       # the ray leaves the real axis at angle -_RAY
 _DECAY = 40.0          # the ray ends where |e^{-j k0^2 w^2/8}| = e^{-_DECAY}
-
-
-def adaptive_quad(f, a: float, b: float, *, rtol: float = 1e-10,
-                  atol: float = 1e-15, limit: int = 2000):
-    """Adaptive Gauss-Kronrod quadrature of a (vector-valued) complex integrand."""
-    from scipy.integrate import quad_vec
-    val, err = quad_vec(f, a, b, epsrel=rtol, epsabs=atol, limit=limit,
-                        norm="max", quadrature="gk21")
-    scale = np.max(np.abs(val)) if np.ndim(val) else abs(val)
-    if not np.all(np.isfinite(err)) or err > max(atol, rtol * max(scale, atol)) * 1e3:
-        raise QuadratureFailure(
-            f"quad_vec error estimate {err:.3e} on [{a:.6g}, {b:.6g}] "
-            f"exceeds budget (rtol={rtol:.1e})")
-    return val
 
 
 def panel_nodes(bounds: np.ndarray):
@@ -126,3 +112,24 @@ def tail_path(w0: float, k0: float, c: float, refine: int):
     ]
     return (np.concatenate([nodes for nodes, _ in parts]),
             np.concatenate([weights for _, weights in parts]))
+
+
+def doubling_checked(contract, rule, tol: float, what: str, max_refine: int):
+    """contract(*rule(k)) at the first k = 2, 4, ..., max_refine that agrees
+    with contract(*rule(k // 2)) within tol of its largest entry, and that
+    agreement max|coarse - fine| / max|fine| (0 for an all-zero result).
+
+    rule(k) returns (nodes, weights) of a base rule with its panels refined
+    k-fold.  When no k up to max_refine agrees, QuadratureFailure is raised.
+    """
+    coarse = contract(*rule(1))
+    refine = 2
+    while refine <= max_refine:
+        fine = contract(*rule(refine))
+        scale = np.max(np.abs(fine), initial=0.0)
+        diff = np.max(np.abs(coarse - fine), initial=0.0)
+        if diff <= max(tol * scale, 1e-15):
+            return fine, float(diff / scale) if scale > 0 else 0.0
+        coarse, refine = fine, 2 * refine
+    raise QuadratureFailure(f"{what} failed the panel-doubling check up to "
+                            f"refine {max_refine}")

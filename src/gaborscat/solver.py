@@ -127,6 +127,8 @@ def _restarted_gmres(matvec, residual, b: np.ndarray, rtol: float,
         return x, b_norm, history, True
     eps = np.finfo(float).eps
     restart = min(restart, n)
+    if restart < 1:             # no room for one Krylov step
+        return x, b_norm, history, False
     ptol_max_factor = 1.0
     ptol = b_norm * min(ptol_max_factor, atol / b_norm)
     v = np.empty((restart + 1, n), dtype=b.dtype)          # Krylov basis

@@ -11,10 +11,12 @@ to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w:
 head panels on [1/E, 2/E], then the tail zeta = (1-j)w/2 along the deformed
 path of `quadrature.tail_path`, where the integrand decays exponentially.
 
-Both tables are fixed-node contractions by one helper: every node set is a
-sum of (q*p x nodes) @ (nodes x d) matrix products over blocks of
-_NODE_BLOCK nodes, so memory does not grow with the node count.  Each node
-set is checked once against the rule with every panel halved.  Both are
+Both tables are fixed-node contractions by one helper on the Green
+function's own node rules (`green.spatial_rule`, `green.spectral_rule`):
+every node set is a sum of (q*p x nodes) @ (nodes x d) matrix products over
+blocks of _NODE_BLOCK nodes, so memory does not grow with the node count.
+Each node set is checked once against the rule with every panel halved
+(`quadrature.doubling_checked`, max_refine = 2).  Both are
 built for p >= 0 only and the p < 0 half is filled by the exact mirror
 T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
 (alpha*q + j*beta*p)^2 and p^2).
@@ -31,24 +33,21 @@ import hashlib
 import os
 import struct
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError
 from .frame import FrameParams
-from .green import EwaldConfig, zeta_path, zeta_path_derivative
+from .green import EwaldConfig, spatial_rule, spectral_rule
 from .kernels import ZGrid, f_spatial, g_z_spatial
-from .quadrature import panel_nodes, subdivided_panels, tail_path
+from .quadrature import doubling_checked
 
 _FORMAT_VERSION = 5   # of both files: the kernel DFT is folded from the tables
 _MAGIC = b"EGKT"
 _KERNEL_MAGIC = b"EGKF"
 _KINDS = ("spatial", "spectral")
-_HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
-_SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
-_TAIL_PANELS = 8     # Gauss-Legendre panels of the compactified spatial tail
 _NODE_BLOCK = 1024   # nodes per block of a table contraction
 
 
@@ -60,7 +59,9 @@ def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Complex table over q in [-Q,Q], p in [-P,P], d in [-n_k, n_k]."""
+    """Complex table over q in [-Q,Q], p in [-P,P], d in [-n_k, n_k], with
+    its build's panel-doubling difference max|coarse - fine| / max|fine|
+    (None when read from a cache file, which does not store it)."""
     data: np.ndarray
     kind: str
     fp: FrameParams
@@ -68,6 +69,7 @@ class KernelTable:
     cfg: EwaldConfig
     n_u: int
     n_v: int
+    doubling_diff: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -158,21 +160,6 @@ def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half[::-1, :0:-1], half], axis=1)
 
 
-def _doubling_checked(contract, rule, tol: float, what: str):
-    """contract(*rule(2)), checked against contract(*rule(1)).
-
-    rule(k) returns (nodes, weights) of the base rule with its panels refined
-    k-fold; the two results must agree within tol of the largest entry, or
-    QuadratureFailure is raised.
-    """
-    coarse = contract(*rule(1))
-    fine = contract(*rule(2))
-    scale = np.max(np.abs(fine), initial=0.0)
-    if np.max(np.abs(coarse - fine), initial=0.0) > max(tol * scale, 1e-15):
-        raise QuadratureFailure(f"{what} failed the panel-doubling check")
-    return fine
-
-
 def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                         n_u: int, n_v: int) -> KernelTable:
     """Real-axis table: geometric panels on [E, xc] plus the compactified
@@ -196,15 +183,11 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     def contract(x, weights):
         return _contract(qg, pg, live_d, x, weights, fp, zg, cfg.k0)
 
-    def rule(k):
-        x, wx = subdivided_panels(np.array([e, xc]), _SPATIAL_RATIO ** (1 / k))
-        t, wt = panel_nodes(np.linspace(0.0, 1.0, k * _TAIL_PANELS + 1))
-        return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
-
-    half[np.ix_(live_q + q_max, ps, live_d + zg.n_k)] = \
-        _doubling_checked(contract, rule, cfg.quad_tol, "spatial table")
+    live, diff = doubling_checked(contract, lambda k: spatial_rule(e, xc, k),
+                                  cfg.quad_tol, "spatial table", max_refine=2)
+    half[np.ix_(live_q + q_max, ps, live_d + zg.n_k)] = live
     return KernelTable(data=_mirror_half_plane(half), kind="spatial", fp=fp,
-                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v)
+                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
 
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
@@ -218,8 +201,6 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
     pg = np.arange(p_max + 1)[None, :, None].astype(float)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    e = cfg.split
-    w0, w1 = 1 / e, 2 / e
 
     # phase-rate bound of the 1/w^2 terms: the exponent of f(q, p, 1/zeta)
     # plus the erf phases of g(d, 1/zeta)
@@ -230,18 +211,11 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     def contract(xi, weights):
         return _contract(qg, pg, ds, xi, weights, fp, zg, cfg.k0)
 
-    def rule(k):
-        # zeta and zeta' dw on the head, then on the tail path
-        w, dw = panel_nodes(np.linspace(w0, w1, k * _HEAD_PANELS + 1))
-        zeta, dzeta = zeta_path(w, e), zeta_path_derivative(w, e) * dw
-        w, dw = tail_path(w1, cfg.k0, phase_coeff, k)
-        zeta = np.concatenate([zeta, (1 - 1j) / 2 * w])
-        dzeta = np.concatenate([dzeta, (1 - 1j) / 2 * dw])
-        return 1 / zeta, dzeta / zeta ** 2
-
-    half = _doubling_checked(contract, rule, cfg.quad_tol, "spectral table")
+    half, diff = doubling_checked(
+        contract, lambda k: spectral_rule(cfg.split, cfg.k0, phase_coeff, k),
+        cfg.quad_tol, "spectral table", max_refine=2)
     return KernelTable(data=_mirror_half_plane(half), kind="spectral", fp=fp,
-                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v)
+                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
 
 
 def build_tables(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,

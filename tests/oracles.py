@@ -7,9 +7,10 @@ Fourier-side frame elements and dual coefficients, the Ewald contour xi(w),
 the guarded complex erf and its OverflowGuard,
 the per-d erf_diff form of the half-triangle z' integrals and the
 full-triangle ones, the kx-domain reductions f~ and g~ of the contour
-head, the signed-index kernel-table lookup, and the real-axis phase-block
-tail with its averaging extrapolation that the deformed tail path replaced);
-the tests check those in their own right.
+head, the signed-index kernel-table lookup, the real-axis phase-block
+tail with its averaging extrapolation that the deformed tail path replaced,
+and the adaptive Gauss-Kronrod quadrature that the package's fixed-node
+rules replaced); the tests check those in their own right.
 """
 
 import cmath
@@ -20,14 +21,32 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad_vec
 
-from gaborscat.errors import GaborscatError, SingularFrame
+from gaborscat.errors import GaborscatError, QuadratureFailure, SingularFrame
 from gaborscat.frame import (TWO_QUARTER, analysis_grid, analysis_matrix,
                              frame_matrix, synthesis_matrix, window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
 from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial
-from gaborscat.quadrature import adaptive_quad, panel_nodes, subdivided_panels
+from gaborscat.quadrature import panel_nodes, subdivided_panels
 from gaborscat.scene import contrast_at
 from gaborscat.tables import _q_decay_rate, _spatial_envelope, index_bounds
+
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature: the reference route for the fixed-node
+# contour rules (the spectral head of green_spectral_phase_blocks and the
+# per-d spatial table of spatial_table_adaptive)
+
+def adaptive_quad(f, a: float, b: float, *, rtol: float = 1e-10,
+                  atol: float = 1e-15, limit: int = 2000):
+    """Adaptive Gauss-Kronrod quadrature of a (vector-valued) complex integrand."""
+    val, err = quad_vec(f, a, b, epsrel=rtol, epsabs=atol, limit=limit,
+                        norm="max", quadrature="gk21")
+    scale = np.max(np.abs(val)) if np.ndim(val) else abs(val)
+    if not np.all(np.isfinite(err)) or err > max(atol, rtol * max(scale, atol)) * 1e3:
+        raise QuadratureFailure(
+            f"quad_vec error estimate {err:.3e} on [{a:.6g}, {b:.6g}] "
+            f"exceeds budget (rtol={rtol:.1e})")
+    return val
+
 
 # ---------------------------------------------------------------------------
 # Bessel J0/Y0 from scratch: power series for small argument, Hankel's

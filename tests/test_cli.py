@@ -103,6 +103,10 @@ def test_solve_emits_artifacts_and_cache_determinism(tmp_path, capsys):
         counts = metrics1["table_columns"][kind]
         assert counts["live"] > 0
         assert counts["live"] + counts["skipped"] == (2 * q_max + 1) * (2 * p_max + 1)
+    # the builds' panel-doubling differences; the cache does not store them
+    for kind in ("spatial", "spectral"):
+        assert 0 < metrics1["table_doubling_diff"][kind] <= rc.ewald.quad_tol
+    assert metrics2["table_doubling_diff"] == {"spatial": None, "spectral": None}
     # pgm artifacts
     pgm = (out / "field.pgm").read_bytes()
     assert pgm.startswith(b"P5\n31 13\n255\n")
@@ -349,6 +353,15 @@ def test_nonconvergence_reports_history(tmp_path, capsys, monkeypatch):
     assert report["error"] == "NonConvergence"
     assert 0 < report["iterations"] <= 7
     assert 0 < len(report["gmres_residuals"]) <= report["iterations"]
+
+
+def test_gmres_budget_below_one_cycle_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    path = write_config(tmp_path, solver={"method": "iterative"})
+    assert main(["solve", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "NonConvergence"
+    assert report["iterations"] == 0
 
 
 def test_gmres_memory_estimate_reports_sizecap(tmp_path, capsys, monkeypatch):

@@ -149,6 +149,16 @@ def test_sum_invariant_under_split_change(cfg):
         assert abs(t1 - t2) / abs(t1) < 1e-8
 
 
+def test_split_identity_at_four_times_auto_split():
+    # the green-check sweep at k0 = 3 and 4E*: adaptive Gauss-Kronrod halves
+    # reached 3.1e-7 here without a QuadratureFailure; the node rules refine
+    # by panel doubling until they agree
+    k0 = 3.0
+    k0r = np.logspace(-3, np.log10(30.0), 30)
+    errs = gs.split_identity_error(k0, k0r / k0, 4 * gs.optimal_split(k0, DELTA))
+    assert errs.max() <= 1e-8
+
+
 def test_parts_depend_only_on_radius(cfg):
     a = gs.green_spatial(3.0, 4.0, cfg)
     b = gs.green_spatial(5.0, 0.0, cfg)
@@ -158,9 +168,11 @@ def test_parts_depend_only_on_radius(cfg):
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
-def test_green_spatial_finite_at_origin(cfg):
-    val = gs.green_spatial(0.0, 0.0, cfg)
-    assert np.isfinite(val)
+def test_green_spatial_rejects_origin(cfg):
+    with pytest.raises(DomainError):
+        gs.green_spatial(0.0, 0.0, cfg)
+    with pytest.raises(DomainError):
+        gs.green_spatial(np.array([0.5, 0.0]), 0.0, cfg)
 
 
 @pytest.mark.parametrize("k0", [0.84, 1.45, 3.0])

@@ -48,11 +48,15 @@ def _run_python(code: str, *args) -> str:
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate serves only adaptive_quad (green-check and the tests),
-    # so a fresh `gaborscat solve` process must not pay for importing it
-    code = ("import sys, gaborscat.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    assert _run_python(code).strip() == "[]"
+    # every contour integral of the package runs on its fixed-node rules, so
+    # neither importing the CLI nor a `gaborscat green-check` run loads
+    # scipy.integrate; only the tests' adaptive reference uses it
+    listing = "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    assert _run_python("import sys, gaborscat.cli; " + listing).strip() == "[]"
+    check = ("import sys; from gaborscat.cli import main; "
+             "assert main(['green-check', '--k0', '1.45', '--n', '4']) == 0; "
+             + listing)
+    assert _run_python(check).splitlines()[-1] == "[]"
 
 
 def test_warm_solve_runs_on_numpy_and_scipy_special(tmp_path):

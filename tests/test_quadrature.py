@@ -6,10 +6,14 @@ import pytest
 from scipy import special
 
 from gaborscat.errors import QuadratureFailure
-from gaborscat.quadrature import adaptive_quad, panel_nodes, tail_path
+from gaborscat.quadrature import doubling_checked, panel_nodes, tail_path
 
-from .oracles import averaged_limit, limit_weights, oscillatory_tail_bounds
+from .oracles import (adaptive_quad, averaged_limit, limit_weights,
+                      oscillatory_tail_bounds)
 
+
+# ---------------------------------------------------------------------------
+# the adaptive reference kept in the oracles
 
 def test_adaptive_quad_scalar_complex():
     val = adaptive_quad(lambda x: np.exp(1j * x), 0.0, np.pi)
@@ -30,6 +34,45 @@ def test_adaptive_quad_failure():
 
     with pytest.raises(QuadratureFailure):
         adaptive_quad(np.vectorize(noisy), 0.0, 1.0, rtol=1e-12, limit=3)
+
+
+# ---------------------------------------------------------------------------
+# fixed-node rules
+
+def test_doubling_checked_rejects_disagreement():
+    # a rule whose integral moves under refinement fails at any budget; a
+    # smooth one returns the first refined value that agrees, with the
+    # relative difference of the last doubling
+    rule = lambda k: panel_nodes(np.linspace(0.0, 1.0, 2 * k + 1))
+    moving = lambda nodes, weights: np.array([len(nodes) * np.sum(weights)])
+    for budget in (2, 16):
+        with pytest.raises(QuadratureFailure, match="doubling"):
+            doubling_checked(moving, rule, 1e-10, "test integral", budget)
+    smooth = lambda nodes, weights: np.array([weights @ np.exp(nodes)])
+    got, diff = doubling_checked(smooth, rule, 1e-10, "test integral", 2)
+    assert abs(got[0] - (np.e - 1)) < 1e-14
+    assert diff == abs(smooth(*rule(1))[0] - got[0]) / abs(got[0])
+
+
+def test_doubling_checked_refines_until_agreement():
+    # 2k Gauss-Legendre panels on [0, 1] resolve cos(200 x) only from k = 8
+    # on, so k = 8 and k = 16 are the first pair to agree: a budget of 8 runs
+    # out after k = 8, a budget of 16 returns the k = 16 value
+    rule = lambda k: panel_nodes(np.linspace(0.0, 1.0, 2 * k + 1))
+    calls = []
+
+    def wave(nodes, weights):
+        calls.append(len(nodes) // 32)
+        return np.array([weights @ np.cos(200 * nodes)])
+
+    with pytest.raises(QuadratureFailure, match="up to refine 8"):
+        doubling_checked(wave, rule, 1e-10, "test integral", 8)
+    assert calls == [1, 2, 4, 8]
+    calls.clear()
+    got, diff = doubling_checked(wave, rule, 1e-10, "test integral", 1024)
+    assert calls == [1, 2, 4, 8, 16]
+    assert abs(got[0] - np.sin(200.0) / 200) < 1e-15
+    assert diff <= 1e-10
 
 
 def test_panel_nodes_integrate_polynomial():

@@ -142,6 +142,16 @@ def test_gmres_matvec_budget(solve_ctx, monkeypatch):
     assert all(r > 0 for r in info.value.residuals)
 
 
+def test_gmres_budget_below_one_cycle(solve_ctx, monkeypatch):
+    # a budget of 1 leaves no room for a cycle (one matvec plus its true
+    # residual): NonConvergence with nothing spent, not an error from the loop
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    with pytest.raises(NonConvergence) as info:
+        solve_ctx(small_circle(), method="iterative")
+    assert info.value.matvecs == 0
+    assert info.value.residuals == []
+
+
 def _no_gmres(*args, **kwargs):
     raise AssertionError("GMRES started")
 

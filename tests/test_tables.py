@@ -10,13 +10,15 @@ from scipy import special
 
 import gaborscat as gs
 from gaborscat import tables
-from gaborscat.errors import DomainError, QuadratureFailure
-from gaborscat.quadrature import panel_nodes
+from gaborscat.errors import DomainError
+from gaborscat.cli import parse_config
+from gaborscat.green import spatial_rule
 
 from .oracles import (spatial_table_adaptive, spectral_table_blockwise,
                       table_entry)
 
 K0 = 1.45
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -176,16 +178,36 @@ def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
     assert np.array_equal(gs.build_spectral_table(fp, zg, cfg, 2, 3).data, spec.data)
 
 
-def test_doubling_check_rejects_disagreement():
-    # a rule whose integral moves under refinement fails; a smooth one
-    # returns the refined value
-    rule = lambda k: panel_nodes(np.linspace(0.0, 1.0, 2 * k + 1))
-    moving = lambda nodes, weights: np.array([len(nodes) * np.sum(weights)])
-    with pytest.raises(QuadratureFailure, match="doubling"):
-        tables._doubling_checked(moving, rule, 1e-10, "test integral")
-    smooth = lambda nodes, weights: np.array([weights @ np.exp(nodes)])
-    got = tables._doubling_checked(smooth, rule, 1e-10, "test integral")
-    assert abs(got[0] - (np.e - 1)) < 1e-14
+@pytest.mark.parametrize("name", ["circle", "rectangle", "grating"])
+def test_spatial_live_rule_drops_only_quadrature_noise(name):
+    # every (q, p >= 0, d) contracted on the build's own nodes: the entries
+    # the live-q/live-d rule keeps are bit-identical to it, and the ones it
+    # drops hold at most quad_tol of max|T| (1.6e-14, 2.6e-14 and 7.3e-14 on
+    # these configs, so a trunc_tol = 1e-14 bound would not hold)
+    rc = parse_config(CONFIGS / f"{name}.json")
+    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
+    spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
+    q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
+    qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
+    pg = np.arange(p_max + 1)[None, :, None].astype(float)
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    nodes = spatial_rule(cfg.split, gs.truncation_point(fp, zg, cfg), 2)
+    full = tables._mirror_half_plane(
+        tables._contract(qg, pg, ds, *nodes, fp, zg, cfg.k0))
+    kept = spat.data != 0
+    assert np.array_equal(spat.data[kept], full[kept])
+    assert np.abs(full[~kept]).max() <= cfg.quad_tol * np.abs(full).max()
+
+
+def test_build_records_doubling_diff(setup, tmp_path):
+    # each build keeps its panel-doubling difference; a table read back from
+    # its cache file carries none
+    fp, zg, cfg, spat, spec = setup
+    for table in (spat, spec):
+        assert 0 < table.doubling_diff <= cfg.quad_tol
+        path = gs.save_table(table, tmp_path / f"{table.kind}.bin")
+        loaded = gs.load_table(path, fp, zg, cfg, 2, 3, table.kind)
+        assert loaded.doubling_diff is None
 
 
 def test_spatial_truncation_point_capped(setup):
