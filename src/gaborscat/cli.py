@@ -251,10 +251,15 @@ def _write_csv(path, header, *columns):
 
 
 def write_field_csv(path, xs, zs, field):
-    """Header x,z,re,im; rows z-outer; 17 significant digits."""
-    x, z = np.meshgrid(xs, zs)
-    _write_csv(path, "x,z,re,im", x.ravel(), z.ravel(), field.real.ravel(),
-               field.imag.ravel())
+    """Header x,z,re,im; rows z-outer; 17 significant digits, as _write_csv
+    writes them.  Each grid coordinate is formatted once, into a row template
+    that the (re, im) pairs fill by one %."""
+    xs, zs = (["%.17g" % v for v in np.asarray(a, dtype=float).tolist()]
+              for a in (xs, zs))
+    template = "".join([f"{x},{z},%.17g,%.17g\n" for z in zs for x in xs])
+    pairs = np.column_stack([field.real.ravel(), field.imag.ravel()])
+    with open(path, "w") as fh:
+        fh.write("x,z,re,im\n" + template % tuple(pairs.ravel().tolist()))
 
 
 def write_pgm(path, field_real, xs, zs):

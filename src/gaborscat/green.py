@@ -20,7 +20,6 @@ Green-function halves integrate on; each half doubles its panels
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .quadrature import doubling_checked, panel_nodes, subdivided_panels, tail_path
@@ -59,6 +58,8 @@ def optimal_split(k0: float, delta: float) -> float:
 
 def green_exact(r, k0: float):
     """Free-space Green function H0^(2)(k0 R) / 4j for R > 0."""
+    from scipy import special    # on first use: a solve never calls this
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("green_exact requires R > 0 (log singularity at R=0)")

@@ -10,7 +10,6 @@ the Green function over the equal-area circle of the patch in closed form.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (DomainError, GridMismatch, SingularMatrix, SizeCap,
                      check_memory)
@@ -57,13 +56,17 @@ class MoMResult:
         r = np.sqrt((x[..., None] - self.x) ** 2 + (z[..., None] - self.z) ** 2)
         near = r < 1e-9
         r = np.where(near, 1.0, r)
-        g = green_exact(r, k0)
-        a_eq = np.sqrt(area / np.pi)
-        self_term = (-1j * np.pi * a_eq / (2 * k0) * special.hankel2(1, k0 * a_eq)
-                     - 1 / k0 ** 2)
-        g = np.where(near, self_term / area, g)
+        g = np.where(near, _self_term(area, k0) / area, green_exact(r, k0))
         return k0 ** 2 * np.einsum('...j,j->...',
                                    g * area * self.scene.chi, self.e_total)
+
+
+def _self_term(area, k0: float):
+    """Integral of G over the circle of the given area about its centre."""
+    from scipy import special    # on first use: a solve never calls this
+
+    a_eq = np.sqrt(area / np.pi)
+    return -1j * np.pi * a_eq / (2 * k0) * special.hankel2(1, k0 * a_eq) - 1 / k0 ** 2
 
 
 def _patches(scene: Scene, cfg: MoMConfig):
@@ -109,10 +112,7 @@ def mom_solve(scene: Scene, cfg: MoMConfig = MoMConfig()) -> MoMResult:
     r = np.sqrt(dx * dx + dz * dz)
     r[np.arange(n), np.arange(n)] = 1.0
     s = area[None, :] * green_exact(r, k0)
-    a_eq = np.sqrt(area / np.pi)
-    s[np.arange(n), np.arange(n)] = (
-        -1j * np.pi * a_eq / (2 * k0) * special.hankel2(1, k0 * a_eq)
-        - 1 / k0 ** 2)
+    s[np.arange(n), np.arange(n)] = _self_term(area, k0)
     a = np.eye(n) - k0 * k0 * scene.chi * s
     e_inc = incident_field(xc, zc, scene)
     try:
@@ -161,6 +161,8 @@ def cylinder_reference_field(x, z, scene: Scene,
     Scalar field with E and dE/drho continuous across the boundary; outgoing
     parts carry H^(2) under the e^{j w t} convention.
     """
+    from scipy import special    # on first use: a solve never calls this
+
     if not hasattr(scene.shape, "radius"):
         raise DomainError("cylinder series requires a Circle scene")
     r0 = scene.shape.radius

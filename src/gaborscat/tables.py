@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .frame import FrameParams
 from .green import EwaldConfig, spatial_rule, spectral_rule
-from .kernels import ZGrid, f_spatial, g_z_spatial
+from .kernels import ZGrid, f_spatial, g_z_spatial, x_rate
 from .quadrature import doubling_checked
 
 _FORMAT_VERSION = 5   # of both files: the kernel DFT is folded from the tables
@@ -90,7 +90,7 @@ class KernelTable:
 
 def _q_decay_rate(fp: FrameParams, split: float) -> float:
     """Slowest q^2 decay rate of |f| over the real axis, attained at xi = E."""
-    return np.pi / (2 + np.pi / (fp.X ** 2 * split ** 2)) * fp.alpha ** 2
+    return x_rate(split, fp) * fp.alpha ** 2
 
 
 def _spatial_envelope(xi: float, q: int, d: int, fp: FrameParams, zg: ZGrid,
@@ -130,10 +130,34 @@ def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
     return hi
 
 
-def _contract(qg, pg, ds, xi: np.ndarray, weights: np.ndarray,
+def _x_factor(q_max: int, p_max: int, x: np.ndarray,
+              fp: FrameParams) -> np.ndarray:
+    """f(q, p, x_n) over q = -q_max..q_max, p = 0..p_max and the nodes x,
+    shape (q, p, node).  The q = 0 row is f_spatial's; the others follow by
+    f[q] = f[q - 1] e^{-s alpha^2 (2q - 1)} e^{-2j s alpha beta p} for q > 0
+    and f[q] = f[q + 1] e^{-s alpha^2 (2|q| - 1)} e^{+2j s alpha beta p} for
+    q < 0, s = x_rate(x), so each (p, node) costs three complex exponentials,
+    not one per q.  Where the q = 0 row underflows, the rows it seeds stay
+    zero."""
+    ps = np.arange(p_max + 1)[:, None]
+    s = x_rate(x, fp)
+    out = np.empty((2 * q_max + 1, p_max + 1, len(x)), dtype=complex)
+    out[q_max] = f_spatial(0, ps, x, fp)
+    cross = 2j * fp.alpha * fp.beta * s * ps
+    up, down = np.exp(-cross), np.exp(cross)
+    decay = np.exp(-fp.alpha ** 2 * s * (2 * np.arange(1, q_max + 1)[:, None] - 1))
+    for q in range(1, q_max + 1):
+        for row, prev, phase in ((q_max + q, q_max + q - 1, up),
+                                 (q_max - q, q_max - q + 1, down)):
+            np.multiply(out[prev], phase, out=out[row])
+            out[row] *= decay[q - 1]
+    return out
+
+
+def _contract(q_max: int, p_max: int, ds, xi: np.ndarray, weights: np.ndarray,
               fp: FrameParams, zg: ZGrid, k0: float) -> np.ndarray:
     """sum_n e^{k0^2/4xi_n^2}/xi_n f(q, p, xi_n) g(d, xi_n) weights[n] over
-    the (q, p) grid of qg, pg and the d of ds, shape (q, p, d).
+    q = -q_max..q_max, p = 0..p_max and the d of ds, shape (q, p, d).
 
     The nodes xi may be complex.  They are taken in blocks of at most
     _NODE_BLOCK, each one (q*p x nodes) @ (nodes x d) matrix product, so no
@@ -144,10 +168,10 @@ def _contract(qg, pg, ds, xi: np.ndarray, weights: np.ndarray,
         block = slice(start, start + _NODE_BLOCK)
         x = xi[block]
         node_weights = np.exp(k0 * k0 / (4 * x * x)) / x * weights[block]
-        fvals = f_spatial(qg, pg, x, fp)
+        fvals = _x_factor(q_max, p_max, x, fp)
         out = out + fvals.reshape(-1, len(x)) @ (
             g_z_spatial(ds[:, None], x[None, :], zg) * node_weights).T
-    return out.reshape(fvals.shape[:-1] + (len(ds),))
+    return out.reshape(2 * q_max + 1, p_max + 1, len(ds))
 
 
 def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
@@ -176,18 +200,26 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
     live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.trunc_tol
                  for d in ds]]
-    qg = live_q[:, None, None].astype(float)
-    pg = ps[None, :, None].astype(float)
     xc = truncation_point(fp, zg, cfg)
 
     def contract(x, weights):
-        return _contract(qg, pg, live_d, x, weights, fp, zg, cfg.k0)
+        return _contract(live_q[-1], p_max, live_d, x, weights, fp, zg, cfg.k0)
 
     live, diff = doubling_checked(contract, lambda k: spatial_rule(e, xc, k),
                                   cfg.quad_tol, "spatial table", max_refine=2)
     half[np.ix_(live_q + q_max, ps, live_d + zg.n_k)] = live
     return KernelTable(data=_mirror_half_plane(half), kind="spatial", fp=fp,
                        zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
+
+
+def spectral_phase_coeff(fp: FrameParams, zg: ZGrid, n_u: int, n_v: int) -> float:
+    """Phase-rate bound c of the 1/w^2 terms on the spectral tail, as
+    `green.spectral_rule` takes it: the exponent of f(q, p, 1/zeta) over the
+    table's (q, p) box plus the erf phases of g(d, 1/zeta)."""
+    q_max, p_max = index_bounds(fp, n_u, n_v)
+    return (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
+                              + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
+            + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
 
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
@@ -198,18 +230,11 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     node carries the weight zeta'/zeta^2 dw = -dxi, which orients the
     integral from xi = 0 to E."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
-    qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
-    pg = np.arange(p_max + 1)[None, :, None].astype(float)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-
-    # phase-rate bound of the 1/w^2 terms: the exponent of f(q, p, 1/zeta)
-    # plus the erf phases of g(d, 1/zeta)
-    phase_coeff = (8 * np.pi ** 2 * (fp.beta ** 2 * p_max ** 2
-                                     + fp.alpha ** 2 * q_max ** 2) / fp.K ** 2
-                   + 2 * (zg.n_k + 1) ** 2 * zg.delta ** 2)
+    phase_coeff = spectral_phase_coeff(fp, zg, n_u, n_v)
 
     def contract(xi, weights):
-        return _contract(qg, pg, ds, xi, weights, fp, zg, cfg.k0)
+        return _contract(q_max, p_max, ds, xi, weights, fp, zg, cfg.k0)
 
     half, diff = doubling_checked(
         contract, lambda k: spectral_rule(cfg.split, cfg.k0, phase_coeff, k),

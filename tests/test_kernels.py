@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 import gaborscat as gs
+from gaborscat import kernels, tables
+from gaborscat.cli import parse_config
 from gaborscat.errors import DomainError
+from gaborscat.green import spatial_rule, spectral_rule
 
 from .conftest import RT23
 from gaborscat.quadrature import panel_nodes, subdivided_panels, tail_path
@@ -17,6 +22,7 @@ from .oracles import (OverflowGuard, erf_complex, erf_diff, erf_maclaurin,
                       oscillatory_tail_bounds, xx_double_integral)
 
 K0 = 1.45
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +78,60 @@ def test_erf_odd_symmetry(z):
 def test_erf_overflow_guard():
     with pytest.raises(OverflowGuard):
         erf_complex(1.0 + 28j)
+
+
+def _boundary_arguments(name):
+    """Every erf argument c = j*Delta*xi that a cold build of the bundled
+    config evaluates: j = 0..n_k+1 over the nodes xi of both table rules at
+    refine 1 and 2."""
+    rc = parse_config(CONFIGS / f"{name}.json")
+    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
+    xc = tables.truncation_point(fp, zg, cfg)
+    phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
+    xi = np.concatenate([rule[0] for k in (1, 2) for rule in (
+        spatial_rule(cfg.split, xc, k),
+        spectral_rule(cfg.split, cfg.k0, phase, k))])
+    return (np.arange(zg.n_k + 2)[:, None] * (zg.delta * xi)).ravel()
+
+
+def _assert_matches_mpmath(got, c, fn, rtol):
+    """got against mpmath's fn at dps 30, relative; values below the normal
+    range (erfc past c = 26.5) must come out below it too."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    ref = np.array([complex(fn(mp.mpc(v.real, v.imag))) for v in c])
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
+    err = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+    assert err.max() <= rtol, (c[normal][np.argmax(err)], err.max())
+
+
+def test_numpy_erf_matches_mpmath_on_table_boundaries():
+    # 400 of the boundary arguments of each bundled config (6.8e5 in all,
+    # up to 66 degrees off the real axis with Re c^2 >= -0.07) and their
+    # negatives: erf and erfc within 5e-14 relative (measured 6.2e-16 and
+    # 1.1e-14; scipy.special is at 3.6e-14 and 5.2e-14 on the same set)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    c = np.concatenate([rng.choice(_boundary_arguments(name), 400, replace=False)
+                        for name in ("circle", "rectangle", "grating")])
+    c = np.concatenate([c, -c])
+    assert np.degrees(np.abs(np.angle(c[c.real > 0]))).max() > 60
+    _assert_matches_mpmath(kernels.erf(c), c, mp.erf, 5e-14)
+    _assert_matches_mpmath(kernels.erfc(c), c, mp.erfc, 5e-14)
+
+
+def test_numpy_erf_matches_mpmath_on_real_axis():
+    # both series (|c| <= 1 and beyond) and both signs, up to where erfc
+    # leaves the double range (measured 2.0e-16 and 5.3e-16; scipy's erfc,
+    # which rounds c^2, is at 5.6e-14); erf(0) is exactly 0
+    mp = pytest.importorskip("mpmath")
+    x = np.linspace(0, 30, 1201)[1:] + 0j
+    x = np.concatenate([x, -x, [1 - 1e-15, 1 + 1e-15, 2 - 1e-15, 2.0]])
+    _assert_matches_mpmath(kernels.erf(x), x, mp.erf, 5e-14)
+    _assert_matches_mpmath(kernels.erfc(x), x, mp.erfc, 5e-14)
+    assert kernels.erf(0.0) == 0 and kernels.erfc(0.0) == 1
 
 
 def test_erf_diff_stable_in_saturated_tail(zg):

@@ -12,7 +12,7 @@ import gaborscat as gs
 from gaborscat import tables
 from gaborscat.errors import DomainError
 from gaborscat.cli import parse_config
-from gaborscat.green import spatial_rule
+from gaborscat.green import spatial_rule, spectral_rule
 
 from .oracles import (spatial_table_adaptive, spectral_table_blockwise,
                       table_entry)
@@ -188,15 +188,54 @@ def test_spatial_live_rule_drops_only_quadrature_noise(name):
     fp, zg, cfg = rc.fp, rc.zg, rc.ewald
     spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
-    qg = np.arange(-q_max, q_max + 1)[:, None, None].astype(float)
-    pg = np.arange(p_max + 1)[None, :, None].astype(float)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
     nodes = spatial_rule(cfg.split, gs.truncation_point(fp, zg, cfg), 2)
     full = tables._mirror_half_plane(
-        tables._contract(qg, pg, ds, *nodes, fp, zg, cfg.k0))
+        tables._contract(q_max, p_max, ds, *nodes, fp, zg, cfg.k0))
     kept = spat.data != 0
     assert np.array_equal(spat.data[kept], full[kept])
     assert np.abs(full[~kept]).max() <= cfg.quad_tol * np.abs(full).max()
+
+
+def _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi):
+    # the q-recurrence against f_spatial itself at every (q, p >= 0, node),
+    # in node blocks: finite everywhere and within 1e-12 of each node's
+    # largest |f|
+    q = np.arange(-q_max, q_max + 1)[:, None, None]
+    p = np.arange(p_max + 1)[None, :, None]
+    for block in np.array_split(xi, -(-len(xi) // 256)):
+        got = tables._x_factor(q_max, p_max, block, fp)
+        ref = gs.f_spatial(q, p, block, fp)
+        assert np.all(np.isfinite(got))
+        scale = np.abs(ref).max(axis=(0, 1))
+        assert np.all(np.abs(got - ref).max(axis=(0, 1)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", ["circle", "rectangle", "grating"])
+def test_x_factor_recurrence_matches_closed_form(name):
+    rc = parse_config(CONFIGS / f"{name}.json")
+    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
+    q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
+    phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
+    xc = gs.truncation_point(fp, zg, cfg)
+    xi = np.concatenate([spectral_rule(cfg.split, cfg.k0, phase, 2)[0],
+                         spatial_rule(cfg.split, xc, 2)[0]])
+    _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi)
+
+
+def test_x_factor_recurrence_on_a_wide_frame():
+    # M = 30, N = 20 (a (125, 44) half box) on the circle's spectral nodes:
+    # where the q = 0 row underflows the recurrence leaves the rows it seeds
+    # zero, where f_spatial is at most 3.7e-251.  The largest difference,
+    # 6.0e-13 of the node's max|f|, is at an exponent of modulus 1.6e3,
+    # where f_spatial itself is 2.1e-13 from an mpmath value
+    rc = parse_config(CONFIGS / "circle.json")
+    fp = gs.FrameParams(X=rc.fp.X, alpha=rc.fp.alpha, beta=rc.fp.beta, M=30, N=20)
+    zg, cfg = rc.zg, rc.ewald
+    q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
+    phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
+    _assert_x_factor_matches_closed_form(
+        fp, q_max, p_max, spectral_rule(cfg.split, cfg.k0, phase, 1)[0])
 
 
 def test_build_records_doubling_diff(setup, tmp_path):
