@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GaborscatError, NonConvergence, QuadratureFailure
-from .frame import FrameParams, fit_dual_coeffs, zak_dual_window
+from .frame import FrameParams, fit_dual_coeffs, zak_dual_window, zak_period
 from .green import EwaldConfig, optimal_split, split_identity_error
 from .kernels import ZGrid
 from .operators import build_operator
@@ -114,8 +114,8 @@ def parse_config(path) -> RunConfig:
                           height=_positive(_need(sc, "height", "scene"), "scene.height"))
     else:
         shape = Grating(
-            n_blocks=_number(_need(sc, "n_blocks", "scene"), "scene.n_blocks",
-                             integer=True),
+            n_blocks=_positive(_need(sc, "n_blocks", "scene"), "scene.n_blocks",
+                               integer=True),
             block_w=_positive(_need(sc, "block_w", "scene"), "scene.block_w"),
             block_h=_positive(_need(sc, "block_h", "scene"), "scene.block_h"),
             spacing=_positive(_need(sc, "spacing", "scene"), "scene.spacing"))
@@ -142,6 +142,7 @@ def parse_config(path) -> RunConfig:
                          beta=_positive(_need(fr, "beta", "frame"), "frame.beta"),
                          M=_number(_need(fr, "M", "frame"), "frame.M", integer=True),
                          N=_number(_need(fr, "N", "frame"), "frame.N", integer=True))
+        zak_period(fp)
     except GaborscatError as exc:
         raise ConfigError("frame", str(exc)) from exc
 
@@ -158,7 +159,7 @@ def parse_config(path) -> RunConfig:
     n_v = _number(du.get("N_v", 3), "dual.N_v", integer=True)
     if n_u < 0 or n_v < 0:
         raise ConfigError("dual", "N_u and N_v must be nonnegative")
-    fit_tol = _number(du.get("fit_tol", 5e-3), "dual.fit_tol")
+    fit_tol = _positive(du.get("fit_tol", 5e-3), "dual.fit_tol")
 
     ew = _block(raw, "ewald")
     split = ew.get("split", "auto")

@@ -112,23 +112,32 @@ def analysis_grid(fp: FrameParams, oversample: int = 16) -> np.ndarray:
     return np.arange(-n, n + 1) * h
 
 
+def zak_period(fp: FrameParams) -> int:
+    """Modulation period _SAMPLES_PER_SHIFT/(alpha*beta) of the Zak lattice,
+    in samples; a DomainError when it is not an integer (no such lattice)."""
+    period = _SAMPLES_PER_SHIFT / (fp.alpha * fp.beta)
+    if abs(period - round(period)) > 1e-6:
+        raise DomainError(
+            f"{_SAMPLES_PER_SHIFT} samples per window shift do not yield an "
+            f"integer modulation period for alpha*beta = "
+            f"{fp.alpha * fp.beta:.6g}; {_SAMPLES_PER_SHIFT}/(alpha*beta) must "
+            f"be an integer")
+    return round(period)
+
+
 def zak_dual_window(fp: FrameParams, *, sv_tol: float = 1e-12):
     """Canonical (minimum-norm) dual window sampled on a rational lattice.
 
     Returns (x_grid, eta) on an internal lattice with _SAMPLES_PER_SHIFT
     points per window shift, _SPAN_FACTOR lattice periods long.
 
-    Raises SingularFrame when any frame-operator block has an eigenvalue below
-    sv_tol relative to the largest (no usable dual at these alpha, beta).
+    Raises DomainError when the parameters have no such lattice (see
+    zak_period), and SingularFrame when any frame-operator block has an
+    eigenvalue below sv_tol relative to the largest (no usable dual at these
+    alpha, beta).
     """
     a_hop = _SAMPLES_PER_SHIFT
-    m_disc = a_hop / (fp.alpha * fp.beta)
-    if abs(m_disc - round(m_disc)) > 1e-6:
-        raise DomainError(
-            f"{a_hop} samples per window shift do not yield an integer "
-            f"modulation period for alpha*beta = {fp.alpha * fp.beta:.6g}; "
-            f"{a_hop}/(alpha*beta) must be an integer")
-    m_disc = round(m_disc)
+    m_disc = zak_period(fp)
     h = fp.alpha * fp.X / a_hop
     length = int(np.lcm(a_hop, m_disc)) * _SPAN_FACTOR
     xs = (np.arange(length) - length // 2) * h

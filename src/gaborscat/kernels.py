@@ -11,11 +11,12 @@ evaluations per node.  Both reductions, and their agreement on the contour
 with the kx-domain reductions f~ and g~, are validated against direct
 quadrature of their defining integrals in the test suite.
 
-The complex erf is numpy's own: erfc(c) = e^{-c^2} w(jc) for Re c >= 0 by
-Weideman's rational series for the Faddeeva function w (J. A. C. Weideman,
-Computation of the complex error function, SIAM J. Numer. Anal. 31 (1994)
-1497-1518), with N = 32 terms, and erf(c) by its Maclaurin series for
-|c| <= 1, where 1 - erfc would cancel.
+The complex erf is numpy's own, and g's boundary differences are its one
+use: erfc(c) = e^{-c^2} w(jc) for Re c >= 0 by Weideman's rational series
+for the Faddeeva function w (J. A. C. Weideman, Computation of the complex
+error function, SIAM J. Numer. Anal. 31 (1994) 1497-1518), with N = 32
+terms, and erf(c) by its Maclaurin series for |c| <= 1, where 1 - erfc
+would cancel.
 """
 
 import math
@@ -126,53 +127,6 @@ def _erf_small(c):
     return c * _horner(_ERF_TAYLOR, c * c)
 
 
-def _gaussian(c):
-    """e^{-c^2} as e^{-h} e^{-l}, c^2 = h + l from a Veltkamp split of Re c
-    and Im c, so that h is exact for real c: rounding c^2 to one double
-    would cost eps |c|^2 relative, 5e-14 of erfc before erfc underflows."""
-    def split(v):
-        hi = v * 134217729.0                   # 2^27 + 1
-        hi = hi - (hi - v)
-        return hi, v - hi
-
-    (xh, xl), (yh, yl) = split(c.real), split(c.imag)
-    high = xh * xh - yh * yh
-    low = (2 * xh + xl) * xl - (2 * yh + yl) * yl
-    im = 2 * (xh * yh + xh * yl + xl * yh + xl * yl)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gauss = np.exp(-high) * np.exp(-low - 1j * im)
-    return np.where(high > 800, 0, gauss)    # |e^{-c^2}| below 1e-347
-
-
-def _right_half(c):
-    """(right, small, v) for r = c or -c, whichever has Re r >= 0 (right
-    marks c itself): v = erf(r) where |r| <= 1 (small), erfc(r) elsewhere."""
-    c = np.asarray(c, dtype=complex)
-    right = c.real >= 0
-    r = np.where(right, c, -c)
-    small = np.abs(r) <= 1
-    v = np.empty(r.shape, dtype=complex)
-    v[small] = _erf_small(r[small])
-    big = r[~small]
-    v[~small] = _erfc_right(big, _gaussian(big))
-    return right, small, v
-
-
-def erfc(c):
-    """Complex erfc on numpy alone (Weideman's series, the Maclaurin series
-    of erf for |c| <= 1), with erfc(-c) = 2 - erfc(c)."""
-    right, small, v = _right_half(c)
-    v = np.where(small, 1 - v, v)
-    return np.where(right, v, 2 - v)
-
-
-def erf(c):
-    """Complex erf on numpy alone, odd in c; see erfc."""
-    right, small, v = _right_half(c)
-    v = np.where(small, v, 1 - v)
-    return np.where(right, v, -v)
-
-
 def _boundary_differences(d, step):
     """erf(b_{d+1}) - erf(b_d) and e^{-b_{d+1}^2} - e^{-b_d^2}, b_j = j*step.
 
@@ -187,11 +141,12 @@ def _boundary_differences(d, step):
     1 - tiny against 1 - tiny.  erf is taken from its Maclaurin series for
     |b| <= 1 and from erfc(+-b) = e^{-b^2} w(+-jb) beyond, with the Gaussian
     that g differences anyway (formed from the rounded b^2, so eps |b|^2
-    relative, as scipy's erfc has it; `erfc` rounds less).  The evaluator is
-    validated against mpmath on the real axis and on the boundaries of the
-    Ewald contour: their steps leave the real axis by up to 66 degrees in
-    its spectral tail, but keep Re b^2 >= -0.07, so |e^{-b^2}| stays near or
-    below 1 and w is taken in the closed upper half plane.
+    relative, as scipy's erfc has it).  It is validated at the level of g,
+    against a high-precision evaluation of g's closed form on nodes of both
+    table rules and across the series switches |b| = 1 and Re b = 2: the
+    contour's steps leave the real axis by up to 66 degrees in its spectral
+    tail, but keep Re b^2 >= -0.07, so |e^{-b^2}| stays near or below 1 and
+    w is taken in the closed upper half plane.
     """
     d = np.asarray(d)
     step = np.asarray(step, dtype=complex)

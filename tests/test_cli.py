@@ -139,6 +139,29 @@ def test_config_rejects_non_numeric_field(tmp_path, capsys, overrides):
     assert report["error"] == "ConfigError"
 
 
+GRATING = {"scene.shape": "grating", "scene.block_w": 0.2, "scene.block_h": 0.2,
+           "scene.spacing": 0.5}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dual.fit_tol": 0},
+    {"dual.fit_tol": -1},
+    {**GRATING, "scene.n_blocks": 0},
+    {**GRATING, "scene.n_blocks": -2},
+    {"frame.alpha": 0.7, "frame.beta": 0.7},      # 16/(alpha*beta): no Zak lattice
+], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items() if k not in GRATING))
+def test_config_rejects_out_of_range_field(tmp_path, capsys, overrides):
+    # numbers of the right type that no solve can use end at the config, in
+    # a ConfigError (exit 2) before anything is built or cached
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["solve", str(path)]) == 2
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "ConfigError"
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"scene": 5},
     {"frame": [3, 2]},

@@ -37,6 +37,45 @@ def test_package_modules_use_every_import():
     assert unused == {}
 
 
+def _uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """Names module.name of each top-level def or class in the modules of
+    sources (module name -> source) that no module references: by name in
+    its own module, by `from .module import name` in another (the package
+    __init__ re-exports that way and defines nothing checked), or as
+    `module.name`."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    used = set()
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((mod, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                used.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
+                  if mod != "__init__" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and (mod, node.name) not in used)
+
+
+def test_uncalled_definition_detector():
+    sources = {"__init__": "from .a import exported\n",
+               "a": "def exported(): pass\ndef helper(): pass\n"
+                    "def dead(): pass\nclass Imported: pass\n"
+                    "class Dead: pass\ndef by_attribute(): return helper()\n",
+               "b": "from . import a\nfrom .a import Imported\n"
+                    "x = a.by_attribute(Imported)\ndead = 1\n"}
+    assert _uncalled_definitions(sources) == ["a.Dead", "a.dead"]
+
+
+def test_package_functions_have_a_caller():
+    # the console entry point cli.main is called by the package __main__
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert "__main__" in sources
+    assert _uncalled_definitions(sources) == []
+
+
 def _run_python(code: str, *args) -> str:
     """Standard output of `python -c code args` in a fresh process that
     imports the package from this checkout."""

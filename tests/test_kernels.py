@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import gaborscat as gs
-from gaborscat import kernels, tables
+from gaborscat import tables
 from gaborscat.cli import parse_config
 from gaborscat.errors import DomainError
 from gaborscat.green import spatial_rule, spectral_rule
@@ -78,60 +78,6 @@ def test_erf_odd_symmetry(z):
 def test_erf_overflow_guard():
     with pytest.raises(OverflowGuard):
         erf_complex(1.0 + 28j)
-
-
-def _boundary_arguments(name):
-    """Every erf argument c = j*Delta*xi that a cold build of the bundled
-    config evaluates: j = 0..n_k+1 over the nodes xi of both table rules at
-    refine 1 and 2."""
-    rc = parse_config(CONFIGS / f"{name}.json")
-    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
-    xc = tables.truncation_point(fp, zg, cfg)
-    phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
-    xi = np.concatenate([rule[0] for k in (1, 2) for rule in (
-        spatial_rule(cfg.split, xc, k),
-        spectral_rule(cfg.split, cfg.k0, phase, k))])
-    return (np.arange(zg.n_k + 2)[:, None] * (zg.delta * xi)).ravel()
-
-
-def _assert_matches_mpmath(got, c, fn, rtol):
-    """got against mpmath's fn at dps 30, relative; values below the normal
-    range (erfc past c = 26.5) must come out below it too."""
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    ref = np.array([complex(fn(mp.mpc(v.real, v.imag))) for v in c])
-    normal = np.abs(ref) >= np.finfo(float).tiny
-    assert np.all(np.isfinite(got))
-    assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
-    err = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
-    assert err.max() <= rtol, (c[normal][np.argmax(err)], err.max())
-
-
-def test_numpy_erf_matches_mpmath_on_table_boundaries():
-    # 400 of the boundary arguments of each bundled config (6.8e5 in all,
-    # up to 66 degrees off the real axis with Re c^2 >= -0.07) and their
-    # negatives: erf and erfc within 5e-14 relative (measured 6.2e-16 and
-    # 1.1e-14; scipy.special is at 3.6e-14 and 5.2e-14 on the same set)
-    mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(20)
-    c = np.concatenate([rng.choice(_boundary_arguments(name), 400, replace=False)
-                        for name in ("circle", "rectangle", "grating")])
-    c = np.concatenate([c, -c])
-    assert np.degrees(np.abs(np.angle(c[c.real > 0]))).max() > 60
-    _assert_matches_mpmath(kernels.erf(c), c, mp.erf, 5e-14)
-    _assert_matches_mpmath(kernels.erfc(c), c, mp.erfc, 5e-14)
-
-
-def test_numpy_erf_matches_mpmath_on_real_axis():
-    # both series (|c| <= 1 and beyond) and both signs, up to where erfc
-    # leaves the double range (measured 2.0e-16 and 5.3e-16; scipy's erfc,
-    # which rounds c^2, is at 5.6e-14); erf(0) is exactly 0
-    mp = pytest.importorskip("mpmath")
-    x = np.linspace(0, 30, 1201)[1:] + 0j
-    x = np.concatenate([x, -x, [1 - 1e-15, 1 + 1e-15, 2 - 1e-15, 2.0]])
-    _assert_matches_mpmath(kernels.erf(x), x, mp.erf, 5e-14)
-    _assert_matches_mpmath(kernels.erfc(x), x, mp.erfc, 5e-14)
-    assert kernels.erf(0.0) == 0 and kernels.erfc(0.0) == 1
 
 
 def test_erf_diff_stable_in_saturated_tail(zg):
@@ -365,6 +311,92 @@ def test_g_spectral_large_w_matches_high_precision(split):
     scale = _rounding_scale(ds, zg.delta / zeta, np.sqrt(np.pi) * (ds + 1) / 2 * zeta,
                             zeta * zeta / (2 * zg.delta))
     assert np.all(np.abs(got - ref) <= 4 * eps * scale)
+
+
+def _table_nodes(name, rng):
+    """The z-grid of bundled config `name` and 9 of the nodes xi its cold
+    table build evaluates g at: two at random from each of `spatial_rule`
+    and `spectral_rule` at refine 1 and 2, and the spectral node farthest
+    off the real axis."""
+    rc = parse_config(CONFIGS / f"{name}.json")
+    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
+    xc = tables.truncation_point(fp, zg, cfg)
+    phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
+    picked = []
+    for k in (1, 2):
+        for xi in (spatial_rule(cfg.split, xc, k)[0],
+                   spectral_rule(cfg.split, cfg.k0, phase, k)[0]):
+            picked.append(rng.choice(xi, 2, replace=False))
+    picked.append([xi[np.argmax(np.abs(np.angle(xi)))]])
+    return zg, np.concatenate(picked).astype(complex)
+
+
+def _switch_nodes(delta):
+    """Nodes xi whose boundaries c = j*delta*xi lie a few roundings either
+    side of the evaluator's switches |c| = 1 (j = 1, on the real axis and
+    34 degrees off it) and Re c = 2 (j = 2, on and off the real axis)."""
+    k = np.array([-3, 3]) * np.finfo(float).eps
+    return np.concatenate([(1 + k) / delta, np.exp(-0.6j) * (1 + k) / delta,
+                           (1 + k + 0.8j) / delta])
+
+
+def _g_high_precision(ds, xi, delta):
+    """g(d, xi) for each d of ds from its closed form in mpmath at the
+    working precision.  erf(b_j), b_j = j*delta*xi, is rho_j erf(|j| s) with
+    s = sigma*delta*xi, sigma = +-1 so that Re s >= 0, and rho_j =
+    sigma*sign(j); where both ends of an interval lie on one side
+    (rho_d = rho_{d+1} != 0) the erf difference is taken as the erfc
+    difference, which does not cancel however small erfc is."""
+    import mpmath as mp
+    x, dd = mp.mpc(xi.real, xi.imag), mp.mpf(delta)
+    sigma = 1 if xi.real >= 0 else -1
+    t = [j * sigma * dd * x for j in range(int(np.abs(ds).max()) + 2)]
+    erf, erfc = [mp.erf(v) for v in t], [mp.erfc(v) for v in t]
+    gauss = [mp.exp(-v * v) for v in t]
+    out = []
+    for d in map(int, ds):
+        r0, r1 = sigma * np.sign(d), sigma * np.sign(d + 1)
+        if r0 == r1 != 0:
+            bracket = r0 * (erfc[abs(d)] - erfc[abs(d + 1)])
+        else:
+            bracket = r1 * erf[abs(d + 1)] - r0 * erf[abs(d)]
+        out.append(complex((d + 1) * mp.sqrt(mp.pi) / (2 * x) * bracket
+                           + (gauss[abs(d + 1)] - gauss[abs(d)]) / (2 * dd * x * x)))
+    return np.array(out)
+
+
+def test_g_matches_high_precision_on_table_nodes():
+    # g over every d of each bundled config, on nodes of both table rules
+    # (up to 66 degrees off the real axis) and on nodes that put boundaries
+    # either side of the series switches, against its closed form at dps 40:
+    # within 4 roundings of its largest summands (measured 0.16-0.22 of the
+    # bound); entries whose scale underflows come out below the normal range
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    rng = np.random.default_rng(21)
+    steepest = 0.0
+    for name in ("circle", "rectangle", "grating"):
+        zg, xi = _table_nodes(name, rng)
+        switch = _switch_nodes(zg.delta)
+        c1, c2 = np.abs(zg.delta * switch), (2 * (zg.delta * switch)).real
+        for c, at in ((c1, 1), (c2, 2)):
+            near = c[np.abs(c - at) < 1e-14]
+            assert (near < at).any() and (near > at).any(), (name, at)
+        xi = np.concatenate([xi, switch])
+        steepest = max(steepest, np.degrees(np.abs(np.angle(xi))).max())
+        ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]
+        step = zg.delta * xi
+        assert all(k.any() for k in _interval_kinds(ds, step).values()), name
+        got = gs.g_z_spatial(ds, xi, zg)
+        ref = np.stack([_g_high_precision(ds[:, 0], v, zg.delta) for v in xi], axis=1)
+        scale = _rounding_scale(ds, step, (ds + 1) * np.sqrt(np.pi) / (2 * xi),
+                                1 / (2 * zg.delta * xi * xi))
+        normal = scale >= tiny
+        assert np.all(np.isfinite(got)), name
+        assert np.all(np.abs(got - ref)[normal] <= 4 * eps * scale[normal]), name
+        assert np.all(np.abs(got[~normal]) < tiny), name
+    assert steepest > 60
 
 
 def test_h_boundary_cases(zg, split):
