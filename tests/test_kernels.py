@@ -365,38 +365,54 @@ def _g_high_precision(ds, xi, delta):
     return np.array(out)
 
 
-def test_g_matches_high_precision_on_table_nodes():
-    # g over every d of each bundled config, on nodes of both table rules
-    # (up to 66 degrees off the real axis) and on nodes that put boundaries
-    # either side of the series switches, against its closed form at dps 40:
-    # within 4 roundings of its largest summands (measured 0.16-0.22 of the
-    # bound); entries whose scale underflows come out below the normal range
+def _assert_g_matches_high_precision(zg, xi, name):
+    """g over every d of grid zg at nodes xi against its closed form at dps
+    40: within 4 roundings of its largest summands; entries whose scale
+    underflows come out below the normal range."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]
+    step = zg.delta * xi
+    assert all(k.any() for k in _interval_kinds(ds, step).values()), name
+    got = gs.g_z_spatial(ds, xi, zg)
+    ref = np.stack([_g_high_precision(ds[:, 0], v, zg.delta) for v in xi], axis=1)
+    scale = _rounding_scale(ds, step, (ds + 1) * np.sqrt(np.pi) / (2 * xi),
+                            1 / (2 * zg.delta * xi * xi))
+    normal = scale >= tiny
+    assert np.all(np.isfinite(got)), name
+    assert np.all(np.abs(got - ref)[normal] <= 4 * eps * scale[normal]), name
+    assert np.all(np.abs(got[~normal]) < tiny), name
+
+
+def test_numpy_erf_matches_mpmath_on_table_boundaries():
+    # the numpy erf as the tables run it, checked through g: g over every d
+    # of each bundled config on nodes of both table rules (up to 66 degrees
+    # off the real axis), against its closed form at dps 40 (measured
+    # 0.16-0.22 of the bound)
     rng = np.random.default_rng(21)
     steepest = 0.0
     for name in ("circle", "rectangle", "grating"):
         zg, xi = _table_nodes(name, rng)
+        steepest = max(steepest, np.degrees(np.abs(np.angle(xi))).max())
+        _assert_g_matches_high_precision(zg, xi, name)
+    assert steepest > 60
+
+
+def test_numpy_erf_matches_mpmath_on_real_axis():
+    # g over every d of each bundled config on real nodes whose boundaries
+    # c = j*delta*xi reach from |c| <= 1 to past where erfc leaves the
+    # double range (c = 30), and on nodes that put boundaries either side of
+    # the series switches, against its closed form at dps 40
+    for name in ("circle", "rectangle", "grating"):
+        zg = parse_config(CONFIGS / f"{name}.json").zg
         switch = _switch_nodes(zg.delta)
         c1, c2 = np.abs(zg.delta * switch), (2 * (zg.delta * switch)).real
         for c, at in ((c1, 1), (c2, 2)):
             near = c[np.abs(c - at) < 1e-14]
             assert (near < at).any() and (near > at).any(), (name, at)
-        xi = np.concatenate([xi, switch])
-        steepest = max(steepest, np.degrees(np.abs(np.angle(xi))).max())
-        ds = np.arange(-zg.n_k, zg.n_k + 1)[:, None]
-        step = zg.delta * xi
-        assert all(k.any() for k in _interval_kinds(ds, step).values()), name
-        got = gs.g_z_spatial(ds, xi, zg)
-        ref = np.stack([_g_high_precision(ds[:, 0], v, zg.delta) for v in xi], axis=1)
-        scale = _rounding_scale(ds, step, (ds + 1) * np.sqrt(np.pi) / (2 * xi),
-                                1 / (2 * zg.delta * xi * xi))
-        normal = scale >= tiny
-        assert np.all(np.isfinite(got)), name
-        assert np.all(np.abs(got - ref)[normal] <= 4 * eps * scale[normal]), name
-        assert np.all(np.abs(got[~normal]) < tiny), name
-    assert steepest > 60
+        real = np.geomspace(1, 30, 4) / ((zg.n_k + 1) * zg.delta) + 0j
+        _assert_g_matches_high_precision(zg, np.concatenate([real, switch]), name)
 
 
 def test_h_boundary_cases(zg, split):
