@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,9 @@ from .green import EwaldConfig, optimal_split, split_identity_error
 from .kernels import ZGrid
 from .operators import build_operator
 from .oracle import MoMConfig, compare_fields, interior_mask, mom_solve
-from .scene import Circle, Grating, Rectangle, Scene, validate_scene
+from .scene import SHAPES, Scene, validate_scene
 from .solver import METHODS, solve, synthesize_field, synthesize_points
 from .tables import build_tables, load_or_build
-
-_SHAPES = {"circle", "rectangle", "grating"}
 
 
 @dataclass
@@ -105,20 +103,13 @@ def parse_config(path) -> RunConfig:
 
     sc = _block(raw, "scene")
     shape_name = _need(sc, "shape", "scene")
-    if not isinstance(shape_name, str) or shape_name not in _SHAPES:
-        raise ConfigError("scene.shape", f"must be one of {sorted(_SHAPES)}")
-    if shape_name == "circle":
-        shape = Circle(radius=_positive(_need(sc, "radius", "scene"), "scene.radius"))
-    elif shape_name == "rectangle":
-        shape = Rectangle(width=_positive(_need(sc, "width", "scene"), "scene.width"),
-                          height=_positive(_need(sc, "height", "scene"), "scene.height"))
-    else:
-        shape = Grating(
-            n_blocks=_positive(_need(sc, "n_blocks", "scene"), "scene.n_blocks",
-                               integer=True),
-            block_w=_positive(_need(sc, "block_w", "scene"), "scene.block_w"),
-            block_h=_positive(_need(sc, "block_h", "scene"), "scene.block_h"),
-            spacing=_positive(_need(sc, "spacing", "scene"), "scene.spacing"))
+    if not isinstance(shape_name, str) or shape_name not in SHAPES:
+        raise ConfigError("scene.shape", f"must be one of {sorted(SHAPES)}")
+    # each field of the shape's dataclass, in order, as a positive number
+    shape_cls = SHAPES[shape_name]
+    shape = shape_cls(*(_positive(_need(sc, f.name, "scene"), f"scene.{f.name}",
+                                  integer=f.type is int)
+                        for f in fields(shape_cls)))
     theta_deg = _number(sc.get("theta_deg", 0.0), "scene.theta_deg")
     if not 0 <= theta_deg < 360:
         raise ConfigError("scene.theta_deg", "must lie in [0, 360)")

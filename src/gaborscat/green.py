@@ -140,7 +140,8 @@ def green_spatial(dx, dz, cfg: EwaldConfig):
     """Real-axis tail of the Ewald integral, (1/2pi) int_E^inf e^{-R^2 x^2 + k0^2/4x^2} dx/x,
     for R > 0 on spatial_rule."""
     def rule(r, refine):
-        # beyond xc the integrand is below trunc_tol for every radius
+        # beyond xc the integrand is below trunc_tol for every radius; the
+        # tables' fixed 100E break would leave small radii unresolved
         xc = max(2 * cfg.split, np.sqrt(-np.log(cfg.trunc_tol) + 4.0) / r.min())
         return spatial_rule(cfg.split, xc, refine)
 
@@ -160,13 +161,11 @@ def green_spectral(dx, dz, cfg: EwaldConfig):
     return _green_half(dx, dz, cfg, rule, "green_spectral")
 
 
-def split_identity_error(k0: float, radii, split: float | None = None,
-                         quad_tol: float = 1e-10) -> np.ndarray:
-    """Relative error |G_spatial + G_spectral - G_exact| / |G_exact| over radii."""
+def split_identity_error(k0: float, radii, split: float) -> np.ndarray:
+    """Relative error |G_spatial + G_spectral - G_exact| / |G_exact| over
+    radii, at the default quad_tol."""
     radii = np.asarray(radii, dtype=float)
-    if split is None:
-        split = optimal_split(k0, 0.05)
-    cfg = EwaldConfig(split=split, k0=k0, quad_tol=quad_tol)
+    cfg = EwaldConfig(split=split, k0=k0)
     total = green_spatial(radii, 0.0, cfg) + green_spectral(radii, 0.0, cfg)
     exact = green_exact(radii, k0)
     return np.abs(total - exact) / np.abs(exact)

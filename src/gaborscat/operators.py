@@ -54,9 +54,9 @@ def coeff_shape(fp: FrameParams, zg: ZGrid) -> tuple[int, int, int]:
 
 
 def _check_coeffs(c: np.ndarray, fp: FrameParams, zg: ZGrid):
-    if c.shape[:3] != coeff_shape(fp, zg):
+    if c.shape != coeff_shape(fp, zg):
         raise DimensionMismatch(
-            f"coefficient shape {c.shape[:3]} != {coeff_shape(fp, zg)}")
+            f"coefficient shape {c.shape} != {coeff_shape(fp, zg)}")
 
 
 def _diag_phase(fp: FrameParams) -> np.ndarray:
@@ -204,9 +204,9 @@ def build_operator(scene: Scene | None, dual: DualWindow,
                    spatial_table: KernelTable, spectral_table: KernelTable,
                    cache_dir: Path | None = None) -> DiscreteOperator:
     """Fold the tables into the operator kernel; scene=None means chi == 0.
-    fp, zg and k0 are those the tables were built for.  With a cache_dir the
-    kernel DFT is read from it when cached there, and written to it when
-    not."""
+    fp, zg and k0 are those the tables were built for, and a scene must have
+    the same k0.  With a cache_dir the kernel DFT is read from it when cached
+    there, and written to it when not."""
     fp, zg, cfg = spatial_table.fp, spatial_table.zg, spatial_table.cfg
     built_for = (fp, zg, cfg, dual.n_u, dual.n_v)
     if any((t.fp, t.zg, t.cfg, t.n_u, t.n_v) != built_for
@@ -214,6 +214,9 @@ def build_operator(scene: Scene | None, dual: DualWindow,
         raise DimensionMismatch(
             "spatial and spectral tables must share fp, zg, the Ewald config "
             "and the dual window's (n_u, n_v)")
+    if scene is not None and scene.k0 != cfg.k0:
+        raise DimensionMismatch(
+            f"scene k0 = {scene.k0} differs from the tables' k0 = {cfg.k0}")
     xs = analysis_grid(fp)
     if scene is None:
         chi = np.zeros((zg.n_k + 1, len(xs)))
@@ -231,43 +234,40 @@ def build_operator(scene: Scene | None, dual: DualWindow,
 
 
 def green_apply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
-    """Scattered-field coefficients k0^2 (G * J) for J given as (m, n, k[, batch]).
+    """Scattered-field coefficients k0^2 (G * J) for J given as (m, n, k).
 
     Per output t, sum over n of two correlations over (m, k) with the kernel
     K[t, n]: K[m-s, k-l] against the input masked to k < n_k, and K[m-s, l-k]
     against the input masked to k > 0.  The second is the first applied to
     the k-reversed input and read back reversed in l, so both share one kernel
-    DFT; the sum over n is a matmul per frequency.  Each batch column runs
-    through op's workspace in turn, so two threads must not apply one
-    operator at once; the result is a new array.
+    DFT; the sum over n is a matmul per frequency.  The transforms run in
+    op's workspace, so two threads must not apply one operator at once; the
+    result is a new array.
     """
     c = np.asarray(coeffs, dtype=complex)
     _check_coeffs(c, op.fp, op.zg)
-    nm, _, nk = coeff_shape(op.fp, op.zg)
+    nm, _, nk = c.shape
     phase = _diag_phase(op.fp)[:, None, :]          # (m, 1, n)
     spec, prod = op.spectrum, op.product
     live = spec[:nm, :nk - 1]                       # (m, k < n_k, n, 2)
+    # the previous transforms filled the zero padding around live
+    spec[nm:] = 0
+    spec[:nm, nk - 1:] = 0
+    col = c.transpose(0, 2, 1)                      # (m, k, n)
+    np.multiply(col[:, :-1], phase, out=live[..., 0])       # k < n_k
+    np.multiply(col[:, :0:-1], phase, out=live[..., 1])     # k > 0
+    # pruned 2-D transforms: along k only on the rows m < 2M+1 that are not
+    # zero, and back along k only on those read out
+    np.fft.fft(spec[:nm], axis=1, out=spec[:nm])
+    np.fft.fft(spec, axis=0, out=spec)
+    np.matmul(op.kernel_fft, spec, out=prod)
+    np.fft.ifft(prod, axis=0, out=prod)
+    np.fft.ifft(prod[:nm], axis=1, out=prod[:nm])
+    corr = prod[:nm, :nk]                           # (s, l, t, 2)
     out = np.empty(c.shape, dtype=complex)
-    c_cols = c.reshape(c.shape[:3] + (-1,))
-    out_cols = out.reshape(c_cols.shape)
-    for b in range(c_cols.shape[3]):
-        # the previous transforms filled the zero padding around live
-        spec[nm:] = 0
-        spec[:nm, nk - 1:] = 0
-        col = c_cols[..., b].transpose(0, 2, 1)     # (m, k, n)
-        np.multiply(col[:, :-1], phase, out=live[..., 0])       # k < n_k
-        np.multiply(col[:, :0:-1], phase, out=live[..., 1])     # k > 0
-        # pruned 2-D transforms: along k only on the rows m < 2M+1 that are
-        # not zero, and back along k only on those read out
-        np.fft.fft(spec[:nm], axis=1, out=spec[:nm])
-        np.fft.fft(spec, axis=0, out=spec)
-        np.matmul(op.kernel_fft, spec, out=prod)
-        np.fft.ifft(prod, axis=0, out=prod)
-        np.fft.ifft(prod[:nm], axis=1, out=prod[:nm])
-        corr = prod[:nm, :nk]                       # (s, l, t, 2)
-        dst = out_cols[..., b].transpose(0, 2, 1)   # (s, l, t)
-        np.add(corr[..., 0], corr[:, ::-1, :, 1], out=dst)
-        dst *= np.conj(phase)
+    dst = out.transpose(0, 2, 1)                    # (s, l, t)
+    np.add(corr[..., 0], corr[:, ::-1, :, 1], out=dst)
+    dst *= np.conj(phase)
     return out
 
 
@@ -275,13 +275,10 @@ def contrast_multiply(coeffs: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     """Per-slice multiply by chi(x, z_l): synthesize, scale, analyze back."""
     c = np.asarray(coeffs, dtype=complex)
     _check_coeffs(c, op.fp, op.zg)
-    nm, nn, nk = coeff_shape(op.fp, op.zg)
-    nb = int(np.prod(c.shape[3:])) if c.ndim > 3 else 1
-    flat = c.reshape(nm * nn, nk * nb)
-    fields = (op.synth_matrix @ flat).reshape(-1, nk, nb)
-    fields *= op.chi_slices.T[:, :, None]
-    out = op.analysis_matrix @ fields.reshape(-1, nk * nb)
-    return out.reshape(c.shape)
+    nm, nn, nk = c.shape
+    fields = op.synth_matrix @ c.reshape(nm * nn, nk)
+    fields *= op.chi_slices.T
+    return (op.analysis_matrix @ fields).reshape(c.shape)
 
 
 def active_slices(op: DiscreteOperator) -> np.ndarray:

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import (DomainError, GridMismatch, SingularMatrix, SizeCap,
                      check_memory)
 from .green import green_exact
-from .scene import (Scene, incident_field, inside_shape, x_half_extent,
-                    z_half_extent)
+from .scene import Scene, incident_field, inside_shape
 
 _MAX_CELLS = 40000
 _FRACTION_SUBSAMPLE = 16
@@ -73,7 +72,7 @@ def _patches(scene: Scene, cfg: MoMConfig):
     """Cell grid, occupied fractions, and patch centroids."""
     cell = cfg.resolved_cell(scene)
     cx, cz = scene.center
-    hx, hz = x_half_extent(scene.shape), z_half_extent(scene.shape)
+    hx, hz = scene.shape.half_extents()
     x0, x1, z0, z1 = cx - hx, cx + hx, cz - hz, cz + hz
     nx = max(1, int(np.ceil((x1 - x0) / cell)))
     nz = max(1, int(np.ceil((z1 - z0) / cell)))

@@ -15,11 +15,25 @@ from .kernels import ZGrid
 class Circle:
     radius: float
 
+    def half_extents(self) -> tuple[float, float]:
+        """(x, z) half-widths of the bounding box about the centre."""
+        return self.radius, self.radius
+
+    def contains(self, x, z):
+        """Boolean indicator at offsets (x, z) from the centre."""
+        return x * x + z * z <= self.radius ** 2
+
 
 @dataclass(frozen=True)
 class Rectangle:
     width: float      # x extent
     height: float     # z extent
+
+    def half_extents(self) -> tuple[float, float]:
+        return self.width / 2, self.height / 2
+
+    def contains(self, x, z):
+        return (np.abs(x) <= self.width / 2) & (np.abs(z) <= self.height / 2)
 
 
 @dataclass(frozen=True)
@@ -28,6 +42,19 @@ class Grating:
     block_w: float
     block_h: float
     spacing: float    # center-to-center period in x
+
+    def half_extents(self) -> tuple[float, float]:
+        return (((self.n_blocks - 1) * self.spacing + self.block_w) / 2,
+                self.block_h / 2)
+
+    def contains(self, x, z):
+        centers = (np.arange(self.n_blocks) - (self.n_blocks - 1) / 2) * self.spacing
+        hit = (np.abs(x[..., None] - centers) <= self.block_w / 2).any(axis=-1)
+        return hit & (np.abs(z) <= self.block_h / 2)
+
+
+# config name -> shape class; a config names the fields of its dataclass
+SHAPES = {"circle": Circle, "rectangle": Rectangle, "grating": Grating}
 
 
 @dataclass(frozen=True)
@@ -40,6 +67,8 @@ class Scene:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not isinstance(self.shape, tuple(SHAPES.values())):
+            raise DomainError(f"unknown shape {self.shape!r}")
         if self.eps_r < 1:
             raise DomainError("eps_r must be >= 1 (lossless dielectric in vacuum)")
         if self.k0 <= 0:
@@ -54,40 +83,10 @@ class Scene:
         return 2 * np.pi / self.k0
 
 
-def x_half_extent(shape) -> float:
-    if isinstance(shape, Circle):
-        return shape.radius
-    if isinstance(shape, Rectangle):
-        return shape.width / 2
-    if isinstance(shape, Grating):
-        return ((shape.n_blocks - 1) * shape.spacing + shape.block_w) / 2
-    raise DomainError(f"unknown shape {shape!r}")
-
-
-def z_half_extent(shape) -> float:
-    if isinstance(shape, Circle):
-        return shape.radius
-    if isinstance(shape, Rectangle):
-        return shape.height / 2
-    if isinstance(shape, Grating):
-        return shape.block_h / 2
-    raise DomainError(f"unknown shape {shape!r}")
-
-
 def inside_shape(x, z, scene: Scene):
     """Boolean indicator of the scatterer region."""
-    x = np.asarray(x, dtype=float) - scene.center[0]
-    z = np.asarray(z, dtype=float) - scene.center[1]
-    s = scene.shape
-    if isinstance(s, Circle):
-        return x * x + z * z <= s.radius ** 2
-    if isinstance(s, Rectangle):
-        return (np.abs(x) <= s.width / 2) & (np.abs(z) <= s.height / 2)
-    if isinstance(s, Grating):
-        centers = (np.arange(s.n_blocks) - (s.n_blocks - 1) / 2) * s.spacing
-        hit = (np.abs(x[..., None] - centers) <= s.block_w / 2).any(axis=-1)
-        return hit & (np.abs(z) <= s.block_h / 2)
-    raise DomainError(f"unknown shape {s!r}")
+    return scene.shape.contains(np.asarray(x, dtype=float) - scene.center[0],
+                                np.asarray(z, dtype=float) - scene.center[1])
 
 
 def contrast_at(x, z, scene: Scene):
@@ -110,12 +109,12 @@ def validate_scene(scene: Scene, fp: FrameParams, zg: ZGrid) -> None:
     the outermost window centers only warns, because the reference scenes
     themselves run with the support touching the coverage edge.
     """
+    hx, hz = scene.shape.half_extents()
     zc = scene.center[1]
-    if zc - z_half_extent(scene.shape) < zg.z_min - 1e-12 or \
-       zc + z_half_extent(scene.shape) > zg.z_max + 1e-12:
+    if zc - hz < zg.z_min - 1e-12 or zc + hz > zg.z_max + 1e-12:
         raise DomainError("object does not fit inside [z_min, z_max]")
     reach = fp.M * fp.alpha * fp.X
-    support = abs(scene.center[0]) + x_half_extent(scene.shape)
+    support = abs(scene.center[0]) + hx
     if support > reach + 2 * fp.X:
         raise DomainError("object lies outside the frame coverage")
     if support > reach - 2 * fp.alpha * fp.X:

@@ -3,9 +3,8 @@
 Both tables integrate the one real-axis integrand
 e^{k0^2/4xi^2}/xi * f(q,p,xi) * g(d,xi) dxi; together they cover the whole
 Ewald contour, so the operator folds their plain sum.  The spatial table
-takes the real axis from the splitting point E: geometric panels run to the
-d = 0 truncation point xc, which bounds every d, and the algebraic remainder
-is folded in through the compactification xi = xc/t, so no entry carries
+takes the real axis from the splitting point E: geometric panels on
+[E, 100E], then the compactified remainder xi = 100E/t, so no entry carries
 truncation error.  The spectral table takes the rest of the contour, from 0
 to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w:
 head panels on [1/E, 2/E], then the tail zeta = (1-j)w/2 along the deformed
@@ -49,6 +48,7 @@ _MAGIC = b"EGKT"
 _KERNEL_MAGIC = b"EGKF"
 _KINDS = ("spatial", "spectral")
 _NODE_BLOCK = 1024   # nodes per block of a table contraction
+_PANEL_BREAK = 100   # the spatial geometric panels end at this multiple of E
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
@@ -110,26 +110,6 @@ def _spatial_envelope(xi: float, q: int, d: int, fp: FrameParams, zg: ZGrid,
             * np.exp(-_q_decay_rate(fp, cfg.split) * q * q) * g_env)
 
 
-def truncation_point(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig) -> float:
-    """Spatial cutoff xc: where the d = 0, q = 0 envelope falls below trunc_tol.
-
-    The envelope is largest at m_d = 0 and q = 0, so xc bounds the cutoff of
-    every entry.  Capped at 100*split (the compactified remainder beyond xc
-    is integrated anyway).
-    """
-    lo, hi = cfg.split, 100 * cfg.split
-    env = lambda x: _spatial_envelope(x, 0, 0, fp, zg, cfg)
-    if env(hi) > cfg.trunc_tol:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if env(mid) > cfg.trunc_tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _x_factor(q_max: int, p_max: int, x: np.ndarray,
               fp: FrameParams) -> np.ndarray:
     """f(q, p, x_n) over q = -q_max..q_max, p = 0..p_max and the nodes x,
@@ -186,8 +166,10 @@ def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
 
 def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                         n_u: int, n_v: int) -> KernelTable:
-    """Real-axis table: geometric panels on [E, xc] plus the compactified
-    tail xi = xc/t, one fixed-node contraction checked by panel doubling."""
+    """Real-axis table: geometric panels on [E, 100E] plus the compactified
+    tail beyond, one fixed-node contraction checked by panel doubling.  The
+    tail integrates everything past the break, so the break decides only
+    where the nodes sit."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
     ps = np.arange(p_max + 1)
@@ -200,7 +182,7 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
     live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
     live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.trunc_tol
                  for d in ds]]
-    xc = truncation_point(fp, zg, cfg)
+    xc = _PANEL_BREAK * e
 
     def contract(x, weights):
         return _contract(live_q[-1], p_max, live_d, x, weights, fp, zg, cfg.k0)

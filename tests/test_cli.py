@@ -148,6 +148,7 @@ GRATING = {"scene.shape": "grating", "scene.block_w": 0.2, "scene.block_h": 0.2,
     {"dual.fit_tol": -1},
     {**GRATING, "scene.n_blocks": 0},
     {**GRATING, "scene.n_blocks": -2},
+    {**GRATING, "scene.n_blocks": 2.5},
     {"frame.alpha": 0.7, "frame.beta": 0.7},      # 16/(alpha*beta): no Zak lattice
 ], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items() if k not in GRATING))
 def test_config_rejects_out_of_range_field(tmp_path, capsys, overrides):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaborscat as gs
-from gaborscat.errors import DomainError, GridTooCoarse, SingularFrame
+from gaborscat import frame
+from gaborscat.errors import (DomainError, GridTooCoarse, IllConditionedFit,
+                              SingularFrame)
 
 from .conftest import RT23
 from .oracles import (analyze, analyze_loop, dual_window_loop,
@@ -162,6 +164,23 @@ def test_fit_residual_monotone(fp, dual):
     residuals = [gs.fit_dual_coeffs(eta, xs, nu, nv, fp).residual
                  for nu, nv in [(1, 1), (2, 2), (2, 3), (3, 3), (3, 4)]]
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+
+def test_fit_falls_back_to_truncated_svd(fp, dual, monkeypatch):
+    # with the condition limit put 100x below this fit's own condition, the
+    # truncated-SVD branch runs: it warns, its coefficients are finite and
+    # the residual it reports is the true misfit of those coefficients
+    xs, eta, plain = dual
+    monkeypatch.setattr(frame, "_COND_LIMIT", plain.condition / 100)
+    with pytest.warns(IllConditionedFit, match="truncated-SVD"):
+        dw = gs.fit_dual_coeffs(eta, xs, 2, 3, fp)
+    assert np.all(np.isfinite(dw.a))
+    assert dw.condition == plain.condition
+    design = gs.frame_matrix(xs, np.arange(-2, 3), np.arange(-3, 4), fp)
+    misfit = np.linalg.norm(design @ dw.a.ravel() - eta) / np.linalg.norm(eta)
+    assert dw.residual == pytest.approx(misfit, rel=1e-12)
+    assert dw.residual >= plain.residual * (1 - 1e-12)
+    assert not np.allclose(dw.a, plain.a)
 
 
 def test_fit_dual_symmetries_observed(fp, dual):

@@ -320,7 +320,7 @@ def _table_nodes(name, rng):
     off the real axis."""
     rc = parse_config(CONFIGS / f"{name}.json")
     fp, zg, cfg = rc.fp, rc.zg, rc.ewald
-    xc = tables.truncation_point(fp, zg, cfg)
+    xc = tables._PANEL_BREAK * cfg.split
     phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
     picked = []
     for k in (1, 2):

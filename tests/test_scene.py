@@ -72,6 +72,13 @@ def test_eps_below_one_rejected():
         gs.Scene(shape=gs.Circle(radius=1.0), eps_r=0.5, k0=1.0, theta=0.0)
 
 
+def test_unknown_shape_rejected():
+    # Scene is the one place that checks the shape object: everything after
+    # it asks the shape for its own extents and indicator
+    with pytest.raises(DomainError, match="unknown shape"):
+        gs.Scene(shape=(1.0, 2.0), eps_r=2.0, k0=1.0, theta=0.0)
+
+
 def test_validate_scene_z_overflow():
     fp = gs.FrameParams(X=0.5, alpha=RT23, beta=RT23, M=6, N=3)
     zg = gs.ZGrid(z_min=-0.5, delta=0.05, n_k=20)
@@ -138,5 +145,6 @@ def test_project_source_gibbs_limited_near_optimal(fp_unit, zg_small, dual_unit)
 
 
 def test_x_extent_helpers():
-    assert gs.scene.x_half_extent(gs.Grating(5, 1.0, 1.4, 2.0)) == pytest.approx(4.5)
-    assert gs.scene.z_half_extent(gs.Rectangle(5.0, 2.0)) == pytest.approx(1.0)
+    assert gs.Grating(5, 1.0, 1.4, 2.0).half_extents() == pytest.approx((4.5, 0.7))
+    assert gs.Rectangle(5.0, 2.0).half_extents() == pytest.approx((2.5, 1.0))
+    assert gs.Circle(1.35).half_extents() == pytest.approx((1.35, 1.35))

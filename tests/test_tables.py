@@ -159,12 +159,17 @@ def test_no_spectral_column_dropped():
 
 def test_spatial_table_matches_adaptive(setup):
     # the fixed-node contraction against per-d adaptive quad_vec runs, each
-    # to its own d's cutoff: same zero pattern, entries equal up to rounding
+    # to its own d's cutoff: same zero pattern, entries equal up to rounding.
+    # At trunc_tol = 1e-6 those cutoffs lie below the table's fixed 100E
+    # panel break, which decides only where its nodes sit
     fp, zg, cfg, spat, _ = setup
-    ref = spatial_table_adaptive(fp, zg, cfg, 2, 3)
-    assert np.array_equal(spat.data == 0, ref == 0)
-    scale = np.abs(ref).max()
-    assert np.abs(spat.data - ref).max() <= 1e-13 * scale
+    loose = gs.EwaldConfig(split=cfg.split, k0=cfg.k0, trunc_tol=1e-6)
+    for c, table in ((cfg, spat),
+                     (loose, gs.build_spatial_table(fp, zg, loose, 2, 3))):
+        ref = spatial_table_adaptive(fp, zg, c, 2, 3)
+        assert np.array_equal(table.data == 0, ref == 0)
+        scale = np.abs(ref).max()
+        assert np.abs(table.data - ref).max() <= 1e-13 * scale
 
 
 def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
@@ -189,7 +194,7 @@ def test_spatial_live_rule_drops_only_quadrature_noise(name):
     spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    nodes = spatial_rule(cfg.split, gs.truncation_point(fp, zg, cfg), 2)
+    nodes = spatial_rule(cfg.split, tables._PANEL_BREAK * cfg.split, 2)
     full = tables._mirror_half_plane(
         tables._contract(q_max, p_max, ds, *nodes, fp, zg, cfg.k0))
     kept = spat.data != 0
@@ -217,7 +222,7 @@ def test_x_factor_recurrence_matches_closed_form(name):
     fp, zg, cfg = rc.fp, rc.zg, rc.ewald
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
-    xc = gs.truncation_point(fp, zg, cfg)
+    xc = tables._PANEL_BREAK * cfg.split
     xi = np.concatenate([spectral_rule(cfg.split, cfg.k0, phase, 2)[0],
                          spatial_rule(cfg.split, xc, 2)[0]])
     _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi)
@@ -247,21 +252,6 @@ def test_build_records_doubling_diff(setup, tmp_path):
         path = gs.save_table(table, tmp_path / f"{table.kind}.bin")
         loaded = gs.load_table(path, fp, zg, cfg, 2, 3, table.kind)
         assert loaded.doubling_diff is None
-
-
-def test_spatial_truncation_point_capped(setup):
-    fp, zg, cfg, *_ = setup
-    assert gs.truncation_point(fp, zg, cfg) <= 100 * cfg.split
-
-
-def test_spatial_truncation_solves_envelope(setup):
-    # d = 0 case: sqrt(pi)/(4 X xi^3) e^{-pi a^2 q^2/2} = trunc_tol (below cap)
-    fp, zg, cfg, *_ = setup
-    loose = gs.EwaldConfig(split=cfg.split, k0=K0, trunc_tol=1e-6)
-    got = gs.truncation_point(fp, zg, loose)
-    envelope = (np.exp(loose.k0 ** 2 / (4 * got ** 2)) / (2 * fp.X * got ** 2)
-                * np.sqrt(np.pi) / (2 * got))
-    assert envelope == pytest.approx(loose.trunc_tol, rel=1e-6)
 
 
 def test_zero_skip_far_entries(setup):
