@@ -29,6 +29,6 @@ from .scene import (Circle, Grating, Rectangle, Scene, contrast_at,
 from .solver import (Solution, forward_residual, solve, synthesize_field,
                      synthesize_points)
 from .tables import (KernelTable, build_spatial_table, build_spectral_table,
-                     build_tables, cache_key, cache_path, index_bounds,
-                     kernel_cache_path, load_kernel_fft, load_or_build,
-                     load_table, save_kernel_fft, save_table)
+                     cache_key, cache_path, index_bounds, kernel_cache_path,
+                     load_kernel_fft, load_or_build, load_table,
+                     save_kernel_fft, save_table)

@@ -31,7 +31,7 @@ from .operators import build_operator
 from .oracle import MoMConfig, compare_fields, interior_mask, mom_solve
 from .scene import SHAPES, Scene, validate_scene
 from .solver import METHODS, solve, synthesize_field, synthesize_points
-from .tables import build_tables, load_or_build
+from .tables import load_or_build
 
 
 @dataclass
@@ -52,9 +52,9 @@ class RunConfig:
 
 
 def _block(raw: dict, name: str) -> dict:
-    """Config block `name` (empty when absent); anything but an object is a
-    ConfigError."""
-    block = raw.get(name, {})
+    """Config block `name`, taken out of raw (empty when absent); anything
+    but an object is a ConfigError."""
+    block = raw.pop(name, {})
     if not isinstance(block, dict):
         raise ConfigError(name, f"expected an object, got {block!r}")
     return block
@@ -69,7 +69,7 @@ def _string(value, name) -> str:
 def _need(block: dict, key: str, blockname: str):
     if key not in block:
         raise ConfigError(f"{blockname}.{key}", "missing required field")
-    return block[key]
+    return block.pop(key)
 
 
 def _number(value, name, integer=False):
@@ -101,7 +101,10 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "config must be a JSON object")
 
-    sc = _block(raw, "scene")
+    blocks = {name: _block(raw, name) for name in (
+        "scene", "frame", "zgrid", "dual", "ewald", "solver", "output", "cache")}
+    sc, fr, zb, du, ew, so, ob, cb = blocks.values()
+
     shape_name = _need(sc, "shape", "scene")
     if not isinstance(shape_name, str) or shape_name not in SHAPES:
         raise ConfigError("scene.shape", f"must be one of {sorted(SHAPES)}")
@@ -110,10 +113,10 @@ def parse_config(path) -> RunConfig:
     shape = shape_cls(*(_positive(_need(sc, f.name, "scene"), f"scene.{f.name}",
                                   integer=f.type is int)
                         for f in fields(shape_cls)))
-    theta_deg = _number(sc.get("theta_deg", 0.0), "scene.theta_deg")
+    theta_deg = _number(sc.pop("theta_deg", 0.0), "scene.theta_deg")
     if not 0 <= theta_deg < 360:
         raise ConfigError("scene.theta_deg", "must lie in [0, 360)")
-    center = sc.get("center", (0.0, 0.0))
+    center = sc.pop("center", (0.0, 0.0))
     if not isinstance(center, (list, tuple)) or len(center) != 2:
         raise ConfigError("scene.center", f"expected [x, z], got {center!r}")
     try:
@@ -121,12 +124,11 @@ def parse_config(path) -> RunConfig:
                       eps_r=_number(_need(sc, "eps_r", "scene"), "scene.eps_r"),
                       k0=_positive(_need(sc, "k0", "scene"), "scene.k0"),
                       theta=np.deg2rad(theta_deg),
-                      e0=_number(sc.get("E0", 1.0), "scene.E0"),
+                      e0=_number(sc.pop("E0", 1.0), "scene.E0"),
                       center=tuple(_number(c, "scene.center") for c in center))
     except GaborscatError as exc:
         raise ConfigError("scene", str(exc)) from exc
 
-    fr = _block(raw, "frame")
     try:
         fp = FrameParams(X=_positive(_need(fr, "X", "frame"), "frame.X"),
                          alpha=_positive(_need(fr, "alpha", "frame"), "frame.alpha"),
@@ -137,7 +139,6 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("frame", str(exc)) from exc
 
-    zb = _block(raw, "zgrid")
     try:
         zg = ZGrid.from_bounds(_number(_need(zb, "z_min", "zgrid"), "zgrid.z_min"),
                                _number(_need(zb, "z_max", "zgrid"), "zgrid.z_max"),
@@ -145,46 +146,40 @@ def parse_config(path) -> RunConfig:
     except GaborscatError as exc:
         raise ConfigError("zgrid", str(exc)) from exc
 
-    du = _block(raw, "dual")
-    n_u = _number(du.get("N_u", 2), "dual.N_u", integer=True)
-    n_v = _number(du.get("N_v", 3), "dual.N_v", integer=True)
+    n_u = _number(du.pop("N_u", 2), "dual.N_u", integer=True)
+    n_v = _number(du.pop("N_v", 3), "dual.N_v", integer=True)
     if n_u < 0 or n_v < 0:
         raise ConfigError("dual", "N_u and N_v must be nonnegative")
-    fit_tol = _positive(du.get("fit_tol", 5e-3), "dual.fit_tol")
+    fit_tol = _positive(du.pop("fit_tol", 5e-3), "dual.fit_tol")
 
-    ew = _block(raw, "ewald")
-    split = ew.get("split", "auto")
+    split = ew.pop("split", "auto")
     if split == "auto":
         split = optimal_split(scene.k0, zg.delta)
     else:
         split = _positive(split, "ewald.split")
     try:
         ewald = EwaldConfig(split=split, k0=scene.k0,
-                            quad_tol=_number(ew.get("quad_tol", 1e-10),
-                                             "ewald.quad_tol"),
-                            trunc_tol=_number(ew.get("trunc_tol", 1e-14),
-                                              "ewald.trunc_tol"))
+                            quad_tol=_number(ew.pop("quad_tol", 1e-10),
+                                             "ewald.quad_tol"))
     except GaborscatError as exc:
         raise ConfigError("ewald", str(exc)) from exc
 
-    so = _block(raw, "solver")
-    method = so.get("method", METHODS[0])
+    method = so.pop("method", METHODS[0])
     if method not in METHODS:
         raise ConfigError("solver.method", "must be one of " +
                           ", ".join(repr(m) for m in METHODS))
-    tol = so.get("tol")
+    tol = so.pop("tol", None)
     tol = _positive(tol, "solver.tol") if tol is not None else None
 
-    ob = _block(raw, "output")
-    out_dir = Path(_string(ob.get("out_dir", "out"), "output.out_dir"))
-    xs = np.linspace(_number(ob.get("x_min", -3.0), "output.x_min"),
-                     _number(ob.get("x_max", 3.0), "output.x_max"),
-                     _positive(ob.get("nx", 121), "output.nx", integer=True))
-    zs = np.linspace(_number(ob.get("z_min", zg.z_min), "output.z_min"),
-                     _number(ob.get("z_max", zg.z_max), "output.z_max"),
-                     _positive(ob.get("nz", zg.n_k + 1), "output.nz",
+    out_dir = Path(_string(ob.pop("out_dir", "out"), "output.out_dir"))
+    xs = np.linspace(_number(ob.pop("x_min", -3.0), "output.x_min"),
+                     _number(ob.pop("x_max", 3.0), "output.x_max"),
+                     _positive(ob.pop("nx", 121), "output.nx", integer=True))
+    zs = np.linspace(_number(ob.pop("z_min", zg.z_min), "output.z_min"),
+                     _number(ob.pop("z_max", zg.z_max), "output.z_max"),
+                     _positive(ob.pop("nz", zg.n_k + 1), "output.nz",
                                integer=True))
-    formats = ob.get("formats", ["csv"])
+    formats = ob.pop("formats", ["csv"])
     if not isinstance(formats, list):
         raise ConfigError("output.formats", f"expected a list, got {formats!r}")
     for f in formats:
@@ -192,17 +187,20 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("output.formats", f"unknown format {f!r}")
     formats = tuple(formats)
 
-    cb = _block(raw, "cache")
-    enabled = cb.get("enabled", True)
+    enabled = cb.pop("enabled", True)
     if not isinstance(enabled, bool):
         raise ConfigError("cache.enabled", f"expected true or false, got {enabled!r}")
-    cache_dir = Path(_string(cb.get("dir", ".egkt-cache"), "cache.dir")) \
-        if enabled else None
+    cache_dir = Path(_string(cb.pop("dir", ".egkt-cache"), "cache.dir"))
+
+    # every field is popped as it is read, so any left is not in the format
+    for prefix, block in [("", raw), *((f"{n}.", b) for n, b in blocks.items())]:
+        if block:
+            raise ConfigError(prefix + next(iter(block)), "unknown field")
 
     return RunConfig(scene=scene, fp=fp, zg=zg, n_u=n_u, n_v=n_v,
                      fit_tol=fit_tol, ewald=ewald, method=method, tol=tol,
                      out_dir=out_dir, output_grid=(xs, zs), formats=formats,
-                     cache_dir=cache_dir)
+                     cache_dir=cache_dir if enabled else None)
 
 
 def _finite(value):
@@ -299,12 +297,8 @@ def _pipeline(rc: RunConfig):
     t0 = time.perf_counter()
     _, _, dw = _fit_dual(rc)
     t1 = time.perf_counter()
-    if rc.cache_dir is not None:
-        spat, spec, hit = load_or_build(rc.cache_dir, rc.fp, rc.zg, rc.ewald,
-                                        rc.n_u, rc.n_v)
-    else:
-        spat, spec = build_tables(rc.fp, rc.zg, rc.ewald, rc.n_u, rc.n_v)
-        hit = False
+    spat, spec, hit = load_or_build(rc.cache_dir, rc.fp, rc.zg, rc.ewald,
+                                    rc.n_u, rc.n_v)
     t2 = time.perf_counter()
     op = build_operator(rc.scene, dw, spat, spec, rc.cache_dir)
     t3 = time.perf_counter()

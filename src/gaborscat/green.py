@@ -33,17 +33,24 @@ _NODE_BLOCK = 4096   # nodes per block of a Green-function contraction
 
 @dataclass(frozen=True)
 class EwaldConfig:
-    """Splitting parameter and quadrature tolerances for one wavenumber."""
+    """Splitting parameter and the one accuracy setting, quad_tol, for one
+    wavenumber: every table and Green-function half is checked against it
+    by panel doubling."""
     split: float
     k0: float
     quad_tol: float = 1e-10
-    trunc_tol: float = 1e-14
 
     def __post_init__(self):
         if self.split <= 0 or self.k0 <= 0:
             raise DomainError("split and k0 must be positive")
-        if not (0 < self.quad_tol < 1 and 0 < self.trunc_tol < 1):
-            raise DomainError("tolerances must lie in (0, 1)")
+        if not 0 < self.quad_tol < 1:
+            raise DomainError("quad_tol must lie in (0, 1)")
+
+    @property
+    def negligible(self) -> float:
+        """quad_tol / 1e4 (1e-14 by default): integrand magnitudes below it
+        are dropped unintegrated, by the spatial table and green_spatial."""
+        return self.quad_tol / 1e4
 
 
 def optimal_split(k0: float, delta: float) -> float:
@@ -140,9 +147,9 @@ def green_spatial(dx, dz, cfg: EwaldConfig):
     """Real-axis tail of the Ewald integral, (1/2pi) int_E^inf e^{-R^2 x^2 + k0^2/4x^2} dx/x,
     for R > 0 on spatial_rule."""
     def rule(r, refine):
-        # beyond xc the integrand is below trunc_tol for every radius; the
-        # tables' fixed 100E break would leave small radii unresolved
-        xc = max(2 * cfg.split, np.sqrt(-np.log(cfg.trunc_tol) + 4.0) / r.min())
+        # beyond xc the integrand is below cfg.negligible for every radius;
+        # the tables' fixed 100E break would leave small radii unresolved
+        xc = max(2 * cfg.split, np.sqrt(-np.log(cfg.negligible) + 4.0) / r.min())
         return spatial_rule(cfg.split, xc, refine)
 
     return _green_half(dx, dz, cfg, rule, "green_spatial")

@@ -38,12 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SizeCap, check_memory
+from .errors import DimensionMismatch, SizeCap, check_memory
 from .frame import (DualWindow, FrameParams, analysis_grid, analysis_matrix,
                     synthesis_matrix)
 from .kernels import ZGrid
 from .scene import Scene, contrast_at
-from .tables import (KernelTable, kernel_cache_path, load_kernel_fft,
+from .tables import (KernelTable, cached, kernel_cache_path, load_kernel_fft,
                      save_kernel_fft)
 
 _DENSE_CAP = 8000       # active unknowns the direct solve may factor
@@ -179,27 +179,6 @@ class DiscreteOperator:
         self.product = np.empty(shape, dtype=complex)
 
 
-def _load_or_fold(cache_dir, dual: DualWindow, spatial_table: KernelTable,
-                  spectral_table: KernelTable) -> tuple[np.ndarray, bool]:
-    """(kernel DFT, read from the cache).  A cached file is used only when it
-    was folded from these tables' build and from exactly dual.a; anything
-    else is folded again and, with a cache, written over it."""
-    fp, zg = spatial_table.fp, spatial_table.zg
-    path = None if cache_dir is None else kernel_cache_path(cache_dir,
-                                                           spatial_table)
-    if path is not None and path.exists():
-        try:
-            return load_kernel_fft(path, spatial_table, dual.a,
-                                   _fft_shape(fp, zg)), True
-        except DomainError:
-            pass
-    kernel_fft = _kernel_fft(
-        _fold_kernel(fp, dual, spatial_table, spectral_table), fp, zg)
-    if path is not None:
-        save_kernel_fft(path, spatial_table, dual.a, kernel_fft)
-    return kernel_fft, False
-
-
 def build_operator(scene: Scene | None, dual: DualWindow,
                    spatial_table: KernelTable, spectral_table: KernelTable,
                    cache_dir: Path | None = None) -> DiscreteOperator:
@@ -224,8 +203,15 @@ def build_operator(scene: Scene | None, dual: DualWindow,
         chi = np.array([contrast_at(xs, z_k, scene) for z_k in zg.nodes])
     support = np.flatnonzero(np.any(chi != 0, axis=0))
 
-    kernel_fft, hit = _load_or_fold(cache_dir, dual, spatial_table,
-                                    spectral_table)
+    # a cached DFT is used only when it was folded from these tables' build
+    # and from exactly dual.a
+    kernel_fft, hit = cached(
+        None if cache_dir is None else kernel_cache_path(cache_dir,
+                                                         spatial_table),
+        lambda p: load_kernel_fft(p, spatial_table, dual.a, _fft_shape(fp, zg)),
+        lambda: _kernel_fft(_fold_kernel(fp, dual, spatial_table,
+                                         spectral_table), fp, zg),
+        lambda k, p: save_kernel_fft(p, spatial_table, dual.a, k))
     return DiscreteOperator(
         fp=fp, zg=zg, grid=xs[support], chi_slices=chi[:, support],
         kernel_fft=kernel_fft, synth_matrix=synthesis_matrix(xs[support], fp),

@@ -125,11 +125,10 @@ def validate_scene(scene: Scene, fp: FrameParams, zg: ZGrid) -> None:
 
 
 def project_source(scene: Scene, zg: ZGrid, grid: np.ndarray,
-                   analysis: np.ndarray) -> np.ndarray:
+                   chi_slices: np.ndarray, analysis: np.ndarray) -> np.ndarray:
     """Frame/triangle coefficients of chi * E_inc, ((2M+1)(2N+1), n_k+1), by
-    the analysis matrix of the x-grid (triangles are interpolatory, so the z
-    direction is plain nodal sampling)."""
-    fields = np.empty((len(grid), zg.n_k + 1), dtype=complex)
-    for k, z_k in enumerate(zg.nodes):
-        fields[:, k] = contrast_at(grid, z_k, scene) * incident_field(grid, z_k, scene)
-    return analysis @ fields
+    the analysis matrix of the x-grid, from chi_slices, the contrast at grid
+    on each z node, (n_k+1, len(grid)) (triangles are interpolatory, so the
+    z direction is plain nodal sampling)."""
+    e_inc = incident_field(grid[None, :], zg.nodes[:, None], scene)
+    return analysis @ (chi_slices * e_inc).T

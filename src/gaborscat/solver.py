@@ -245,7 +245,7 @@ def solve(scene: Scene, operator: DiscreteOperator, *,
         raise ValueError(f"unknown method {method!r}")
     fp, zg = operator.fp, operator.zg
     nm, nn, nk = coeff_shape(fp, zg)
-    j_inc = project_source(scene, zg, operator.grid,
+    j_inc = project_source(scene, zg, operator.grid, operator.chi_slices,
                            operator.analysis_matrix).reshape(nm, nn, nk)
 
     b = j_inc.reshape(nm * nn * nk)

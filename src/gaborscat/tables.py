@@ -21,11 +21,13 @@ T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
 (alpha*q + j*beta*p)^2 and p^2).
 
 The spectral table integrates every (q, p, d).  Spatial entries whose
-integrand envelope at the lower limit is below trunc_tol are set to zero
-without quadrature.  Tables depend only on (X, alpha, beta, Delta, n_k, k0,
-split, bounds), so they are cached to disk in the EGKT format documented in
-docs/table-cache.md; the operator's kernel DFT, folded from them and the dual
-coefficients, is cached beside them in the EGKF format of the same document.
+integrand envelope at the lower limit is below EwaldConfig.negligible
+(quad_tol / 1e4) are set to zero without quadrature.  Tables depend only on
+(X, alpha, beta, Delta, n_k, k0, split, quad_tol, bounds), so each is cached
+to disk in the EGKT format documented in docs/table-cache.md; the operator's
+kernel DFT, folded from them and the dual coefficients, is cached beside them
+in the EGKF format of the same document.  `cached` decides every read, of
+each file on its own.
 """
 
 import hashlib
@@ -179,8 +181,8 @@ def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
 
     # q-range that survives the q-Gaussian at its slowest (lower-limit) rate
     rate = _q_decay_rate(fp, cfg.split)
-    live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
-    live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.trunc_tol
+    live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.negligible]
+    live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.negligible
                  for d in ds]]
     xc = _PANEL_BREAK * e
 
@@ -225,24 +227,19 @@ def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                        zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
 
 
-def build_tables(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,
-                 n_v: int) -> tuple[KernelTable, KernelTable]:
-    return (build_spatial_table(fp, zg, cfg, n_u, n_v),
-            build_spectral_table(fp, zg, cfg, n_u, n_v))
-
-
 # ---------------------------------------------------------------------------
 # binary caches ("EGKT" tables, "EGKF" kernel DFT): see docs/table-cache.md
 # for the exact layouts
 
 def _meta_bytes(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig, n_u: int,
                 n_v: int) -> bytes:
-    """Every build parameter of a table pair, as both file headers hold it."""
+    """Every build parameter of a table pair, as both file headers hold it
+    (cfg.negligible too, so that files from when it was a setting stay valid)."""
     q_max, p_max = index_bounds(fp, n_u, n_v)
     return struct.pack(
         "<7I9d", fp.M, fp.N, zg.n_k, n_u, n_v, q_max, p_max,
         fp.X, fp.alpha, fp.beta, zg.z_min, zg.delta,
-        cfg.k0, cfg.split, cfg.quad_tol, cfg.trunc_tol)
+        cfg.k0, cfg.split, cfg.quad_tol, cfg.negligible)
 
 
 def _header_bytes(kind: str, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
@@ -287,48 +284,66 @@ def save_table(table: KernelTable, path) -> Path:
         table.data, dtype=complex).tobytes())
 
 
-def _read_payload(fh, path, out: np.ndarray) -> np.ndarray:
-    """Fill out from the rest of the open file fh, which must hold exactly
+def _read_cache(path, header: bytes, guard: bytes,
+                out: np.ndarray) -> np.ndarray:
+    """Fill out from the cache file at path, which must hold header, guard
+    (a kernel DFT's dual coefficients, empty for a table) and exactly
     out.nbytes more bytes; otherwise DomainError."""
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != out.nbytes or fh.readinto(out) != size:
-        raise DomainError(f"cache file {path} holds {size} data bytes, "
-                          f"expected {out.nbytes}")
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            raise DomainError(f"cache file {path} does not match the requested build")
+        if fh.read(len(guard)) != guard:
+            raise DomainError(f"cache file {path} was folded from other dual "
+                              "coefficients")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != out.nbytes or fh.readinto(out) != size:
+            raise DomainError(f"cache file {path} holds {size} data bytes, "
+                              f"expected {out.nbytes}")
     return out
 
 
 def load_table(path, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                n_u: int, n_v: int, kind: str) -> KernelTable:
     """Read a cached table; every header field must match the request exactly."""
-    path = Path(path)
-    expected = _header_bytes(kind, fp, zg, cfg, n_u, n_v)
     q_max, p_max = index_bounds(fp, n_u, n_v)
     data = np.empty((2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1), dtype=complex)
-    with open(path, "rb") as fh:
-        if fh.read(len(expected)) != expected:
-            raise DomainError(f"cache file {path} does not match the requested build")
-        _read_payload(fh, path, data)
+    _read_cache(path, _header_bytes(kind, fp, zg, cfg, n_u, n_v), b"", data)
     return KernelTable(data=data, kind=kind, fp=fp, zg=zg, cfg=cfg,
                        n_u=n_u, n_v=n_v)
 
 
-def load_or_build(directory, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
-                  n_u: int, n_v: int):
-    """Warm-cache table pair; returns (spatial, spectral, cache_hit).  The
-    directory is created first, so one that cannot be fails before a build."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    paths = {k: cache_path(directory, k, fp, zg, cfg, n_u, n_v) for k in _KINDS}
-    if all(p.exists() for p in paths.values()):
+def cached(path, load, build, save):
+    """(value, read from the cache): load(path) when the file at path exists
+    and load accepts it, else build(), written by save(value, path).  A path
+    of None means no cache: build() alone, nothing on disk."""
+    if path is not None and path.exists():
         try:
-            spatial = load_table(paths["spatial"], fp, zg, cfg, n_u, n_v, "spatial")
-            spectral = load_table(paths["spectral"], fp, zg, cfg, n_u, n_v, "spectral")
-            return spatial, spectral, True
+            return load(path), True
         except DomainError:
             pass
-    spatial, spectral = build_tables(fp, zg, cfg, n_u, n_v)
-    save_table(spatial, paths["spatial"])
-    save_table(spectral, paths["spectral"])
-    return spatial, spectral, False
+    value = build()
+    if path is not None:
+        save(value, path)
+    return value, False
+
+
+def load_or_build(directory, fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
+                  n_u: int, n_v: int):
+    """(spatial, spectral, cache_hit): each table read from its own file in
+    directory, or built and written there when that file is missing or does
+    not match; cache_hit when both were read.  The directory is created
+    first, so one that cannot be fails before a build; None builds both
+    without touching disk."""
+    if directory is not None:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    (spatial, spatial_hit), (spectral, spectral_hit) = (cached(
+        None if directory is None
+        else cache_path(directory, kind, fp, zg, cfg, n_u, n_v),
+        lambda p: load_table(p, fp, zg, cfg, n_u, n_v, kind),
+        lambda: build(fp, zg, cfg, n_u, n_v), save_table)
+        for kind, build in (("spatial", build_spatial_table),
+                            ("spectral", build_spectral_table)))
+    return spatial, spectral, spatial_hit and spectral_hit
 
 
 def kernel_cache_path(directory, table: KernelTable) -> Path:
@@ -360,14 +375,6 @@ def load_kernel_fft(path, table: KernelTable, a: np.ndarray,
     header must match the table pair's build exactly, the stored dual
     coefficients must equal a bit for bit, and the payload must be exactly
     the size of shape; otherwise DomainError."""
-    path = Path(path)
-    expected = _kernel_header(table, *shape[:2])
-    guard = np.ascontiguousarray(a, dtype=complex).tobytes()
-    kernel_fft = np.empty(shape, dtype=complex)
-    with open(path, "rb") as fh:
-        if fh.read(len(expected)) != expected:
-            raise DomainError(f"cache file {path} does not match the requested build")
-        if fh.read(len(guard)) != guard:
-            raise DomainError(f"cache file {path} was folded from other dual "
-                              "coefficients")
-        return _read_payload(fh, path, kernel_fft)
+    return _read_cache(path, _kernel_header(table, *shape[:2]),
+                       np.ascontiguousarray(a, dtype=complex).tobytes(),
+                       np.empty(shape, dtype=complex))

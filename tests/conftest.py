@@ -44,14 +44,14 @@ def dual_unit(fp_unit) -> gs.DualWindow:
 
 @pytest.fixture(scope="session")
 def tables_small(fp_small, zg_small, cfg_small, dual_small):
-    return gs.build_tables(fp_small, zg_small, cfg_small,
-                           dual_small.n_u, dual_small.n_v)
+    return gs.load_or_build(None, fp_small, zg_small, cfg_small,
+                            dual_small.n_u, dual_small.n_v)[:2]
 
 
 @pytest.fixture(scope="session")
 def tables_unit(fp_unit, zg_small, cfg_small, dual_unit):
-    return gs.build_tables(fp_unit, zg_small, cfg_small,
-                           dual_unit.n_u, dual_unit.n_v)
+    return gs.load_or_build(None, fp_unit, zg_small, cfg_small,
+                            dual_unit.n_u, dual_unit.n_v)[:2]
 
 
 @pytest.fixture(scope="session")

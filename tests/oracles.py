@@ -669,20 +669,16 @@ def _x_factor_sides(dual, tables):
 
 
 def xfactor_green_apply(coeffs, dual, tables):
-    """k0^2 (G * J) for J given as (m, n, k[, batch]), through the live (q,p)
+    """k0^2 (G * J) for J given as (m, n, k), through the live (q,p)
     columns without forming G."""
     c = np.asarray(coeffs, dtype=complex)
-    nm, nn, nk = c.shape[:3]
-    batch = c.shape[3:]
-    nb = int(np.prod(batch)) if batch else 1
-    cb = c.reshape(nm * nn, nk, nb)
-    c_by_k = np.ascontiguousarray(cb.transpose(1, 0, 2)).reshape(nk, -1)
-    out = np.zeros((nm * nn, nk * nb), dtype=complex)
+    nm, nn, nk = c.shape
+    c_by_k = c.reshape(nm * nn, nk).T
+    out = np.zeros((nm * nn, nk), dtype=complex)
     for xf, z in _x_factor_sides(dual, tables):
         nc = z.shape[0]
-        v = (z.reshape(nc * nk, nk) @ c_by_k).reshape(nc, nk, nm * nn, nb)
-        v = np.ascontiguousarray(v.transpose(2, 0, 1, 3)).reshape(
-            nm * nn * nc, nk * nb)
+        v = (z.reshape(nc * nk, nk) @ c_by_k).reshape(nc, nk, nm * nn)
+        v = v.transpose(2, 0, 1).reshape(nm * nn * nc, nk)
         out += xf.reshape(nm * nn, -1) @ v
     return out.reshape(c.shape)
 
@@ -903,14 +899,15 @@ def spectral_table_blockwise(fp, zg, cfg, n_u, n_v, head_panels=24,
 # live-d rules are the package's own.
 
 def _spatial_cutoff(d, fp, zg, cfg):
-    """Where the q = 0 envelope of d falls below trunc_tol, capped at 100*split."""
+    """Where the q = 0 envelope of d falls below cfg.negligible, capped at
+    100*split."""
     lo, hi = cfg.split, 100 * cfg.split
     env = lambda x: _spatial_envelope(x, 0, d, fp, zg, cfg)
-    if env(hi) > cfg.trunc_tol:
+    if env(hi) > cfg.negligible:
         return hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if env(mid) > cfg.trunc_tol:
+        if env(mid) > cfg.negligible:
             lo = mid
         else:
             hi = mid
@@ -924,11 +921,11 @@ def spatial_table_adaptive(fp, zg, cfg, n_u, n_v):
     data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
     e, k0 = cfg.split, cfg.k0
     rate = _q_decay_rate(fp, cfg.split)
-    live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.trunc_tol]
+    live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.negligible]
     qg = live_q[:, None, None].astype(float)
     pg = ps[None, :, None].astype(float)
     for di, d in enumerate(range(-zg.n_k, zg.n_k + 1)):
-        if _spatial_envelope(e, 0, d, fp, zg, cfg) <= cfg.trunc_tol:
+        if _spatial_envelope(e, 0, d, fp, zg, cfg) <= cfg.negligible:
             continue
         xc = _spatial_cutoff(d, fp, zg, cfg)
 

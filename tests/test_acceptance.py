@@ -136,7 +136,7 @@ def test_criterion_3_unit_source_end_to_end():
     cfg = gs.EwaldConfig(split=gs.optimal_split(k0, DELTA), k0=k0)
     xs, eta = gs.zak_dual_window(fp)
     dw = gs.fit_dual_coeffs(eta, xs, 3, 4, fp)
-    tables = gs.build_tables(fp, zg, cfg, dw.n_u, dw.n_v)
+    tables = gs.load_or_build(None, fp, zg, cfg, dw.n_u, dw.n_v)[:2]
     op = gs.build_operator(None, dw, *tables)
     k_mid = zg.n_k // 2
     coeffs = np.zeros(gs.coeff_shape(fp, zg), dtype=complex)
@@ -230,7 +230,7 @@ def test_criterion_6_full_solve_vs_mom():
     cfg = gs.EwaldConfig(split=gs.optimal_split(1.45, DELTA), k0=1.45)
     xs, eta = gs.zak_dual_window(fp)
     dw = gs.fit_dual_coeffs(eta, xs, 2, 3, fp)
-    tables = gs.build_tables(fp, zg, cfg, dw.n_u, dw.n_v)
+    tables = gs.load_or_build(None, fp, zg, cfg, dw.n_u, dw.n_v)[:2]
     scene = gs.Scene(shape=gs.Circle(radius=1.35), eps_r=2.0, k0=1.45,
                      theta=0.0)
     gs.validate_scene(scene, fp, zg)
@@ -251,7 +251,7 @@ def test_criterion_6_full_solve_vs_mom():
     cfg = gs.EwaldConfig(split=gs.optimal_split(k0, DELTA), k0=k0)
     xs, eta = gs.zak_dual_window(fp)
     dw = gs.fit_dual_coeffs(eta, xs, 2, 3, fp)
-    tables = gs.build_tables(fp, zg, cfg, dw.n_u, dw.n_v)
+    tables = gs.load_or_build(None, fp, zg, cfg, dw.n_u, dw.n_v)[:2]
     rect = gs.Scene(shape=gs.Rectangle(width=5.0, height=2.0), eps_r=2.0,
                     k0=k0, theta=np.pi / 2)
     import warnings

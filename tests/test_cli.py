@@ -35,6 +35,8 @@ def write_config(tmp_path, **overrides) -> Path:
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     cfg["output"]["out_dir"] = str(tmp_path / "out")
     cfg["cache"]["dir"] = str(tmp_path / "cache")
+    if "scene.shape" in overrides:      # another shape has no radius field
+        del cfg["scene"]["radius"]
     for dotted, value in overrides.items():
         if "." in dotted:
             block, key = dotted.split(".")
@@ -143,23 +145,49 @@ GRATING = {"scene.shape": "grating", "scene.block_w": 0.2, "scene.block_h": 0.2,
            "scene.spacing": 0.5}
 
 
-@pytest.mark.parametrize("overrides", [
-    {"dual.fit_tol": 0},
-    {"dual.fit_tol": -1},
-    {**GRATING, "scene.n_blocks": 0},
-    {**GRATING, "scene.n_blocks": -2},
-    {**GRATING, "scene.n_blocks": 2.5},
-    {"frame.alpha": 0.7, "frame.beta": 0.7},      # 16/(alpha*beta): no Zak lattice
-], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items() if k not in GRATING))
-def test_config_rejects_out_of_range_field(tmp_path, capsys, overrides):
+OUT_OF_RANGE = [     # (overrides, the field the ConfigError names)
+    ({"dual.fit_tol": 0}, "dual.fit_tol"),
+    ({"dual.fit_tol": -1}, "dual.fit_tol"),
+    ({**GRATING, "scene.n_blocks": 0}, "scene.n_blocks"),
+    ({**GRATING, "scene.n_blocks": -2}, "scene.n_blocks"),
+    ({**GRATING, "scene.n_blocks": 2.5}, "scene.n_blocks"),
+    # 16/(alpha*beta): no Zak lattice
+    ({"frame.alpha": 0.7, "frame.beta": 0.7}, "frame"),
+]
+
+
+@pytest.mark.parametrize("overrides, field", OUT_OF_RANGE, ids=[
+    ",".join(f"{k}={v!r}" for k, v in o.items() if k not in GRATING)
+    for o, _ in OUT_OF_RANGE])
+def test_config_rejects_out_of_range_field(tmp_path, capsys, overrides, field):
     # numbers of the right type that no solve can use end at the config, in
     # a ConfigError (exit 2) before anything is built or cached
     path = write_config(tmp_path, **overrides)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config(path)
+    assert exc.value.field == field
     assert main(["solve", str(path)]) == 2
     report = json.loads((tmp_path / "out" / "error.json").read_text())
     assert report["error"] == "ConfigError"
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("field", [
+    "scene.theta_dg", "frame.m", "zgrid.dz", "dual.fit_tl", "ewald.quad_tl",
+    "ewald.trunc_tol", "solver.tl", "output.nxx", "cache.enable", "solvr",
+])
+def test_config_rejects_unknown_field(tmp_path, capsys, field):
+    # a field the config format does not have, a typo or a retired setting,
+    # is a ConfigError naming it (exit 2, error.json) and not a silent
+    # default
+    path = write_config(tmp_path, **{field: 1e-3})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.field == field
+    assert main(["solve", str(path)]) == 2
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "ConfigError"
+    assert report["message"].startswith(f"{field}: unknown field")
     assert not (tmp_path / "cache").exists()
 
 
@@ -204,7 +232,7 @@ def test_config_rejects_non_object_top_level(tmp_path, capsys):
 
 NUMERIC_FIELDS = ["frame.M", "frame.N", "scene.theta_deg", "scene.eps_r",
                   "scene.E0", "dual.N_u", "dual.N_v", "dual.fit_tol",
-                  "ewald.split", "ewald.quad_tol", "ewald.trunc_tol",
+                  "ewald.split", "ewald.quad_tol",
                   "solver.tol", "output.x_min", "output.x_max", "output.nx",
                   "output.z_min", "output.z_max", "output.nz"]
 # no digits in the text and |numbers| <= 1e6, so that an accepted value never
@@ -441,7 +469,8 @@ def test_uncreatable_cache_dir_exits_2_before_building(tmp_path, capsys,
     def not_reached(*args, **kwargs):
         raise AssertionError("tables were built for a cache that cannot exist")
 
-    monkeypatch.setattr(tables, "build_tables", not_reached)
+    monkeypatch.setattr(tables, "build_spatial_table", not_reached)
+    monkeypatch.setattr(tables, "build_spectral_table", not_reached)
     path = write_config(tmp_path, **{"cache.dir": str(_blocked_dir(tmp_path))})
     assert main(["solve", str(path)]) == 2
     line = capsys.readouterr().err.strip().splitlines()[-1]

@@ -548,8 +548,8 @@ def test_split_invariance_at_operator_level(fp_small, zg_small, dual_small):
     for factor in (1.0, 1.5):
         cfg = gs.EwaldConfig(split=factor * gs.optimal_split(k0, zg_small.delta),
                              k0=k0)
-        tables = gs.build_tables(fp_small, zg_small, cfg, dual_small.n_u,
-                                 dual_small.n_v)
+        tables = gs.load_or_build(None, fp_small, zg_small, cfg,
+                                  dual_small.n_u, dual_small.n_v)[:2]
         op = gs.build_operator(None, dual_small, *tables)
         outs.append(gs.green_apply(j, op))
     diff = np.linalg.norm(outs[0] - outs[1]) / np.linalg.norm(outs[0])

@@ -99,10 +99,15 @@ def test_validate_scene_margin_warning():
         gs.validate_scene(circle_scene(), fp, zg)
 
 
+def _chi_slices(scene, zg, grid):
+    """The contrast at grid on each z node, as the operator holds it."""
+    return np.array([gs.contrast_at(grid, z_k, scene) for z_k in zg.nodes])
+
+
 def test_project_source_zero_contrast(fp_small, zg_small, dual_small):
     s = gs.Scene(shape=gs.Circle(radius=0.4), eps_r=1.0, k0=1.45, theta=0.0)
     grid = gs.analysis_grid(fp_small)
-    j = gs.project_source(s, zg_small, grid,
+    j = gs.project_source(s, zg_small, grid, _chi_slices(s, zg_small, grid),
                           gs.analysis_matrix(grid, dual_small, fp_small))
     assert np.all(j == 0)
 
@@ -114,8 +119,9 @@ def test_project_source_linear_in_e0(fp_small, zg_small, dual_small):
                   e0=2.0)
     grid = gs.analysis_grid(fp_small)
     ana = gs.analysis_matrix(grid, dual_small, fp_small)
-    j1 = gs.project_source(s1, zg_small, grid, ana)
-    j2 = gs.project_source(s2, zg_small, grid, ana)
+    chi = _chi_slices(s1, zg_small, grid)
+    j1 = gs.project_source(s1, zg_small, grid, chi, ana)
+    j2 = gs.project_source(s2, zg_small, grid, chi, ana)
     assert np.array_equal(j2, 2.0 * j1)
 
 
@@ -126,7 +132,7 @@ def test_project_source_gibbs_limited_near_optimal(fp_unit, zg_small, dual_unit)
     from .oracles import lstsq_reconstruction
     s = gs.Scene(shape=gs.Circle(radius=0.45), eps_r=2.0, k0=1.45, theta=0.0)
     grid = gs.analysis_grid(fp_unit)
-    j = gs.project_source(s, zg_small, grid,
+    j = gs.project_source(s, zg_small, grid, _chi_slices(s, zg_small, grid),
                           gs.analysis_matrix(grid, dual_unit, fp_unit))
     rec = gs.synthesize(j.reshape(2 * fp_unit.M + 1, 2 * fp_unit.N + 1, -1),
                         grid, fp_unit)                   # (nx, n_k+1)

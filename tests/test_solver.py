@@ -198,6 +198,7 @@ def test_gmres_restarts_match_scipy_reference(op_small, scene_small_circle):
     tol, restart = 1e-8, 4
     shape = gs.coeff_shape(op_small.fp, op_small.zg)
     b = gs.project_source(scene_small_circle, op_small.zg, op_small.grid,
+                          op_small.chi_slices,
                           op_small.analysis_matrix).reshape(-1)
 
     def matvec(v):

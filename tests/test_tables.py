@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import struct
@@ -143,7 +144,7 @@ def test_spectral_table_matches_blockwise_tail(setup):
 
 def test_no_spectral_column_dropped():
     # no (q, p) column the fold reads is left zero while its value, every
-    # column integrated, exceeds trunc_tol of the largest entry; N = 3 takes
+    # column integrated, exceeds cfg.negligible of the largest entry; N = 3 takes
     # p_max to 9, where a rule cutting p by envelopes left 36 columns zero
     # that held up to 1.7e-9 of it
     fp = gs.FrameParams(X=0.5, alpha=float(np.sqrt(2 / 3)),
@@ -154,22 +155,25 @@ def test_no_spectral_column_dropped():
     ref = np.sqrt(2) / fp.X * spectral_table_blockwise(fp, zg, cfg, 2, 3)[::-1]
     zero = ~np.any(spec.data != 0, axis=2)
     column = np.abs(ref).max(axis=2)
-    assert np.all(column[zero] <= cfg.trunc_tol * np.abs(ref).max())
+    assert np.all(column[zero] <= cfg.negligible * np.abs(ref).max())
 
 
-def test_spatial_table_matches_adaptive(setup):
+def test_spatial_table_matches_adaptive(setup, monkeypatch):
     # the fixed-node contraction against per-d adaptive quad_vec runs, each
     # to its own d's cutoff: same zero pattern, entries equal up to rounding.
-    # At trunc_tol = 1e-6 those cutoffs lie below the table's fixed 100E
-    # panel break, which decides only where its nodes sit
+    # At a negligible level of 1e-6 those cutoffs lie below the table's
+    # fixed 100E panel break, which decides only where its nodes sit
     fp, zg, cfg, spat, _ = setup
-    loose = gs.EwaldConfig(split=cfg.split, k0=cfg.k0, trunc_tol=1e-6)
-    for c, table in ((cfg, spat),
-                     (loose, gs.build_spatial_table(fp, zg, loose, 2, 3))):
-        ref = spatial_table_adaptive(fp, zg, c, 2, 3)
+
+    def check(table):
+        ref = spatial_table_adaptive(fp, zg, cfg, 2, 3)
         assert np.array_equal(table.data == 0, ref == 0)
         scale = np.abs(ref).max()
         assert np.abs(table.data - ref).max() <= 1e-13 * scale
+
+    check(spat)
+    monkeypatch.setattr(gs.EwaldConfig, "negligible", 1e-6)
+    check(gs.build_spatial_table(fp, zg, cfg, 2, 3))
 
 
 def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
@@ -187,19 +191,23 @@ def test_tables_build_without_adaptive_quadrature(setup, monkeypatch):
 def test_spatial_live_rule_drops_only_quadrature_noise(name):
     # every (q, p >= 0, d) contracted on the build's own nodes: the entries
     # the live-q/live-d rule keeps are bit-identical to it, and the ones it
-    # drops hold at most quad_tol of max|T| (1.6e-14, 2.6e-14 and 7.3e-14 on
-    # these configs, so a trunc_tol = 1e-14 bound would not hold)
+    # drops, below cfg.negligible = quad_tol / 1e4 at the lower limit, hold
+    # at most quad_tol of max|T|: at quad_tol 1e-10 1.6e-14, 2.6e-14 and
+    # 7.3e-14 on these configs (so a cfg.negligible bound would not hold),
+    # at 1e-6 1.0e-9, 1.4e-10 and 5.6e-10
     rc = parse_config(CONFIGS / f"{name}.json")
-    fp, zg, cfg = rc.fp, rc.zg, rc.ewald
-    spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
+    fp, zg = rc.fp, rc.zg
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    nodes = spatial_rule(cfg.split, tables._PANEL_BREAK * cfg.split, 2)
+    nodes = spatial_rule(rc.ewald.split, tables._PANEL_BREAK * rc.ewald.split, 2)
     full = tables._mirror_half_plane(
-        tables._contract(q_max, p_max, ds, *nodes, fp, zg, cfg.k0))
-    kept = spat.data != 0
-    assert np.array_equal(spat.data[kept], full[kept])
-    assert np.abs(full[~kept]).max() <= cfg.quad_tol * np.abs(full).max()
+        tables._contract(q_max, p_max, ds, *nodes, fp, zg, rc.ewald.k0))
+    for quad_tol in (1e-10, 1e-6):
+        cfg = dataclasses.replace(rc.ewald, quad_tol=quad_tol)
+        spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
+        kept = spat.data != 0
+        assert np.array_equal(spat.data[kept], full[kept])
+        assert np.abs(full[~kept]).max() <= cfg.quad_tol * np.abs(full).max()
 
 
 def _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi):
@@ -254,14 +262,15 @@ def test_build_records_doubling_diff(setup, tmp_path):
         assert loaded.doubling_diff is None
 
 
-def test_zero_skip_far_entries(setup):
-    # entries with the q-Gaussian below trunc_tol at the lower limit are zero
+def test_zero_skip_far_entries(setup, monkeypatch):
+    # entries with the q-Gaussian below cfg.negligible at the lower limit
+    # are zero
     fp, zg, cfg, spat, _ = setup
     assert table_entry(spat, spat.q_max, 0, 0) == 0
     # d-skip needs m_d * Delta * E above the log threshold; force it with a
-    # loose trunc_tol on a throwaway build
-    loose = gs.EwaldConfig(split=cfg.split, k0=cfg.k0, trunc_tol=1e-2)
-    small = gs.build_spatial_table(fp, zg, loose, 2, 3)
+    # loose negligible level on a throwaway build
+    monkeypatch.setattr(gs.EwaldConfig, "negligible", 1e-2)
+    small = gs.build_spatial_table(fp, zg, cfg, 2, 3)
     assert table_entry(small, 0, 0, zg.n_k) == 0
     assert table_entry(small, 0, 0, 0) != 0
 
@@ -291,6 +300,35 @@ def test_load_or_build_cache_hit(setup, tmp_path):
     spat2, spec2, hit2 = gs.load_or_build(tmp_path, fp, zg, cfg, 2, 3)
     assert not hit1 and hit2
     assert spat2.kind == "spatial" and spec2.kind == "spectral"
+
+
+def test_table_read_beside_missing_partner(setup, tmp_path, monkeypatch):
+    # each table file is read or rebuilt on its own: a valid spatial file
+    # next to a missing spectral one is read, not rebuilt, and the pair is
+    # no cache hit
+    fp, zg, cfg, spat, spec = setup
+    gs.save_table(spat, gs.cache_path(tmp_path, "spatial", fp, zg, cfg, 2, 3))
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a valid cached table was rebuilt")
+
+    monkeypatch.setattr(tables, "build_spatial_table", not_reached)
+    got_spat, got_spec, hit = gs.load_or_build(tmp_path, fp, zg, cfg, 2, 3)
+    assert not hit
+    assert got_spat.data.tobytes() == spat.data.tobytes()
+    assert got_spec.data.tobytes() == spec.data.tobytes()
+    assert gs.cache_path(tmp_path, "spectral", fp, zg, cfg, 2, 3).exists()
+
+
+def test_load_or_build_without_cache_writes_nothing(setup, tmp_path,
+                                                    monkeypatch):
+    fp, zg, cfg, spat, spec = setup
+    monkeypatch.chdir(tmp_path)
+    got_spat, got_spec, hit = gs.load_or_build(None, fp, zg, cfg, 2, 3)
+    assert not hit
+    assert got_spat.data.tobytes() == spat.data.tobytes()
+    assert got_spec.data.tobytes() == spec.data.tobytes()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_magic_bytes(setup, tmp_path):
