@@ -35,10 +35,11 @@ class FrameParams:
     N: int
 
     def __post_init__(self):
-        if self.X <= 0:
-            raise DomainError("window width X must be positive")
-        if not 0 < self.alpha * self.beta < 1:
-            raise DomainError("alpha*beta must lie in (0, 1) for an oversampled frame")
+        if not 0 < self.X < np.inf:
+            raise DomainError("window width X must be positive and finite")
+        if not (self.alpha > 0 and self.beta > 0 and self.alpha * self.beta < 1):
+            raise DomainError("alpha and beta must be positive with alpha*beta < 1 "
+                              "for an oversampled frame")
         if self.M < 0 or self.N < 0:
             raise DomainError("index bounds M, N must be nonnegative")
 
@@ -170,23 +171,21 @@ def fit_dual_coeffs(eta_sampled: np.ndarray, grid: np.ndarray, n_u: int, n_v: in
                     fp: FrameParams) -> DualWindow:
     """Least-squares fit of the sampled dual by a modulated-Gaussian sum.
 
-    Falls back to a truncated-SVD solution (with an IllConditionedFit warning)
-    when the normal-equation condition number exceeds _COND_LIMIT.
+    One SVD solve whose cutoff sqrt(1/_COND_LIMIT) of the largest singular
+    value truncates only when the normal-equation condition number exceeds
+    _COND_LIMIT; then it warns (IllConditionedFit).
     """
     if n_u < 0 or n_v < 0:
         raise DomainError("fit bounds must be nonnegative")
     xs = np.asarray(grid, dtype=float)
     design = frame_matrix(xs, np.arange(-n_u, n_u + 1), np.arange(-n_v, n_v + 1), fp)
-    sv = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, sv = np.linalg.lstsq(design, eta_sampled,
+                                     rcond=np.sqrt(1.0 / _COND_LIMIT))
     cond_normal = (sv[0] / sv[-1]) ** 2
     if cond_normal > _COND_LIMIT:
         warnings.warn(
             f"normal-equation condition {cond_normal:.2e} exceeds {_COND_LIMIT:.0e}; "
             "using truncated-SVD fit", IllConditionedFit)
-        rcond = np.sqrt(1.0 / _COND_LIMIT)
-        coef, *_ = np.linalg.lstsq(design, eta_sampled, rcond=rcond)
-    else:
-        coef, *_ = np.linalg.lstsq(design, eta_sampled, rcond=None)
     resid = (np.linalg.norm(design @ coef - eta_sampled)
              / np.linalg.norm(eta_sampled))
     return DualWindow(a=coef.reshape(2 * n_u + 1, 2 * n_v + 1),

@@ -11,9 +11,12 @@ where it decays exponentially.  Direct quadrature on the xi side cannot reach
 the endpoint: the phase k0^2/(8 w^2) completes ~1e7 oscillations before any
 usable cutoff.
 
-The contour has one discretization, `spatial_rule` on the real axis from E
-and `spectral_rule` on the rest, which both the kernel tables and the two
-Green-function halves integrate on; each half doubles its panels
+Every coupling entry and the Green function itself are one integral,
+int h(xi) e^{k0^2/4xi^2}/xi dxi along the contour (h = f g for the tables,
+e^{-R^2 xi^2} for the Green function), on one discretization: `spatial_rule`
+on the real axis from E and `spectral_rule` on the rest, whose weights carry
+that measure.  Tables and Green-function halves contract h on them through
+`quadrature.contract`; each half doubles its panels
 (`quadrature.doubling_checked`) until two refinements agree within quad_tol.
 """
 
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import doubling_checked, panel_nodes, subdivided_panels, tail_path
+from .quadrature import (contract, doubling_checked, panel_nodes, subdivided_panels,
+                         tail_path)
 
 _SPATIAL_RATIO = 1.3  # largest endpoint ratio of a spatial panel on [E, xc]
 _TAIL_PANELS = 8     # Gauss-Legendre panels of the compactified spatial tail
 _HEAD_PANELS = 24    # Gauss-Legendre panels of the spectral head
 _MAX_REFINE = 1024   # panel-doubling budget of the Green-function halves
-_NODE_BLOCK = 4096   # nodes per block of a Green-function contraction
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class EwaldConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.split <= 0 or self.k0 <= 0:
-            raise DomainError("split and k0 must be positive")
+        if not (0 < self.split < np.inf and 0 < self.k0 < np.inf):
+            raise DomainError("split and k0 must be positive and finite")
         if not 0 < self.quad_tol < 1:
             raise DomainError("quad_tol must lie in (0, 1)")
 
@@ -99,60 +102,64 @@ def zeta_path_derivative(w, split: float):
     return out if out.shape else complex(out)
 
 
-def spatial_rule(split: float, xc: float, refine: int):
-    """Nodes and weights of the real axis from the splitting point E to
-    infinity: geometric panels on [E, xc], none spanning an endpoint ratio
-    above _SPATIAL_RATIO^(1/refine), then the remainder compactified as
-    xi = xc/t on refine * _TAIL_PANELS panels of t in (0, 1]."""
-    x, wx = subdivided_panels(np.array([split, xc]), _SPATIAL_RATIO ** (1 / refine))
+def _with_measure(xi, weights, k0: float):
+    """The nodes xi and their weights times the Ewald measure e^{k0^2/4xi^2}/xi."""
+    return xi, np.exp(k0 * k0 / (4 * xi * xi)) / xi * weights
+
+
+def spatial_rule(cfg: EwaldConfig, rho: float, refine: int):
+    """Nodes and measure-carrying weights of the real axis from the splitting
+    point E to infinity: geometric panels on [E, xc], none spanning an
+    endpoint ratio above _SPATIAL_RATIO^(1/refine), then the remainder
+    compactified as xi = xc/t on refine * _TAIL_PANELS panels of t in (0, 1].
+    The break xc = max(2E, sqrt(4 - ln cfg.negligible)/rho) is where
+    e^{-rho^2 xi^2} falls below e^{-4} cfg.negligible, rho the integrand's
+    smallest nonzero separation; its algebraic rest the tail takes exactly."""
+    xc = max(2 * cfg.split, np.sqrt(4.0 - np.log(cfg.negligible)) / rho)
+    x, wx = subdivided_panels(np.array([cfg.split, xc]), _SPATIAL_RATIO ** (1 / refine))
     t, wt = panel_nodes(np.linspace(0.0, 1.0, refine * _TAIL_PANELS + 1))
-    return np.concatenate([x, xc / t]), np.concatenate([wx, wt * xc / t ** 2])
+    return _with_measure(np.concatenate([x, xc / t]),
+                         np.concatenate([wx, wt * xc / t ** 2]), cfg.k0)
 
 
-def spectral_rule(split: float, k0: float, c: float, refine: int):
-    """Nodes xi = 1/zeta(w) and weights zeta'/zeta^2 dw = -dxi of the rest of
-    the contour, from xi = 0 to E: refine * _HEAD_PANELS head panels on
-    [1/E, 2/E] along zeta_path, then the tail zeta = (1-j)w/2 along
-    `quadrature.tail_path` for phase rates |c'| <= c of the 1/w^2 terms."""
+def spectral_rule(cfg: EwaldConfig, c: float, refine: int):
+    """Nodes xi = 1/zeta(w) and measure-carrying weights from zeta'/zeta^2 dw =
+    -dxi of the rest of the contour, from xi = 0 to E: refine * _HEAD_PANELS
+    head panels on [1/E, 2/E] along zeta_path, then the tail zeta = (1-j)w/2
+    along `quadrature.tail_path` for phase rates |c'| <= c of the 1/w^2
+    terms."""
+    split = cfg.split
     w, dw = panel_nodes(np.linspace(1 / split, 2 / split,
                                     refine * _HEAD_PANELS + 1))
     zeta, dzeta = zeta_path(w, split), zeta_path_derivative(w, split) * dw
-    w, dw = tail_path(2 / split, k0, c, refine)
+    w, dw = tail_path(2 / split, cfg.k0, c, refine)
     zeta = np.concatenate([zeta, (1 - 1j) / 2 * w])
     dzeta = np.concatenate([dzeta, (1 - 1j) / 2 * dw])
-    return 1 / zeta, dzeta / zeta ** 2
+    return _with_measure(1 / zeta, dzeta / zeta ** 2, cfg.k0)
 
 
 def _green_half(dx, dz, cfg: EwaldConfig, rule, what: str):
-    """(1/2pi) sum_n e^{-R^2 xi_n^2} e^{k0^2/4xi_n^2}/xi_n w_n at R =
-    hypot(dx, dz) > 0 over (xi, w) = rule(R, refine), refined by panel
-    doubling up to _MAX_REFINE, in blocks of at most _NODE_BLOCK nodes."""
+    """(1/2pi) sum_n e^{-R^2 xi_n^2} w_n at R = hypot(dx, dz) > 0 over
+    (xi, w) = rule(R, refine), refined by panel doubling up to _MAX_REFINE."""
     r = np.hypot(np.asarray(dx, dtype=float), np.asarray(dz, dtype=float))
     if np.any(r <= 0):
         raise DomainError(f"{what} requires R > 0")
     r2 = r.reshape(-1, 1) ** 2
 
-    def contract(xi, weights):
-        blocks = range(_NODE_BLOCK, len(xi), _NODE_BLOCK)
-        return sum(np.exp(-r2 * x * x) @ (np.exp(cfg.k0 ** 2 / (4 * x * x)) / x * w)
-                   for x, w in zip(np.split(xi, blocks), np.split(weights, blocks))
-                   ) / (2 * np.pi)
+    def integral(xi, weights):
+        return contract(lambda x: np.exp(-r2 * x * x), np.ones_like, xi,
+                        weights) / (2 * np.pi)
 
-    v, _ = doubling_checked(contract, lambda k: rule(r, k), cfg.quad_tol, what,
+    v, _ = doubling_checked(integral, lambda k: rule(r, k), cfg.quad_tol, what,
                             _MAX_REFINE)
     return complex(v[0]) if r.ndim == 0 else v.reshape(r.shape)
 
 
 def green_spatial(dx, dz, cfg: EwaldConfig):
     """Real-axis tail of the Ewald integral, (1/2pi) int_E^inf e^{-R^2 x^2 + k0^2/4x^2} dx/x,
-    for R > 0 on spatial_rule."""
-    def rule(r, refine):
-        # beyond xc the integrand is below cfg.negligible for every radius;
-        # the tables' fixed 100E break would leave small radii unresolved
-        xc = max(2 * cfg.split, np.sqrt(-np.log(cfg.negligible) + 4.0) / r.min())
-        return spatial_rule(cfg.split, xc, refine)
-
-    return _green_half(dx, dz, cfg, rule, "green_spatial")
+    for R > 0 on spatial_rule, its break set by the smallest R."""
+    return _green_half(dx, dz, cfg, lambda r, k: spatial_rule(cfg, r.min(), k),
+                       "green_spatial")
 
 
 def green_spectral(dx, dz, cfg: EwaldConfig):
@@ -162,10 +169,9 @@ def green_spectral(dx, dz, cfg: EwaldConfig):
     for R > 0 on spectral_rule; the w > 2/E tail oscillates as
     exp(-j k0^2 w^2/8 - 2j R^2/w^2) / w, so the path's phase bound is 2R^2.
     """
-    def rule(r, refine):
-        return spectral_rule(cfg.split, cfg.k0, 2 * float(r.max()) ** 2, refine)
-
-    return _green_half(dx, dz, cfg, rule, "green_spectral")
+    return _green_half(
+        dx, dz, cfg, lambda r, k: spectral_rule(cfg, 2 * float(r.max()) ** 2, k),
+        "green_spectral")
 
 
 def split_identity_error(k0: float, radii, split: float) -> np.ndarray:

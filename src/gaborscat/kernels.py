@@ -36,8 +36,8 @@ class ZGrid:
     n_k: int
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise DomainError("delta must be positive")
+        if not (0 < self.delta < np.inf and np.isfinite(self.z_min)):
+            raise DomainError("delta must be positive and finite, z_min finite")
         if self.n_k < 1:
             raise DomainError("n_k must be at least 1")
 

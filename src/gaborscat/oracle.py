@@ -135,7 +135,8 @@ def interior_mask(result: MoMResult) -> np.ndarray:
 
 def compare_fields(a: np.ndarray, b: np.ndarray,
                    mask: np.ndarray | None = None) -> dict:
-    """Error metrics of field a against reference b over an optional mask."""
+    """Error metrics of field a against reference b over an optional mask;
+    a mask that selects no point is a DomainError (nothing was compared)."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -144,13 +145,15 @@ def compare_fields(a: np.ndarray, b: np.ndarray,
         mask = np.ones(a.shape, dtype=bool)
     if mask.shape != a.shape:
         raise GridMismatch("mask shape differs from field shape")
+    if not np.any(mask):
+        raise DomainError("the comparison mask selects no point")
     err = np.abs(a - b)
     denom = np.linalg.norm(b[mask])
     rel = float(np.linalg.norm((a - b)[mask]) / denom) if denom > 0 else \
         (0.0 if not np.any(err[mask]) else float("inf"))
     return {"abs_error": err,
             "rel_l2": rel,
-            "max_abs": float(err[mask].max()) if np.any(mask) else 0.0}
+            "max_abs": float(err[mask].max())}
 
 
 def cylinder_reference_field(x, z, scene: Scene,

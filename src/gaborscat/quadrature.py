@@ -1,7 +1,8 @@
 """Quadrature helpers: Gauss-Legendre panels, the deformed path that carries
-the oscillatory 1/w tails of the inverse-variable Green-function contour, and
-the panel-doubling check through which every contour integral of the package
-(both kernel tables and both Green-function halves) refines its node rule.
+the oscillatory 1/w tails of the inverse-variable Green-function contour,
+`contract`, the one node-block loop that sums every contour integral of the
+package (both kernel tables and both Green-function halves) over its node
+rule, and the panel-doubling check through which each of them refines it.
 
 The tail integrands all share the structure e^{-j k0^2 w^2/8 - j c/w^2} S(w)
 with S algebraic and |c| bounded, and every factor is analytic in w off the
@@ -27,6 +28,7 @@ _GRADE = 1e-6          # width of the lowest rise panel, as a fraction of _RISE
 _PANELS = 16           # panels of the return segment and of the ray
 _RAY = np.pi / 6       # the ray leaves the real axis at angle -_RAY
 _DECAY = 40.0          # the ray ends where |e^{-j k0^2 w^2/8}| = e^{-_DECAY}
+_NODE_BLOCK = 1024     # nodes per block of a contraction
 
 
 def panel_nodes(bounds: np.ndarray):
@@ -114,18 +116,32 @@ def tail_path(w0: float, k0: float, c: float, refine: int):
             np.concatenate([weights for _, weights in parts]))
 
 
-def doubling_checked(contract, rule, tol: float, what: str, max_refine: int):
-    """contract(*rule(k)) at the first k = 2, 4, ..., max_refine that agrees
-    with contract(*rule(k // 2)) within tol of its largest entry, and that
+def contract(left, right, nodes: np.ndarray, weights: np.ndarray):
+    """sum_n left(x_n) right(x_n) weights[n] over the nodes, as the sum over
+    blocks x of at most _NODE_BLOCK nodes of left(x) @ (right(x) * w).T, so
+    no factor array grows with the node count.  left(x) has the nodes along
+    its last axis; right(x) is (b, nodes), or (nodes,) for a vector result.
+    """
+    out = 0
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        x = nodes[block]
+        out = out + left(x) @ (right(x) * weights[block]).T
+    return out
+
+
+def doubling_checked(integral, rule, tol: float, what: str, max_refine: int):
+    """integral(*rule(k)) at the first k = 2, 4, ..., max_refine that agrees
+    with integral(*rule(k // 2)) within tol of its largest entry, and that
     agreement max|coarse - fine| / max|fine| (0 for an all-zero result).
 
     rule(k) returns (nodes, weights) of a base rule with its panels refined
     k-fold.  When no k up to max_refine agrees, QuadratureFailure is raised.
     """
-    coarse = contract(*rule(1))
+    coarse = integral(*rule(1))
     refine = 2
     while refine <= max_refine:
-        fine = contract(*rule(refine))
+        fine = integral(*rule(refine))
         scale = np.max(np.abs(fine), initial=0.0)
         diff = np.max(np.abs(coarse - fine), initial=0.0)
         if diff <= max(tol * scale, 1e-15):

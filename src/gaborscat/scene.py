@@ -69,10 +69,11 @@ class Scene:
     def __post_init__(self):
         if not isinstance(self.shape, tuple(SHAPES.values())):
             raise DomainError(f"unknown shape {self.shape!r}")
-        if self.eps_r < 1:
-            raise DomainError("eps_r must be >= 1 (lossless dielectric in vacuum)")
-        if self.k0 <= 0:
-            raise DomainError("k0 must be positive")
+        if not 1 <= self.eps_r < np.inf:
+            raise DomainError("eps_r must be finite and >= 1 (lossless dielectric "
+                              "in vacuum)")
+        if not 0 < self.k0 < np.inf:
+            raise DomainError("k0 must be positive and finite")
 
     @property
     def chi(self) -> float:

@@ -3,22 +3,23 @@
 Both tables integrate the one real-axis integrand
 e^{k0^2/4xi^2}/xi * f(q,p,xi) * g(d,xi) dxi; together they cover the whole
 Ewald contour, so the operator folds their plain sum.  The spatial table
-takes the real axis from the splitting point E: geometric panels on
-[E, 100E], then the compactified remainder xi = 100E/t, so no entry carries
-truncation error.  The spectral table takes the rest of the contour, from 0
-to E, through the inverse variable xi = 1/zeta(w) of the contour parameter w:
-head panels on [1/E, 2/E], then the tail zeta = (1-j)w/2 along the deformed
-path of `quadrature.tail_path`, where the integrand decays exponentially.
+takes the real axis from the splitting point E: geometric panels up to the
+break xc where e^{-Delta^2 xi^2} is negligible, then the compactified
+remainder xi = xc/t, so no entry carries truncation error.  The spectral
+table takes the rest of the contour, from 0 to E, through the inverse
+variable xi = 1/zeta(w) of the contour parameter w: head panels on
+[1/E, 2/E], then the tail zeta = (1-j)w/2 along the deformed path of
+`quadrature.tail_path`, where the integrand decays exponentially.
 
-Both tables are fixed-node contractions by one helper on the Green
-function's own node rules (`green.spatial_rule`, `green.spectral_rule`):
-every node set is a sum of (q*p x nodes) @ (nodes x d) matrix products over
-blocks of _NODE_BLOCK nodes, so memory does not grow with the node count.
-Each node set is checked once against the rule with every panel halved
-(`quadrature.doubling_checked`, max_refine = 2).  Both are
-built for p >= 0 only and the p < 0 half is filled by the exact mirror
-T[q, -p, d] = T[-q, p, d] (f depends on (q, p) only through
-(alpha*q + j*beta*p)^2 and p^2).
+Both tables are built by one body on the Green function's own node rules
+(`green.spatial_rule`, `green.spectral_rule`), whose weights carry the
+measure e^{k0^2/4xi^2}/xi: one `quadrature.contract` of f against g, a sum
+of (q*p x nodes) @ (nodes x d) matrix products over node blocks, so memory
+does not grow with the node count.  Each node set is checked once against
+the rule with every panel halved (`quadrature.doubling_checked`,
+max_refine = 2).  Both are built for p >= 0 only and the p < 0 half is
+filled by the exact mirror T[q, -p, d] = T[-q, p, d] (f depends on (q, p)
+only through (alpha*q + j*beta*p)^2 and p^2).
 
 The spectral table integrates every (q, p, d).  Spatial entries whose
 integrand envelope at the lower limit is below EwaldConfig.negligible
@@ -43,14 +44,12 @@ from .errors import DomainError
 from .frame import FrameParams
 from .green import EwaldConfig, spatial_rule, spectral_rule
 from .kernels import ZGrid, f_spatial, g_z_spatial, x_rate
-from .quadrature import doubling_checked
+from .quadrature import contract, doubling_checked
 
 _FORMAT_VERSION = 5   # of both files: the kernel DFT is folded from the tables
 _MAGIC = b"EGKT"
 _KERNEL_MAGIC = b"EGKF"
 _KINDS = ("spatial", "spectral")
-_NODE_BLOCK = 1024   # nodes per block of a table contraction
-_PANEL_BREAK = 100   # the spatial geometric panels end at this multiple of E
 
 
 def index_bounds(fp: FrameParams, n_u: int, n_v: int) -> tuple[int, int]:
@@ -90,26 +89,17 @@ class KernelTable:
         return index_bounds(self.fp, self.n_u, self.n_v)[1]
 
 
-def _q_decay_rate(fp: FrameParams, split: float) -> float:
-    """Slowest q^2 decay rate of |f| over the real axis, attained at xi = E."""
-    return x_rate(split, fp) * fp.alpha ** 2
-
-
-def _spatial_envelope(xi: float, q: int, d: int, fp: FrameParams, zg: ZGrid,
+def _spatial_envelope(xi: float, d: int, fp: FrameParams, zg: ZGrid,
                       cfg: EwaldConfig) -> float:
-    """Magnitude bound of the spatial integrand at xi (large-xi asymptotics).
-
-    The q-Gaussian uses the slowest (lower-limit) decay rate so the bound is
-    conservative over the whole integration range.
-    """
+    """Magnitude bound of the q = 0 spatial integrand at xi (large-xi
+    asymptotics)."""
     dd = zg.delta
     m_d = min(abs(d), abs(d + 1))
     if m_d == 0:
         g_env = max(np.sqrt(np.pi) / (2 * xi), 1 / (2 * dd * xi * xi))
     else:
         g_env = np.exp(-m_d * m_d * dd * dd * xi * xi) / (2 * m_d * dd * xi * xi)
-    return (np.exp(cfg.k0 ** 2 / (4 * xi * xi)) / (2 * fp.X * xi * xi)
-            * np.exp(-_q_decay_rate(fp, cfg.split) * q * q) * g_env)
+    return np.exp(cfg.k0 ** 2 / (4 * xi * xi)) / (2 * fp.X * xi * xi) * g_env
 
 
 def _x_factor(q_max: int, p_max: int, x: np.ndarray,
@@ -137,63 +127,50 @@ def _x_factor(q_max: int, p_max: int, x: np.ndarray,
 
 
 def _contract(q_max: int, p_max: int, ds, xi: np.ndarray, weights: np.ndarray,
-              fp: FrameParams, zg: ZGrid, k0: float) -> np.ndarray:
-    """sum_n e^{k0^2/4xi_n^2}/xi_n f(q, p, xi_n) g(d, xi_n) weights[n] over
-    q = -q_max..q_max, p = 0..p_max and the d of ds, shape (q, p, d).
-
-    The nodes xi may be complex.  They are taken in blocks of at most
-    _NODE_BLOCK, each one (q*p x nodes) @ (nodes x d) matrix product, so no
-    factor array grows with the node count.
-    """
-    out = 0
-    for start in range(0, len(xi), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        x = xi[block]
-        node_weights = np.exp(k0 * k0 / (4 * x * x)) / x * weights[block]
-        fvals = _x_factor(q_max, p_max, x, fp)
-        out = out + fvals.reshape(-1, len(x)) @ (
-            g_z_spatial(ds[:, None], x[None, :], zg) * node_weights).T
-    return out.reshape(2 * q_max + 1, p_max + 1, len(ds))
+              fp: FrameParams, zg: ZGrid) -> np.ndarray:
+    """sum_n f(q, p, xi_n) g(d, xi_n) weights[n] over q = -q_max..q_max,
+    p = 0..p_max and the d of ds, shape (q, p, d), on nodes xi (possibly
+    complex) whose weights carry the Ewald measure."""
+    return contract(lambda x: _x_factor(q_max, p_max, x, fp).reshape(-1, len(x)),
+                    lambda x: g_z_spatial(ds[:, None], x[None, :], zg),
+                    xi, weights).reshape(2 * q_max + 1, p_max + 1, len(ds))
 
 
-def _mirror_half_plane(half: np.ndarray) -> np.ndarray:
-    """Full (q, p, d) table from its p >= 0 half, by T[q, -p] = T[-q, p].
-
-    half holds p = 0..p_max along axis 1 over the symmetric q range; f
-    depends on (q, p) only through (alpha*q + j*beta*p)^2 and p^2, so the
-    rule is exact.
-    """
-    return np.concatenate([half[::-1, :0:-1], half], axis=1)
+def _build_table(kind: str, rule, live_q, live_d, fp: FrameParams, zg: ZGrid,
+                 cfg: EwaldConfig, n_u: int, n_v: int) -> KernelTable:
+    """The table of `kind` integrated on rule(refine) over the live q (a
+    symmetric range) and live d, p >= 0, checked by one panel doubling; the
+    other entries are zero, and the p < 0 half is the exact mirror
+    T[q, -p] = T[-q, p]."""
+    q_max, p_max = index_bounds(fp, n_u, n_v)
+    live, diff = doubling_checked(
+        lambda xi, weights: _contract(live_q[-1], p_max, live_d, xi, weights,
+                                      fp, zg),
+        rule, cfg.quad_tol, f"{kind} table", max_refine=2)
+    data = np.zeros((2 * q_max + 1, 2 * p_max + 1, 2 * zg.n_k + 1), dtype=complex)
+    rows, cols = live_q + q_max, live_d + zg.n_k
+    data[np.ix_(rows, np.arange(p_max, 2 * p_max + 1), cols)] = live
+    data[np.ix_(rows, np.arange(p_max), cols)] = live[::-1, :0:-1]
+    return KernelTable(data=data, kind=kind, fp=fp, zg=zg, cfg=cfg, n_u=n_u,
+                       n_v=n_v, doubling_diff=diff)
 
 
 def build_spatial_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                         n_u: int, n_v: int) -> KernelTable:
-    """Real-axis table: geometric panels on [E, 100E] plus the compactified
-    tail beyond, one fixed-node contraction checked by panel doubling.  The
-    tail integrates everything past the break, so the break decides only
-    where the nodes sit."""
-    q_max, p_max = index_bounds(fp, n_u, n_v)
+    """Real-axis table on spatial_rule, whose break follows from Delta, the
+    smallest nonzero z-separation: for d not in {0, -1}, g(d, xi) carries at
+    least e^{-Delta^2 xi^2}.  Only the (q, d) whose integrand envelope at
+    the lower limit E reaches cfg.negligible are integrated; the q-Gaussian
+    decays slowest there."""
+    q_max, _ = index_bounds(fp, n_u, n_v)
     qs = np.arange(-q_max, q_max + 1)
-    ps = np.arange(p_max + 1)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    half = np.zeros((len(qs), len(ps), len(ds)), dtype=complex)
-    e = cfg.split
-
-    # q-range that survives the q-Gaussian at its slowest (lower-limit) rate
-    rate = _q_decay_rate(fp, cfg.split)
+    rate = x_rate(cfg.split, fp) * fp.alpha ** 2
     live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.negligible]
-    live_d = ds[[_spatial_envelope(e, 0, d, fp, zg, cfg) > cfg.negligible
+    live_d = ds[[_spatial_envelope(cfg.split, d, fp, zg, cfg) > cfg.negligible
                  for d in ds]]
-    xc = _PANEL_BREAK * e
-
-    def contract(x, weights):
-        return _contract(live_q[-1], p_max, live_d, x, weights, fp, zg, cfg.k0)
-
-    live, diff = doubling_checked(contract, lambda k: spatial_rule(e, xc, k),
-                                  cfg.quad_tol, "spatial table", max_refine=2)
-    half[np.ix_(live_q + q_max, ps, live_d + zg.n_k)] = live
-    return KernelTable(data=_mirror_half_plane(half), kind="spatial", fp=fp,
-                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
+    return _build_table("spatial", lambda k: spatial_rule(cfg, zg.delta, k),
+                        live_q, live_d, fp, zg, cfg, n_u, n_v)
 
 
 def spectral_phase_coeff(fp: FrameParams, zg: ZGrid, n_u: int, n_v: int) -> float:
@@ -208,23 +185,15 @@ def spectral_phase_coeff(fp: FrameParams, zg: ZGrid, n_u: int, n_v: int) -> floa
 
 def build_spectral_table(fp: FrameParams, zg: ZGrid, cfg: EwaldConfig,
                          n_u: int, n_v: int) -> KernelTable:
-    """The rest of the Ewald contour, xi = 1/zeta(w) for w in [1/E, inf): the
-    head panels on [1/E, 2/E] and the tail along the deformed path, every
-    (q, p, d) in one fixed-node contraction checked by panel doubling.  Each
-    node carries the weight zeta'/zeta^2 dw = -dxi, which orients the
-    integral from xi = 0 to E."""
-    q_max, p_max = index_bounds(fp, n_u, n_v)
-    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    """The rest of the Ewald contour, xi = 1/zeta(w) for w in [1/E, inf), on
+    spectral_rule: the head panels on [1/E, 2/E] and the tail along the
+    deformed path, every (q, p, d).  Each node's weight comes from
+    zeta'/zeta^2 dw = -dxi, which orients the integral from xi = 0 to E."""
+    q_max, _ = index_bounds(fp, n_u, n_v)
     phase_coeff = spectral_phase_coeff(fp, zg, n_u, n_v)
-
-    def contract(xi, weights):
-        return _contract(q_max, p_max, ds, xi, weights, fp, zg, cfg.k0)
-
-    half, diff = doubling_checked(
-        contract, lambda k: spectral_rule(cfg.split, cfg.k0, phase_coeff, k),
-        cfg.quad_tol, "spectral table", max_refine=2)
-    return KernelTable(data=_mirror_half_plane(half), kind="spectral", fp=fp,
-                       zg=zg, cfg=cfg, n_u=n_u, n_v=n_v, doubling_diff=diff)
+    return _build_table("spectral", lambda k: spectral_rule(cfg, phase_coeff, k),
+                        np.arange(-q_max, q_max + 1),
+                        np.arange(-zg.n_k, zg.n_k + 1), fp, zg, cfg, n_u, n_v)
 
 
 # ---------------------------------------------------------------------------

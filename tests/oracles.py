@@ -25,10 +25,10 @@ from gaborscat.errors import GaborscatError, QuadratureFailure, SingularFrame
 from gaborscat.frame import (TWO_QUARTER, analysis_grid, analysis_matrix,
                              frame_matrix, synthesis_matrix, window_value)
 from gaborscat.green import zeta_path, zeta_path_derivative
-from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial
+from gaborscat.kernels import _boundary_differences, f_spatial, g_z_spatial, x_rate
 from gaborscat.quadrature import panel_nodes, subdivided_panels
 from gaborscat.scene import contrast_at
-from gaborscat.tables import _q_decay_rate, _spatial_envelope, index_bounds
+from gaborscat.tables import _spatial_envelope, index_bounds
 
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod quadrature: the reference route for the fixed-node
@@ -902,7 +902,7 @@ def _spatial_cutoff(d, fp, zg, cfg):
     """Where the q = 0 envelope of d falls below cfg.negligible, capped at
     100*split."""
     lo, hi = cfg.split, 100 * cfg.split
-    env = lambda x: _spatial_envelope(x, 0, d, fp, zg, cfg)
+    env = lambda x: _spatial_envelope(x, d, fp, zg, cfg)
     if env(hi) > cfg.negligible:
         return hi
     for _ in range(80):
@@ -920,12 +920,12 @@ def spatial_table_adaptive(fp, zg, cfg, n_u, n_v):
     ps = np.arange(-p_max, p_max + 1)
     data = np.zeros((len(qs), len(ps), 2 * zg.n_k + 1), dtype=complex)
     e, k0 = cfg.split, cfg.k0
-    rate = _q_decay_rate(fp, cfg.split)
+    rate = x_rate(cfg.split, fp) * fp.alpha ** 2
     live_q = qs[np.exp(-rate * qs.astype(float) ** 2) >= cfg.negligible]
     qg = live_q[:, None, None].astype(float)
     pg = ps[None, :, None].astype(float)
     for di, d in enumerate(range(-zg.n_k, zg.n_k + 1)):
-        if _spatial_envelope(e, 0, d, fp, zg, cfg) <= cfg.negligible:
+        if _spatial_envelope(e, d, fp, zg, cfg) <= cfg.negligible:
             continue
         xc = _spatial_cutoff(d, fp, zg, cfg)
 

@@ -544,6 +544,18 @@ def test_compare_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "compare_error.csv").exists()
 
 
+def test_compare_with_no_interior_patch_exits_3(tmp_path, capsys):
+    # a circle of radius 0.05 fills one lambda/20 oracle cell a sixth full:
+    # no patch lies wholly inside, so nothing is compared and compare fails
+    # instead of reporting a perfect 0
+    path = write_config(tmp_path, **{"scene.radius": 0.05})
+    assert main(["compare", str(path)]) == 3
+    report = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert report["error"] == "DomainError"
+    assert "selects no point" in report["message"]
+    assert not (tmp_path / "out" / "compare.json").exists()
+
+
 @pytest.mark.parametrize("cell", ["0", "-0.05", "nan", "inf"])
 def test_compare_rejects_bad_oracle_cell(tmp_path, capsys, cell):
     path = write_config(tmp_path)

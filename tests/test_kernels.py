@@ -320,12 +320,11 @@ def _table_nodes(name, rng):
     off the real axis."""
     rc = parse_config(CONFIGS / f"{name}.json")
     fp, zg, cfg = rc.fp, rc.zg, rc.ewald
-    xc = tables._PANEL_BREAK * cfg.split
     phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
     picked = []
     for k in (1, 2):
-        for xi in (spatial_rule(cfg.split, xc, k)[0],
-                   spectral_rule(cfg.split, cfg.k0, phase, k)[0]):
+        for xi in (spatial_rule(cfg, zg.delta, k)[0],
+                   spectral_rule(cfg, phase, k)[0]):
             picked.append(rng.choice(xi, 2, replace=False))
     picked.append([xi[np.argmax(np.abs(np.angle(xi)))]])
     return zg, np.concatenate(picked).astype(complex)

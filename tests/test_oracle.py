@@ -147,6 +147,8 @@ def test_compare_fields_metrics():
     mask[2, 2] = True
     m = gs.compare_fields(2 * a, a, mask)
     assert m["max_abs"] == pytest.approx(abs(a[2, 2]))
+    with pytest.raises(DomainError, match="selects no point"):
+        gs.compare_fields(a, a, np.zeros((5, 5), dtype=bool))
     with pytest.raises(GridMismatch):
         gs.compare_fields(a, a[:3])
     with pytest.raises(GridMismatch):

@@ -72,6 +72,30 @@ def test_eps_below_one_rejected():
         gs.Scene(shape=gs.Circle(radius=1.0), eps_r=0.5, k0=1.0, theta=0.0)
 
 
+NAN = float("nan")
+_CIRCLE = dict(shape=gs.Circle(radius=1.0), eps_r=2.0, k0=1.0, theta=0.0)
+_FRAME = dict(X=0.5, alpha=0.8, beta=0.8, M=3, N=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gs.Scene(**{**_CIRCLE, "eps_r": NAN}),
+    lambda: gs.Scene(**{**_CIRCLE, "k0": NAN}),
+    lambda: gs.EwaldConfig(split=NAN, k0=1.0),
+    lambda: gs.EwaldConfig(split=2.0, k0=NAN),
+    lambda: gs.FrameParams(**{**_FRAME, "X": NAN}),
+    lambda: gs.FrameParams(**{**_FRAME, "alpha": -0.8, "beta": -0.8}),
+    lambda: gs.ZGrid(z_min=0.0, delta=NAN, n_k=4),
+    lambda: gs.ZGrid(z_min=NAN, delta=0.05, n_k=4),
+], ids=["scene-eps_r-nan", "scene-k0-nan", "ewald-split-nan", "ewald-k0-nan",
+        "frame-X-nan", "frame-negative-rates", "zgrid-delta-nan",
+        "zgrid-z_min-nan"])
+def test_public_dataclasses_reject_nan_and_negative_rates(build):
+    # NaN fails every range check, and a frame needs alpha, beta > 0 (the
+    # negative pair's product lies in (0, 1), but its analysis grid is empty)
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_unknown_shape_rejected():
     # Scene is the one place that checks the shape object: everything after
     # it asks the shape for its own extents and indicator

@@ -161,8 +161,8 @@ def test_no_spectral_column_dropped():
 def test_spatial_table_matches_adaptive(setup, monkeypatch):
     # the fixed-node contraction against per-d adaptive quad_vec runs, each
     # to its own d's cutoff: same zero pattern, entries equal up to rounding.
-    # At a negligible level of 1e-6 those cutoffs lie below the table's
-    # fixed 100E panel break, which decides only where its nodes sit
+    # The table's own panel break (derived from Delta) decides only where
+    # its nodes sit
     fp, zg, cfg, spat, _ = setup
 
     def check(table):
@@ -195,19 +195,38 @@ def test_spatial_live_rule_drops_only_quadrature_noise(name):
     # at most quad_tol of max|T|: at quad_tol 1e-10 1.6e-14, 2.6e-14 and
     # 7.3e-14 on these configs (so a cfg.negligible bound would not hold),
     # at 1e-6 1.0e-9, 1.4e-10 and 5.6e-10
+    # (the p >= 0 half: the p < 0 half is its exact mirror)
     rc = parse_config(CONFIGS / f"{name}.json")
     fp, zg = rc.fp, rc.zg
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     ds = np.arange(-zg.n_k, zg.n_k + 1)
-    nodes = spatial_rule(rc.ewald.split, tables._PANEL_BREAK * rc.ewald.split, 2)
-    full = tables._mirror_half_plane(
-        tables._contract(q_max, p_max, ds, *nodes, fp, zg, rc.ewald.k0))
     for quad_tol in (1e-10, 1e-6):
         cfg = dataclasses.replace(rc.ewald, quad_tol=quad_tol)
-        spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v)
-        kept = spat.data != 0
-        assert np.array_equal(spat.data[kept], full[kept])
+        full = tables._contract(q_max, p_max, ds, *spatial_rule(cfg, zg.delta, 2),
+                                fp, zg)
+        spat = gs.build_spatial_table(fp, zg, cfg, rc.n_u, rc.n_v).data[:, p_max:]
+        kept = spat != 0
+        assert np.array_equal(spat[kept], full[kept])
         assert np.abs(full[~kept]).max() <= cfg.quad_tol * np.abs(full).max()
+
+
+@pytest.mark.parametrize("quad_tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("delta", [0.2, 0.05, 0.01])
+def test_spatial_break_leaves_nothing_beyond_it(delta, quad_tol):
+    # spatial_rule's break sqrt(4 - ln negligible)/Delta against one ten
+    # times farther (rho = Delta/10): every (q, p >= 0, d) of the circle's
+    # frame on a z-grid of spacing Delta, at its optimal split, agrees
+    # within quad_tol of max|T|
+    rc = parse_config(CONFIGS / "circle.json")
+    fp, k0 = rc.fp, rc.ewald.k0
+    zg = gs.ZGrid(z_min=0.0, delta=delta, n_k=8)
+    cfg = gs.EwaldConfig(split=gs.optimal_split(k0, delta), k0=k0,
+                         quad_tol=quad_tol)
+    q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
+    ds = np.arange(-zg.n_k, zg.n_k + 1)
+    near, far = (tables._contract(q_max, p_max, ds, *spatial_rule(cfg, rho, 2),
+                                  fp, zg) for rho in (delta, delta / 10))
+    assert np.abs(near - far).max() <= quad_tol * np.abs(far).max()
 
 
 def _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi):
@@ -230,9 +249,8 @@ def test_x_factor_recurrence_matches_closed_form(name):
     fp, zg, cfg = rc.fp, rc.zg, rc.ewald
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
-    xc = tables._PANEL_BREAK * cfg.split
-    xi = np.concatenate([spectral_rule(cfg.split, cfg.k0, phase, 2)[0],
-                         spatial_rule(cfg.split, xc, 2)[0]])
+    xi = np.concatenate([spectral_rule(cfg, phase, 2)[0],
+                         spatial_rule(cfg, zg.delta, 2)[0]])
     _assert_x_factor_matches_closed_form(fp, q_max, p_max, xi)
 
 
@@ -248,7 +266,7 @@ def test_x_factor_recurrence_on_a_wide_frame():
     q_max, p_max = gs.index_bounds(fp, rc.n_u, rc.n_v)
     phase = tables.spectral_phase_coeff(fp, zg, rc.n_u, rc.n_v)
     _assert_x_factor_matches_closed_form(
-        fp, q_max, p_max, spectral_rule(cfg.split, cfg.k0, phase, 1)[0])
+        fp, q_max, p_max, spectral_rule(cfg, phase, 1)[0])
 
 
 def test_build_records_doubling_diff(setup, tmp_path):
